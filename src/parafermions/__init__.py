@@ -18,6 +18,7 @@ from .errors import (
     NegativeFusionError,
     NonIntegerFusionError,
     ParafermionError,
+    ResourceError,
     SamplingError,
     ShapeError,
     VacuumError,

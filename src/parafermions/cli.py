@@ -9,8 +9,9 @@ Subcommands emit machine-readable documents on stdout:
 * ``sectors``  - label enumerations
 * ``interfere``- sampled interference curve with monodromy header
 
-Exit codes: 0 success, 1 usage or label error, 2 resource cap exceeded,
-3 verification failure. Complex numbers serialize as [re, im] pairs.
+Exit codes: 0 success, 1 usage or label error, 2 resource cap or memory
+budget exceeded, 3 verification failure. Complex numbers serialize as
+[re, im] pairs; documents are strict JSON (no NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -30,7 +32,14 @@ from . import fusion as fu
 from . import interferometry as it
 from . import lie
 from . import smatrix as sm
-from .errors import LabelError, ParafermionError, WeylCapError
+from .errors import (
+    ConsistencyError,
+    LabelError,
+    LatticeError,
+    ParafermionError,
+    ResourceError,
+    VacuumError,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -38,6 +47,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+
+# Errors a consistency check raises when the data fail it: the check is
+# recorded as failed, not the command refused.
+CHECK_FAILURES = (ConsistencyError, LatticeError, VacuumError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_pairs(matrix: np.ndarray):
-    return [[[z.real, z.imag] for z in row] for row in matrix]
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
 def document(kind: str, k: int, basis, payload: dict) -> dict:
@@ -64,7 +77,7 @@ def document(kind: str, k: int, basis, payload: dict) -> dict:
 
 def emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     else:
         print(to_csv(doc), end="")
 
@@ -84,12 +97,12 @@ def to_csv(doc: dict) -> str:
         for lab, row in zip(doc["basis"], doc["matrix"]):
             flat = [lab]
             for re_im in row:
-                flat += [repr(re_im[0]), repr(re_im[1])]
+                flat += map(float, re_im)
             writer.writerow(flat)
     elif "curve" in doc:
         writer.writerow(["alpha", "sigma_xx"])
-        for alpha, sigma in doc["curve"]:
-            writer.writerow([repr(alpha), repr(sigma)])
+        for point in doc["curve"]:
+            writer.writerow(map(float, point))
     else:
         for key, value in doc.items():
             if key in ("schema_version", "k", "kind"):
@@ -183,7 +196,8 @@ def _check_verlinde_full(k, tol):
 
 def _verify_checks(k: int, tol: float, cap: int, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
-    (in particular the capped oracle) never run."""
+    (in particular the capped oracle) never run. A check that raises one
+    of CHECK_FAILURES is recorded as failed with the error's message."""
     plan = [("oracle-vs-compact", lambda: (_check_oracle(k, tol, cap), None)),
             ("coset-four-way", lambda: (_check_coset_four_way(k, tol), None))]
 
@@ -227,9 +241,15 @@ def _verify_checks(k: int, tol: float, cap: int, targets=None):
                 if any(n.startswith(t) or t in n for t in targets)]
     checks = []
     for name, run in plan:
-        residual, ok = run()
+        try:
+            residual, ok = run()
+        except CHECK_FAILURES as exc:
+            checks.append({"name": name, "residual": None, "passed": False,
+                           "error": str(exc)})
+            continue
         residual = float(residual)
-        checks.append((name, residual, residual < tol if ok is None else ok))
+        checks.append({"name": name, "residual": residual,
+                       "passed": residual < tol if ok is None else ok})
     return checks
 
 
@@ -239,16 +259,18 @@ def cmd_verify(args) -> int:
     if args.targets and not checks:
         print(f"no checks match targets {args.targets}", file=sys.stderr)
         return EXIT_USAGE
-    doc = document("verify", args.k, [c[0] for c in checks], {
+    doc = document("verify", args.k, [c["name"] for c in checks], {
         "tolerance": args.tolerance,
-        "checks": [{"name": n, "residual": r, "passed": p}
-                   for n, r, p in checks],
-        "passed": all(p for _, _, p in checks),
+        "checks": checks,
+        "passed": all(c["passed"] for c in checks),
     })
     emit(doc, args.format)
     if not doc["passed"]:
-        failing = [n for n, _, p in checks if not p]
+        failing = [c["name"] for c in checks if not c["passed"]]
         print(f"failing checks: {', '.join(failing)}", file=sys.stderr)
+        for c in checks:
+            if "error" in c:
+                print(f"{c['name']}: {c['error']}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
@@ -332,6 +354,17 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
 
 
+def _tolerance_arg(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="parafermions",
                      description="Modular data of Z_k parafermion "
@@ -341,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tolerance", type=float, default=sm.DEFAULT_TOLERANCE)
+        p.add_argument("--tolerance", type=_tolerance_arg,
+                       default=sm.DEFAULT_TOLERANCE)
         p.add_argument("--weyl-cap", type=int, default=lie.DEFAULT_WEYL_CAP)
 
     p = sub.add_parser("smatrix", parents=[], help="emit an S matrix")
@@ -389,8 +423,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except WeylCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except (LabelError, ParafermionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

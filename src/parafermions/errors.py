@@ -17,7 +17,11 @@ class ShapeError(ParafermionError, ValueError):
     """Vector/matrix dimension mismatch."""
 
 
-class WeylCapError(ParafermionError):
+class ResourceError(ParafermionError):
+    """A computation would exceed a resource cap or the memory budget."""
+
+
+class WeylCapError(ResourceError):
     """k exceeds the configured Weyl-group size cap."""
 
     def __init__(self, k, cap):

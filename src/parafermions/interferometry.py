@@ -36,9 +36,10 @@ class Monodromy:
         return cmath.phase(self.value)
 
 
-def monodromy(s: SMatrix, a, b) -> Monodromy:
-    """S_ab S_00 / (S_0a S_0b) with 0 the vacuum row."""
-    vac = find_vacuum(s)
+def monodromy(s: SMatrix, a, b, vac: int | None = None) -> Monodromy:
+    """S_ab S_00 / (S_0a S_0b) with 0 the vacuum row, found unless given."""
+    if vac is None:
+        vac = find_vacuum(s)
     ia, ib = s.index(a), s.index(b)
     denom = s.entries[vac, ia] * s.entries[vac, ib]
     if abs(denom) < s.tolerance:
@@ -106,9 +107,10 @@ class DetectionRow:
 def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
     """Monodromy magnitude, phase and vacuum-relative visibility for each
     bulk candidate; flags non-Abelian whenever |M| < 1."""
+    vac = find_vacuum(s)
     rows = []
     for bulk in bulk_candidates:
-        m = monodromy(s, probe, bulk)
+        m = monodromy(s, probe, bulk, vac)
         rows.append(DetectionRow(
             bulk=bulk,
             magnitude=m.magnitude,

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,15 @@ import pytest
 from parafermions import cli
 from parafermions import coset as co
 from parafermions import fullcft as fc
+from parafermions import fusion as fu
 from parafermions import smatrix as sm
+
+
+def strict_json(text):
+    """Parse a document, refusing the NaN/Infinity extensions."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def run(capsys, *argv):
@@ -54,6 +64,13 @@ class TestSmatrixCommand:
         assert lines[0].startswith("# schema_version")
         # header + 3 label rows after 3 metadata rows
         assert len(lines) == 3 + 1 + 3
+        _, json_out, _ = run(capsys, "smatrix", "--k", "2", "--which", "su2k")
+        doc = cli.parse_document(json_out)
+        rows = list(csv.reader(io.StringIO(out)))[4:]
+        assert [r[0] for r in rows] == doc["basis"]
+        cells = [[float(x) for x in r[1:]] for r in rows]  # every cell
+        assert cells == [[x for re_im in row for x in re_im]
+                         for row in doc["matrix"]]
 
 
 class TestVerifyCommand:
@@ -94,6 +111,39 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--k", "3",
                          "--targets", "no-such-check")
         assert code == 1
+
+    def test_raising_check_is_a_failed_check(self, capsys):
+        # at this tolerance coset_s_phase_form raises a ConsistencyError;
+        # the check fails with its message, the other checks still run
+        code, out, err = run(capsys, "verify", "--k", "3", "--all",
+                             "--tolerance", "1e-30")
+        assert code == 3
+        doc = strict_json(out)
+        assert len(doc["checks"]) == 16
+        four_way, = [c for c in doc["checks"] if c["name"] == "coset-four-way"]
+        assert four_way["passed"] is False
+        assert four_way["residual"] is None
+        assert "phase form" in four_way["error"]
+        assert "coset-four-way: phase form" in err
+        assert any(c["passed"] for c in doc["checks"])  # exact checks ran
+
+
+class TestResourceExit:
+    def test_memory_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(fu, "memory_budget", lambda: 1024)
+        code, out, err = run(capsys, "fusion", "--k", "3", "--which", "coset")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert "Traceback" not in err
+
+    def test_memory_error_exits_2(self, capsys, monkeypatch):
+        def exhausted(s):
+            raise MemoryError()
+        monkeypatch.setattr(fu, "verlinde", exhausted)
+        code, _, err = run(capsys, "fusion", "--k", "3")
+        assert code == 2
+        assert "out of memory" in err
 
 
 class TestFusionDimsSectors:
@@ -161,6 +211,12 @@ class TestInterfereCommand:
                            "--format", "csv")
         assert code == 0
         assert "alpha,sigma_xx" in out
+        _, json_out, _ = run(capsys, "interfere", "--k", "3", "--bulk", "0,0",
+                             "--probe", "0,0", "--samples", "4")
+        rows = list(csv.reader(io.StringIO(out)))
+        start = rows.index(["alpha", "sigma_xx"]) + 1
+        curve = [[float(x) for x in r] for r in rows[start:]]
+        assert curve == cli.parse_document(json_out)["curve"]
 
 
 class TestUsage:
@@ -173,3 +229,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["smatrix", "--k", "x", "--which", "su2k"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-10",
+                                       "1e-400", "tiny"])
+    def test_bad_tolerance(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "3", "--targets", "oracle",
+                      f"--tolerance={value}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "--tolerance" in err and value in err
+
+    def test_good_tolerance(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
+                           "oracle", "--tolerance", "1e-8")
+        assert code == 0
+        assert cli.parse_document(out)["tolerance"] == 1e-8

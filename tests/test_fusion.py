@@ -9,7 +9,13 @@ from parafermions import coset as co
 from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import smatrix as sm
-from parafermions.errors import LabelError, NonIntegerFusionError, VacuumError
+from parafermions.errors import (
+    ConsistencyError,
+    LabelError,
+    NonIntegerFusionError,
+    ResourceError,
+    VacuumError,
+)
 
 DELTA = (1 + math.sqrt(5)) / 2
 
@@ -44,6 +50,117 @@ class TestVerlinde:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_axioms(self, k):
         fu.verlinde(co.coset_s_compact(k).s).check_axioms()
+
+    def test_unknown_label(self):
+        ring = fu.verlinde(co.coset_s_compact(3).s)
+        with pytest.raises(LabelError):
+            ring.product(w(0, 1), "no-such-label")
+        with pytest.raises(LabelError):
+            ring.coefficient(w(0, 0), w(0, 0), w(0, 1, k=4))
+
+    def test_coefficient_lookup(self):
+        ring = fu.verlinde(co.coset_s_compact(3).s)
+        assert ring.coefficient(w(0, 2), w(0, 2), w(0, 1)) == 1
+        assert ring.coefficient(w(0, 2), w(0, 2), w(0, 0)) == 0
+
+
+def _reference_verlinde(s):
+    """The three-operand n^4 einsum the BLAS Verlinde sum replaced."""
+    vac = fu.find_vacuum(s)
+    raw = np.einsum("ax,bx,cx->abc", s.entries, s.entries / s.entries[vac],
+                    s.entries.conj())
+    return np.round(raw.real).astype(np.int64)
+
+
+def _reference_associative(n):
+    """The two n^4 int64 einsums the sliced associativity check replaced."""
+    return np.array_equal(np.einsum("abe,ecd->abcd", n, n),
+                          np.einsum("bcf,afd->abcd", n, n))
+
+
+def _ring3():
+    return fu.verlinde(co.coset_s_compact(3).s)
+
+
+def _modified(ring, entries: dict):
+    """A copy of `ring` with tensor entries {(a, b, c): value} replaced."""
+    tensor = ring.tensor.copy()
+    for abc, value in entries.items():
+        tensor[abc] = value
+    return fu.FusionRing(ring.labels, tensor, ring.vacuum_index)
+
+
+def _symmetric_bump(ring, a, b, c):
+    """N_ab^c and N_ba^c both raised by one: still commutative."""
+    bump = ring.tensor[a, b, c] + 1
+    return _modified(ring, {(a, b, c): bump, (b, a, c): bump})
+
+
+def _others(ring, count):
+    """`count` label indices other than the vacuum."""
+    return [i for i in range(len(ring.labels)) if i != ring.vacuum_index][:count]
+
+
+class TestCheckAxioms:
+    def test_rejects_non_commutative(self):
+        ring = _ring3()
+        a, b, c = _others(ring, 3)
+        bumped = _modified(ring, {(a, b, c): ring.tensor[a, b, c] + 1})
+        with pytest.raises(ConsistencyError, match="commutative"):
+            bumped.check_axioms()
+
+    def test_rejects_vacuum_not_identity(self):
+        ring = _ring3()
+        v = ring.vacuum_index
+        b, c = _others(ring, 2)
+        moved = _modified(ring, {(v, b, c): 1, (b, v, c): 1})
+        with pytest.raises(ConsistencyError, match="vacuum"):
+            moved.check_axioms()
+
+    def test_rejects_commutative_non_associative(self):
+        ring = _ring3()
+        bumped = _symmetric_bump(ring, *_others(ring, 3))
+        assert not _reference_associative(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+
+    def test_rejects_coefficients_beyond_exact_float(self):
+        # vacuum 0 acts as the identity; x x x = 2^27 0 + 2^27 x breaks
+        # the float64 exactness bound max|N|^2 n < 2^53
+        tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [2 ** 27, 2 ** 27]]])
+        ring = fu.FusionRing((0, 1), tensor, 0)
+        with pytest.raises(ConsistencyError, match="exact"):
+            ring.check_axioms()
+
+    @pytest.mark.parametrize("theory", ["coset", "full"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_agrees_with_n4_reference(self, theory, k):
+        s = (co.coset_s_compact(k).s if theory == "coset"
+             else fc.full_s_product(k))
+        ring = fu.verlinde(s)  # the sliced check accepts
+        assert np.array_equal(ring.tensor, _reference_verlinde(s))
+        assert _reference_associative(ring.tensor)
+        # symmetric bumps keep commutativity; both checks give one verdict
+        x, y = _others(ring, 2)
+        for a, b, c in [(x, y, x), (x, x, y), (y, y, ring.vacuum_index)]:
+            bumped = _symmetric_bump(ring, a, b, c)
+            try:
+                bumped.check_axioms()
+                sliced = True
+            except ConsistencyError:
+                sliced = False
+            assert sliced == _reference_associative(bumped.tensor)
+
+
+class TestMemoryBudget:
+    def test_guard_raises_before_allocating(self, monkeypatch):
+        s = co.coset_s_compact(4).s
+        need = fu.VERLINDE_BYTES_PER_CUBE * s.dim ** 3
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with pytest.raises(ResourceError, match="budget"):
+            fu.verlinde(s)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        fu.verlinde(s)
 
 
 class TestClosedForms:

@@ -111,3 +111,18 @@ class TestDetectionReport:
         assert all(r.visibility == pytest.approx(1.0, abs=1e-10)
                    for r in rows)
         assert not any(r.non_abelian for r in rows)
+
+    def test_one_vacuum_lookup_per_report(self, coset3, monkeypatch):
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return fu.find_vacuum(s)
+
+        monkeypatch.setattr(it, "find_vacuum", counting)
+        rows = it.detection_report(coset3, w(0, 1), coset3.labels)
+        assert len(rows) == coset3.dim
+        assert len(calls) == 1 and calls[0] is coset3
+        m = it.monodromy(coset3, w(0, 1), w(1, 2), fu.find_vacuum(coset3))
+        assert m.value == pytest.approx(-1 / DELTA ** 2, abs=1e-10)
+        assert len(calls) == 1  # a given vacuum index skips the lookup
