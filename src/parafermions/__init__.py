@@ -1,9 +1,9 @@
 """Exact modular data of Z_k parafermion Read-Rezayi quantum Hall states.
 
 Public surface: S matrices of su(2)_k and su(k)_2 (closed forms plus a
-Weyl-Kac brute-force oracle), the diagonal-coset parafermion theory, the
-full Read-Rezayi sector data with charge lattice and filling factor,
-Verlinde fusion rings, and Fabry-Perot interferometry observables.
+Weyl-Kac oracle in determinant form), the diagonal-coset parafermion
+theory, the full Read-Rezayi sector data with charge lattice and filling
+factor, Verlinde fusion rings, and Fabry-Perot interferometry observables.
 """
 
 from .errors import (
@@ -22,9 +22,8 @@ from .errors import (
     SamplingError,
     ShapeError,
     VacuumError,
-    WeylCapError,
 )
-from .lie import CartanData, WeylElement, WeylGroup, cartan_data, weyl_group
+from .lie import CartanData, cartan_data
 from .smatrix import (
     CosetWeight,
     OrbitDecomposition,

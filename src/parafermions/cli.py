@@ -9,20 +9,22 @@ Subcommands emit machine-readable documents on stdout:
 * ``sectors``  - label enumerations
 * ``interfere``- sampled interference curve with monodromy header
 
-Exit codes: 0 success, 1 usage or label error, 2 resource cap or memory
-budget exceeded, 3 verification failure. Complex numbers serialize as
+Exit codes: 0 success, 1 usage or label error, 2 memory budget exceeded
+or out of memory, 3 verification failure. Complex numbers serialize as
 [re, im] pairs; documents are strict JSON (no NaN or Infinity).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from . import coset as co
 from . import fullcft as fc
 from . import fusion as fu
 from . import interferometry as it
-from . import lie
 from . import smatrix as sm
 from .errors import (
     ConsistencyError,
@@ -45,7 +46,7 @@ SCHEMA_VERSION = "1"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_CAP = 2
+EXIT_RESOURCE = 2
 EXIT_VERIFY = 3
 
 # Errors a consistency check raises when the data fail it: the check is
@@ -121,19 +122,19 @@ def matrix_from_document(doc: dict) -> np.ndarray:
 
 
 _SMATRIX_BUILDERS = {
-    "su2k": lambda k, tol, cap: sm.s_su2k(k, tolerance=tol),
-    "suk2-oracle": lambda k, tol, cap: sm.s_suk2_weylkac(k, cap=cap, tolerance=tol),
-    "suk2-compact": lambda k, tol, cap: sm.s_suk2_compact(k, tolerance=tol),
-    "coset": lambda k, tol, cap: co.coset_s_compact(k, tolerance=tol).s,
-    "coset-lm": lambda k, tol, cap: co.coset_s_via_su2k_u1(k, tolerance=tol),
-    "u1": lambda k, tol, cap: fc.s_u1(k, tolerance=tol),
-    "full-product": lambda k, tol, cap: fc.full_s_product(k, tolerance=tol),
-    "full-compact": lambda k, tol, cap: fc.full_s_compact(k, tolerance=tol),
+    "su2k": lambda k, tol: sm.s_su2k(k, tolerance=tol),
+    "suk2-oracle": lambda k, tol: sm.s_suk2_weylkac(k, tolerance=tol),
+    "suk2-compact": lambda k, tol: sm.s_suk2_compact(k, tolerance=tol),
+    "coset": lambda k, tol: co.coset_s_compact(k, tolerance=tol).s,
+    "coset-lm": lambda k, tol: co.coset_s_via_su2k_u1(k, tolerance=tol),
+    "u1": lambda k, tol: fc.s_u1(k, tolerance=tol),
+    "full-product": lambda k, tol: fc.full_s_product(k, tolerance=tol),
+    "full-compact": lambda k, tol: fc.full_s_compact(k, tolerance=tol),
 }
 
 
 def cmd_smatrix(args) -> int:
-    s = _SMATRIX_BUILDERS[args.which](args.k, args.tolerance, args.weyl_cap)
+    s = _SMATRIX_BUILDERS[args.which](args.k, args.tolerance)
     doc = document("smatrix", args.k, s.labels, {
         "which": args.which,
         "tolerance": s.tolerance,
@@ -143,98 +144,74 @@ def cmd_smatrix(args) -> int:
     return EXIT_OK
 
 
-def _check_oracle(k, tol, cap):
-    return sm.s_suk2_weylkac(k, cap=cap, tolerance=tol).max_abs_diff(
-        sm.s_suk2_compact(k, tolerance=tol))
-
-
-def _check_coset_four_way(k, tol):
-    four = [sm.s_suk2_compact(k, tolerance=tol),
-            co.coset_s_compact(k, tolerance=tol).s,
-            co.coset_s_phase_form(k, tolerance=tol),
-            co.coset_s_via_su2k_u1(k, tolerance=tol)]
-    return max(a.max_abs_diff(b) for a in four for b in four)
-
-
-def _theory(name, k, tol):
-    if name == "su2k":
-        s = sm.s_su2k(k, tolerance=tol)
-        t = fu.TData({l: sm.dim_su2k(l, k) for l in s.labels},
-                     Fraction(3 * k, k + 2))
-    elif name == "coset":
-        cdata = co.coset_s_compact(k, tolerance=tol)
-        s, t = cdata.s, fu.TData(cdata.dims, cdata.central_charge)
-    else:
-        s = fc.full_s_product(k, tolerance=tol)
-        t = fu.TData(fc.full_dims(k), fc.full_central_charge(k))
-    return s, t
-
-
-def _check_verlinde_coset(k, tol):
-    ring = fu.verlinde(co.coset_s_compact(k, tolerance=tol).s)
-    for a in ring.labels:
-        for b in ring.labels:
-            if fu.fusion_coset_closed(a, b) != ring.product(a, b):
-                return 1
-    return 0
-
-
-def _check_verlinde_su2k(k, tol):
-    ring = fu.verlinde(sm.s_su2k(k, tolerance=tol))
-    for a in ring.labels:
-        for b in ring.labels:
-            closed = {c: 1 for c in fu.fusion_su2k_closed(a, b, k)}
-            if closed != dict(ring.product(a, b)):
-                return 1
-    return 0
-
-
-def _check_verlinde_full(k, tol):
-    fu.verlinde(fc.full_s_product(k, tolerance=tol))  # raises on failure
-    return 0
-
-
-def _verify_checks(k: int, tol: float, cap: int, targets=None):
+def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
-    (in particular the capped oracle) never run. A check that raises one
-    of CHECK_FAILURES is recorded as failed with the error's message."""
-    plan = [("oracle-vs-compact", lambda: (_check_oracle(k, tol, cap), None)),
-            ("coset-four-way", lambda: (_check_coset_four_way(k, tol), None))]
+    never run. Each S matrix is built at most once per call. A check
+    returns its residual, or (residual, passed) when passing takes more
+    than residual < tol. A check that raises one of CHECK_FAILURES is
+    recorded as failed with the error's message."""
+    su2k = cache(lambda: sm.s_su2k(k, tolerance=tol))
+    suk2 = cache(lambda: sm.s_suk2_compact(k, tolerance=tol))
+    coset = cache(lambda: co.coset_s_compact(k, tolerance=tol))
+    full = cache(lambda: fc.full_s_product(k, tolerance=tol))
 
-    reports = {}
+    def four_way():
+        four = [suk2(), coset().s, co.coset_s_phase_form(k, tolerance=tol),
+                co.coset_s_via_su2k_u1(k, tolerance=tol)]
+        return max(a.max_abs_diff(b) for a in four for b in four)
 
+    @cache
+    def report(name):
+        if name == "su2k":
+            s = su2k()
+            t = fu.TData({l: sm.dim_su2k(l, k) for l in s.labels},
+                         Fraction(3 * k, k + 2))
+        elif name == "coset":
+            c = coset()
+            s, t = c.s, fu.TData(c.dims, c.central_charge)
+        else:
+            s = full()
+            t = fu.TData(fc.full_dims(k), fc.full_central_charge(k))
+        return fu.verify_modular_relations(s, t)
+
+    def s2(name):
+        rep = report(name)
+        return rep.s2_defect, (rep.conjugation_is_permutation
+                               and rep.s2_defect < tol and rep.c2_defect < tol)
+
+    def verlinde_coset():
+        ring = fu.verlinde(coset().s)
+        return int(any(fu.fusion_coset_closed(a, b) != ring.product(a, b)
+                       for a in ring.labels for b in ring.labels))
+
+    def verlinde_su2k():
+        ring = fu.verlinde(su2k())
+        return int(any({c: 1 for c in fu.fusion_su2k_closed(a, b, k)}
+                       != dict(ring.product(a, b))
+                       for a in ring.labels for b in ring.labels))
+
+    def verlinde_full():
+        fu.verlinde(full())  # raises on failure
+        return 0
+
+    plan = [("oracle-vs-compact",
+             lambda: sm.s_suk2_weylkac(k, tolerance=tol).max_abs_diff(suk2())),
+            ("coset-four-way", four_way)]
     for name in ("su2k", "coset", "full"):
-        def make(name=name, which=None):
-            def run(which=which):
-                if name not in reports:
-                    reports[name] = fu.verify_modular_relations(
-                        *_theory(name, k, tol))
-                rep = reports[name]
-                if which == "unitarity":
-                    return rep.unitarity_defect, None
-                if which == "s2":
-                    ok = (rep.conjugation_is_permutation
-                          and rep.s2_defect < tol and rep.c2_defect < tol)
-                    return rep.s2_defect, ok
-                return rep.st3_defect, None
-            return run
-        plan.append((f"unitarity-{name}", make(which="unitarity")))
-        plan.append((f"s2-{name}", make(which="s2")))
-        plan.append((f"st3-{name}", make(which="st3")))
-
+        plan += [
+            (f"unitarity-{name}", lambda n=name: report(n).unitarity_defect),
+            (f"s2-{name}", lambda n=name: s2(n)),
+            (f"st3-{name}", lambda n=name: report(n).st3_defect),
+        ]
     plan += [
-        ("verlinde-vs-closed-coset",
-         lambda: (_check_verlinde_coset(k, tol), None)),
-        ("verlinde-vs-closed-su2k",
-         lambda: (_check_verlinde_su2k(k, tol), None)),
-        ("verlinde-full-integrality",
-         lambda: (_check_verlinde_full(k, tol), None)),
+        ("verlinde-vs-closed-coset", verlinde_coset),
+        ("verlinde-vs-closed-su2k", verlinde_su2k),
+        ("verlinde-full-integrality", verlinde_full),
         ("full-dual-construction",
-         lambda: (fc.full_s_product(k, tolerance=tol).max_abs_diff(
-             fc.full_s_compact(k, tolerance=tol)), None)),
+         lambda: full().max_abs_diff(fc.full_s_compact(k, tolerance=tol))),
         ("filling-factor",
-         lambda: (0 if fc.filling_factor(fc.gram_matrix(k))
-                  == Fraction(k, k + 2) else 1, None)),
+         lambda: int(fc.filling_factor(fc.gram_matrix(k))
+                     != Fraction(k, k + 2))),
     ]
     if targets:
         plan = [(n, f) for n, f in plan
@@ -242,11 +219,12 @@ def _verify_checks(k: int, tol: float, cap: int, targets=None):
     checks = []
     for name, run in plan:
         try:
-            residual, ok = run()
+            out = run()
         except CHECK_FAILURES as exc:
             checks.append({"name": name, "residual": None, "passed": False,
                            "error": str(exc)})
             continue
+        residual, ok = out if isinstance(out, tuple) else (out, None)
         residual = float(residual)
         checks.append({"name": name, "residual": residual,
                        "passed": residual < tol if ok is None else ok})
@@ -254,8 +232,7 @@ def _verify_checks(k: int, tol: float, cap: int, targets=None):
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.k, args.tolerance, args.weyl_cap,
-                            targets=args.targets)
+    checks = _verify_checks(args.k, args.tolerance, targets=args.targets)
     if args.targets and not checks:
         print(f"no checks match targets {args.targets}", file=sys.stderr)
         return EXIT_USAGE
@@ -349,9 +326,13 @@ def cmd_interfere(args) -> int:
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"amplitude must be finite, got {text!r}")
+    return value
 
 
 def _tolerance_arg(text: str) -> float:
@@ -376,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--tolerance", type=_tolerance_arg,
                        default=sm.DEFAULT_TOLERANCE)
-        p.add_argument("--weyl-cap", type=int, default=lie.DEFAULT_WEYL_CAP)
 
     p = sub.add_parser("smatrix", parents=[], help="emit an S matrix")
     common(p)
@@ -425,7 +405,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ResourceError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_RESOURCE
     except (LabelError, ParafermionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,19 +18,7 @@ class ShapeError(ParafermionError, ValueError):
 
 
 class ResourceError(ParafermionError):
-    """A computation would exceed a resource cap or the memory budget."""
-
-
-class WeylCapError(ResourceError):
-    """k exceeds the configured Weyl-group size cap."""
-
-    def __init__(self, k, cap):
-        self.k = k
-        self.cap = cap
-        super().__init__(
-            f"k={k} exceeds the Weyl-group cap {cap} "
-            f"({cap}! = {_factorial(cap)} elements); raise the cap explicitly"
-        )
+    """A computation would exceed the memory budget."""
 
 
 class LabelError(ParafermionError, ValueError):
@@ -71,10 +59,3 @@ class LatticeError(ParafermionError):
 
 class SamplingError(ParafermionError, ValueError):
     """Interference curve requested with too few samples."""
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

@@ -1,9 +1,10 @@
 """Finite Lie-algebra data for su(k) = A_{k-1}.
 
-Everything here is exact rational arithmetic (fractions.Fraction); floating
-point never enters. Weights live in the Dynkin-label basis; the Weyl group
-acts through the orthogonal (epsilon-coordinate) embedding, where it is a
-literal permutation of k coordinates.
+Everything here is exact: rational arithmetic (fractions.Fraction) or
+integer arrays; floating point never enters. Weights live in the
+Dynkin-label basis; the Weyl group acts through the orthogonal
+(epsilon-coordinate) embedding, where it is a literal permutation of k
+coordinates.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidRankError, ShapeError, WeylCapError
+import numpy as np
 
-DEFAULT_WEYL_CAP = 8
+from .errors import InvalidRankError, ShapeError
 
 
 def rational_inverse(matrix):
@@ -114,64 +115,14 @@ def orthogonal_inner_product(ea: Sequence, eb: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(ea, eb)), Fraction(0))
 
 
-def _parity(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """A Weyl group element of A_{k-1}: permutation of k symbols plus parity."""
-
-    perm: tuple
-    sign: int
-
-    def apply(self, weight: Sequence, k: int) -> tuple:
-        """Act on a Dynkin-label weight, returning Dynkin labels."""
-        coords = to_orthogonal(weight, k)
-        permuted = tuple(coords[self.perm[i]] for i in range(k))
-        return from_orthogonal(permuted)
-
-    def apply_orthogonal(self, coords: Sequence) -> tuple:
-        return tuple(coords[self.perm[i]] for i in range(len(self.perm)))
-
-
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """Element acting as w1 after w2: apply(compose(w1,w2)) = apply(w1, apply(w2, .))."""
-    perm = tuple(w2.perm[w1.perm[i]] for i in range(len(w1.perm)))
-    return WeylElement(perm=perm, sign=w1.sign * w2.sign)
-
-
-@dataclass(frozen=True)
-class WeylGroup:
-    k: int
-    elements: tuple
-
-    @property
-    def size(self):
-        return len(self.elements)
-
-
-def weyl_group(k: int, cap: int = DEFAULT_WEYL_CAP) -> WeylGroup:
-    """All k! signed permutations of the epsilon coordinates of A_{k-1}."""
+def weyl_group(k: int):
+    """The k! Weyl elements of A_{k-1} as permutations of the epsilon
+    coordinates: (perms, signs), perms of shape (k!, k) and signs
+    det(w) = (-1)^(inversions). The size grows as k!; meant for small k.
+    """
     if k < 2:
         raise InvalidRankError(f"su(k) needs k >= 2, got k={k}")
-    if k > cap:
-        raise WeylCapError(k, cap)
-    elements = tuple(
-        WeylElement(perm=perm, sign=_parity(perm))
-        for perm in itertools.permutations(range(k))
-    )
-    return WeylGroup(k=k, elements=elements)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)
+    inversions = ((perms[:, :, None] > perms[:, None, :]) & upper).sum(axis=(1, 2))
+    return perms, 1 - 2 * (inversions % 2)

@@ -38,10 +38,10 @@ def announce(capsys, number, name, ok, detail=""):
 def test_criterion_01_oracle_equivalence(capsys):
     start = time.monotonic()
     worst = max(sm.s_suk2_weylkac(k).max_abs_diff(sm.s_suk2_compact(k))
-                for k in range(2, 7))
+                for k in range(2, 13))
     elapsed = time.monotonic() - start
     ok = worst < 1e-10 and elapsed < 60
-    assert announce(capsys, 1, "Weyl-Kac oracle equals compact form, k=2..6",
+    assert announce(capsys, 1, "Weyl-Kac oracle equals compact form, k=2..12",
                     ok, f"max residual {worst:.2e}, {elapsed:.1f}s")
 
 
@@ -234,7 +234,7 @@ def test_criterion_10_full_dual_construction(capsys):
                     "k=2..6", ok, f"max residual {worst:.2e}")
 
 
-def test_criterion_11_cli_round_trip(capsys):
+def test_criterion_11_cli_round_trip(capsys, monkeypatch):
     ok = True
 
     def run(*argv):
@@ -246,7 +246,7 @@ def test_criterion_11_cli_round_trip(capsys):
         code, out = run("smatrix", "--k", "3", "--which", which)
         doc = cli.parse_document(out)
         rebuilt = cli.matrix_from_document(doc)
-        original = cli._SMATRIX_BUILDERS[which](3, 1e-10, 8).entries
+        original = cli._SMATRIX_BUILDERS[which](3, 1e-10).entries
         ok = ok and code == 0 and np.array_equal(rebuilt, original)
 
     for argv in (["fusion", "--k", "3"], ["dims", "--k", "3"],
@@ -262,7 +262,9 @@ def test_criterion_11_cli_round_trip(capsys):
 
     code, _ = run("smatrix", "--k", "0", "--which", "su2k")
     ok = ok and code == 1
-    code, _ = run("verify", "--k", "9", "--targets", "oracle")
+    with monkeypatch.context() as m:
+        m.setattr(fu, "memory_budget", lambda: 1024)
+        code, _ = run("fusion", "--k", "3")
     ok = ok and code == 2
     code, _ = run("verify", "--k", "3", "--targets", "st3-full")
     ok = ok and code == 3  # genuine fermionic-extension failure surfaces

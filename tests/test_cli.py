@@ -82,11 +82,36 @@ class TestVerifyCommand:
         assert doc["passed"]
         assert doc["checks"][0]["residual"] < 1e-10
 
-    def test_oracle_above_cap_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--k", "9",
+    def test_oracle_k9_exits_0(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k", "9",
                            "--targets", "oracle")
-        assert code == 2
-        assert "cap" in err
+        assert code == 0
+        assert cli.parse_document(out)["checks"][0]["residual"] < 1e-10
+
+    def test_weyl_cap_flag_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--k", "3", "--targets", "oracle",
+                      "--weyl-cap", "8"])
+        assert exc.value.code == 1
+        assert "--weyl-cap" in capsys.readouterr().err
+
+    def test_each_matrix_built_once(self, capsys, monkeypatch):
+        calls = {"full": 0, "coset": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fc, "full_s_product",
+                            counted("full", fc.full_s_product))
+        monkeypatch.setattr(co, "coset_s_compact",
+                            counted("coset", co.coset_s_compact))
+        code, _, _ = run(capsys, "verify", "--k", "6", "--all")
+        assert code == 3
+        # the second coset build is the one inside full_s_product
+        assert calls == {"full": 1, "coset": 2}
 
     def test_passing_subset(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
@@ -239,6 +264,16 @@ class TestUsage:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert "--tolerance" in err and value in err
+
+    @pytest.mark.parametrize("flag", ["--t1", "--t2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "nan+1j"])
+    def test_bad_amplitude(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["interfere", "--k", "3", "--bulk", "0,0",
+                      "--probe", "0,1", f"{flag}={value}"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert flag in err and value in err
 
     def test_good_tolerance(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from parafermions import lie
 from parafermions import smatrix as sm
 from parafermions.errors import (
     ContractViolationError,
     InvalidLevelError,
     InvalidRankError,
     LabelError,
-    WeylCapError,
 )
 
 DELTA = (1 + math.sqrt(5)) / 2
@@ -73,14 +73,36 @@ class TestWeylKacOracle:
         s = sm.s_suk2_weylkac(2)
         assert s.entry(w(0, 0, 2), w(0, 0, 2)) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_compact(self, k):
         diff = sm.s_suk2_weylkac(k).max_abs_diff(sm.s_suk2_compact(k))
         assert diff < 1e-10
 
-    def test_cap(self):
-        with pytest.raises(WeylCapError):
-            sm.s_suk2_weylkac(9)
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_weyl_sum(self, k):
+        # the determinant is the Leibniz expansion of the k!-term sum
+        assert np.max(np.abs(sm.s_suk2_weylkac(k).entries
+                             - weyl_sum_s(k))) < 1e-12
+
+
+def weyl_sum_s(k):
+    """su(k)_2 S matrix as the explicit k!-term Weyl-Kac sum, in the
+    canonical basis: i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) times
+    sum_w eps(w) exp(-2 pi i (Lam+rho | w(Lam'+rho)) / (k+2))."""
+    perms, signs = lie.weyl_group(k)
+    coords = []
+    for weight in sm.canonical_weights(k):
+        dynkin = [1] * (k - 1)  # rho
+        for index in (weight.mu, weight.nu):
+            if index:
+                dynkin[index - 1] += 1
+        coords.append([float(c) for c in lie.to_orthogonal(dynkin, k)])
+    x = np.array(coords)
+    pref = 1j ** (k * (k - 1) // 2 % 4) / math.sqrt(k * (k + 2) ** (k - 1))
+    # (Lam+rho | w(Lam'+rho)) for every w: (|W|, n, n)
+    inner = np.einsum("ai,wbi->wab", x, x[:, perms].transpose(1, 0, 2))
+    return pref * np.einsum("w,wab->ab", signs,
+                            np.exp(-2j * np.pi * inner / (k + 2)))
 
 
 class TestCompact:
@@ -143,6 +165,11 @@ class TestOrbits:
         dec = sm.orbit_decomposition_suk2(3)
         assert dec.orbit_of(w(1, 2)) == (1, 1)
         assert dec.orbit_of(w(0, 2)) == (1, 2)
+
+    def test_orbit_of_unknown_weight(self):
+        dec = sm.orbit_decomposition_suk2(3)
+        with pytest.raises(LabelError):
+            dec.orbit_of(w(0, 1, k=4))
 
     def test_orbit_basis_k3_order(self):
         assert [str(x) for x in sm.orbit_basis(3)] == \
