@@ -21,7 +21,7 @@ from .errors import (
     IdentificationError,
     InvalidRankError,
 )
-from .smatrix import CosetWeight, SMatrix, canonical_weights, unit_phase
+from .smatrix import CosetWeight, SMatrix, canonical_weights
 
 
 @dataclass(frozen=True)
@@ -114,12 +114,8 @@ def coset_s_phase_form(k: int, basis=None,
                        tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry)."""
     base = sm.s_suk2_compact(k, basis=basis, tolerance=tolerance)
-    n = base.dim
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(base.labels):
-        for j, b in enumerate(base.labels):
-            phase = unit_phase(Fraction((a.mu + a.nu) * (b.mu + b.nu), k))
-            entries[i, j] = phase * np.conj(base.entries[i, j])
+    m = sum(sm.weight_arrays(base.labels))
+    entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
     out = SMatrix(base.labels, entries, tolerance=tolerance)
     defect = out.max_abs_diff(base)
     if defect > tolerance:
@@ -134,7 +130,7 @@ def s_u1_2k(k: int, tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
     m = np.arange(2 * k)
-    entries = np.exp(-2j * np.pi * np.outer(m, m) / (2 * k)) / math.sqrt(2 * k)
+    entries = sm.phase(-np.outer(m, m), 2 * k) / math.sqrt(2 * k)
     return SMatrix(tuple(range(2 * k)), entries, tolerance=tolerance)
 
 
@@ -142,18 +138,16 @@ def coset_s_via_su2k_u1(k: int, basis=None,
                         tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     """Coset S as 2 S^{su(2)_k}_{l,l'} conj(S^{u(1)_{2k}}_{m,m'}).
 
-    Built on the (l, m) labels of the canonical weights via to_lm, then
-    reindexed to the CosetWeight basis.
+    The (l, m) = (nu - mu, mu + nu) labels of the basis weights (to_lm)
+    pick the su(2)_k and u(1)_{2k} entries by fancy indexing.
     """
     labels = tuple(basis) if basis is not None else canonical_weights(k)
     s2 = sm.s_su2k(k, tolerance=tolerance)
     su1 = s_u1_2k(k, tolerance=tolerance)
-    lm = [to_lm(w) for w in labels]
-    if len({(x.l, x.m) for x in lm}) != len(lm):
+    mu, nu = sm.weight_arrays(labels)
+    l, m = nu - mu, mu + nu
+    if len(set(zip(l.tolist(), m.tolist()))) != len(labels):
         raise IdentificationError(f"(l, m) labels collide at k={k}")
-    n = len(labels)
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(lm):
-        for j, b in enumerate(lm):
-            entries[i, j] = 2 * s2.entry(a.l, b.l) * np.conj(su1.entry(a.m % (2 * k), b.m % (2 * k)))
+    entries = (2 * s2.entries[np.ix_(l, l)]
+               * np.conj(su1.entries[np.ix_(m, m)]))
     return SMatrix(labels, entries, tolerance=tolerance)

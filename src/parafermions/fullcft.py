@@ -9,7 +9,7 @@ and from a single-term closed form; both must agree entrywise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +17,8 @@ import numpy as np
 from . import coset as co
 from . import lie
 from .errors import ConsistencyError, InvalidRankError, LabelError, LatticeError
-from .smatrix import CosetWeight, SMatrix, unit_phase, DEFAULT_TOLERANCE
+from .smatrix import (CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index,
+                      phase)
 
 
 @dataclass(frozen=True)
@@ -53,18 +54,27 @@ class FullSector:
         return f"{self.l},{self.rho}"
 
 
-def enumerate_sectors(k: int):
-    """All allowed (l, rho), lexicographic; count is (k+1)(k+2)/2."""
+def sector_arrays(k: int):
+    """Integer views (l, rho, L, d, neutral) of enumerate_sectors(k): L is
+    full_s_compact's lifted charge, d = (2 rho - l) mod k and neutral the
+    index of the induced parafermion label in canonical_weights(k)."""
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
-    out = []
-    for l in range(k + 2):
-        for rho in range(k):
-            if (l - rho) % k <= rho:
-                out.append(FullSector(l, rho, k))
+    l, rho = np.divmod(np.arange((k + 2) * k), k)
+    allowed = (l - rho) % k <= rho  # the Z_k pairing rule
+    l, rho = l[allowed], rho[allowed]
+    mu = (l - rho) % k
+    lifted = l + (k + 2) * ((mu - (l - rho)) // k)
+    return l, rho, lifted, (2 * rho - l) % k, canonical_index(mu, rho, k)
+
+
+def enumerate_sectors(k: int):
+    """All allowed (l, rho), lexicographic; count is (k+1)(k+2)/2."""
+    l, rho = sector_arrays(k)[:2]
+    out = tuple(FullSector(a, b, k) for a, b in zip(l.tolist(), rho.tolist()))
     if len(out) != (k + 1) * (k + 2) // 2:
         raise ConsistencyError(f"sector count mismatch at k={k}: {len(out)}")
-    return tuple(out)
+    return out
 
 
 def s_u1(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
@@ -73,7 +83,7 @@ def s_u1(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
         raise InvalidRankError(f"need k >= 1, got {k}")
     n = k * (k + 2)
     m = np.arange(n)
-    entries = np.exp(-2j * np.pi * np.outer(m, m) / n) / math.sqrt(n)
+    entries = phase(-np.outer(m, m), n) / math.sqrt(n)
     return SMatrix(tuple(range(n)), entries, tolerance=tolerance)
 
 
@@ -86,37 +96,17 @@ def full_s_product(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
-    sectors = enumerate_sectors(k)
-    charged = s_u1(k, tolerance=tolerance)
-    neutral = co.coset_s_compact(k, tolerance=tolerance).s
-    n = len(sectors)
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(sectors):
-        for j, b in enumerate(sectors):
-            entries[i, j] = (k * charged.entry(a.l, b.l)
-                             * neutral.entry(a.neutral, b.neutral))
-    out = SMatrix(sectors, entries, tolerance=tolerance)
+    l, _, _, _, neutral = sector_arrays(k)
+    entries = (k * s_u1(k, tolerance=tolerance).entries[np.ix_(l, l)]
+               * co.coset_s_compact(k, tolerance=tolerance).s.entries[
+                   np.ix_(neutral, neutral)])
+    out = SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
     if not out.is_unitary():
         raise ConsistencyError(
             f"full S product form not unitary at k={k}: "
             f"defect {out.unitarity_defect():g}"
         )
     return out
-
-
-def _compact_entry(a: FullSector, b: FullSector, k: int) -> complex:
-    # Shift l by k+2 whenever reducing 2 rho - l into [0, k) wrapped it,
-    # so the phase exp(i pi L L'/(k+2)) stays single valued on sectors.
-    def lifted(s: FullSector):
-        d = (2 * s.rho - s.l) % k
-        t = ((s.l - s.rho) % k - (s.l - s.rho)) // k
-        return s.l + (k + 2) * t, d
-
-    la, da = lifted(a)
-    lb, db = lifted(b)
-    phase = unit_phase(Fraction(la * lb, 2 * (k + 2)))
-    sine = math.sin(math.pi * (da + 1) * (db + 1) / (k + 2))
-    return (2.0 / (k + 2)) * phase * sine
 
 
 def full_s_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
@@ -128,13 +118,10 @@ def full_s_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
-    sectors = enumerate_sectors(k)
-    n = len(sectors)
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(sectors):
-        for j, b in enumerate(sectors):
-            entries[i, j] = _compact_entry(a, b, k)
-    return SMatrix(sectors, entries, tolerance=tolerance)
+    _, _, lifted, d, _ = sector_arrays(k)
+    sine = np.sin(np.pi * np.outer(d + 1, d + 1) / (k + 2))
+    entries = (2.0 / (k + 2)) * phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine
+    return SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
 
 
 def full_dims(k: int) -> dict:
@@ -160,11 +147,34 @@ def full_central_charge(k: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ChargeLattice:
-    """Integer Gram matrix of the (2k-1)-dimensional charge lattice."""
+    """Integer Gram matrix G of the (2k-1)-dimensional charge lattice and
+    its charge vector Q, checked positive definite on construction.
+
+    pivots: one fraction-free (Bareiss) elimination of [G | Q] with the row
+    [Q^T | 0] appended, exact and without row exchanges. By Sylvester's
+    identity pivot m <= dim is the m-th leading principal minor of G, all
+    > 0 exactly when G is positive definite; the last is
+    det G * (0 - Q^T G^{-1} Q), the Schur complement of G."""
 
     k: int
     gram: tuple  # of tuples of int
     charge_vector: tuple
+    pivots: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        a = [[*row, q] for row, q in zip(self.gram, self.charge_vector)]
+        a.append([*self.charge_vector, 0])
+        pivots = [1]
+        for c, top in enumerate(a):
+            if c < self.dim and top[c] <= 0:
+                raise LatticeError(
+                    f"Gram matrix not positive definite at k={self.k}: "
+                    f"leading minor {c + 1} is {top[c]}")
+            for row in a[c + 1:]:
+                row[c + 1:] = [(x * top[c] - row[c] * y) // pivots[-1]
+                               for x, y in zip(row[c + 1:], top[c + 1:])]
+            pivots.append(top[c])
+        object.__setattr__(self, "pivots", tuple(pivots[1:]))
 
     @property
     def dim(self):
@@ -178,35 +188,18 @@ def gram_matrix(k: int) -> ChargeLattice:
     n = 2 * k - 1
     g = [[0] * n for _ in range(n)]
     g[0][0] = 3
-    if k >= 2:
-        cartan = lie.cartan_data(k).cartan
-        for blk in range(2):
-            off = 1 + blk * (k - 1)
-            g[0][off] = g[off][0] = 1
-            for i in range(k - 1):
-                for j in range(k - 1):
-                    g[off + i][off + j] = cartan[i][j]
-    lattice = ChargeLattice(k=k, gram=tuple(tuple(row) for row in g),
-                            charge_vector=(1,) + (0,) * (n - 1))
-    _check_positive_definite(lattice)
-    return lattice
-
-
-def _check_positive_definite(cl: ChargeLattice) -> None:
-    # Leading principal minors via exact elimination determinants
-    for m in range(1, cl.dim + 1):
-        sub = [row[:m] for row in cl.gram[:m]]
-        _, det = lie.rational_inverse(sub)
-        if det <= 0:
-            raise LatticeError(
-                f"Gram matrix not positive definite at k={cl.k} (minor {m})"
-            )
+    for off in (1, k) if k >= 2 else ():
+        g[0][off] = g[off][0] = 1
+        for i, row in enumerate(lie.cartan_matrix(k)):
+            g[off + i][off:off + k - 1] = row
+    return ChargeLattice(k=k, gram=tuple(tuple(row) for row in g),
+                         charge_vector=(1,) + (0,) * (n - 1))
 
 
 def filling_factor(cl: ChargeLattice) -> Fraction:
-    """Exact Q^T G^{-1} Q; must equal k/(k+2)."""
-    x = lie.rational_solve([list(r) for r in cl.gram], list(cl.charge_vector))
-    nu = sum(Fraction(q) * xi for q, xi in zip(cl.charge_vector, x))
+    """Exact Q^T G^{-1} Q = -(last pivot) / det G from the lattice's
+    elimination; must equal k/(k+2)."""
+    nu = Fraction(-cl.pivots[-1], cl.pivots[-2])
     if nu != Fraction(cl.k, cl.k + 2):
         raise LatticeError(
             f"filling factor {nu} != {cl.k}/{cl.k + 2} at k={cl.k}"

@@ -27,6 +27,7 @@ from .errors import (
     ResourceError,
     VacuumError,
 )
+from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
@@ -175,6 +176,23 @@ def fusion_coset_closed(a: CosetWeight, b: CosetWeight) -> Counter:
     return Counter({w: 1 for w in fields})
 
 
+def coset_fusion_tensor(k: int) -> np.ndarray:
+    """fusion_coset_closed for every pair at once: the closed form
+    N[a, b, c] over canonical_weights(k) as one int8 array of 0s and 1s.
+    Outcome l'' of the su(2)_k rule, with m = m_a + m_b, is the weight
+    ((m - l'')/2, (m + l'')/2) mod k."""
+    mu, nu = sm.weight_arrays(sm.canonical_weights(k))
+    l, m = nu - mu, mu + nu
+    la, lb, lc = l[:, None, None], l[None, :, None], np.arange(k + 1)
+    a, b, out = np.nonzero((lc >= abs(la - lb))
+                           & (lc <= np.minimum(la + lb, 2 * k - la - lb))
+                           & ((lc - la - lb) % 2 == 0))
+    x, y = (m[a] + m[b] - out) // 2 % k, (m[a] + m[b] + out) // 2 % k
+    tensor = np.zeros((len(l),) * 3, dtype=np.int8)
+    tensor[a, b, sm.canonical_index(np.minimum(x, y), np.maximum(x, y), k)] = 1
+    return tensor
+
+
 def quantum_dimensions(s: SMatrix) -> dict:
     """d_a = S_{vac,a}/S_{vac,vac}; raises if any d_a dips below 1."""
     vac = find_vacuum(s)
@@ -224,14 +242,6 @@ class ModularReport:
                 and self.st3_defect < self.tolerance
                 and self.c2_defect < self.tolerance
                 and self.unitarity_defect < self.tolerance)
-
-    def residuals(self) -> dict:
-        return {
-            "unitarity": self.unitarity_defect,
-            "s_squared": self.s2_defect,
-            "st_cubed": self.st3_defect,
-            "conjugation_squared": self.c2_defect,
-        }
 
 
 def charge_conjugation(s: SMatrix) -> np.ndarray:

@@ -68,15 +68,20 @@ class CartanData:
 
 def cartan_data(k: int) -> CartanData:
     """A_{k-1} Cartan matrix with exact rational inverse; det = k."""
+    cartan = cartan_matrix(k)
+    inverse, det = rational_inverse(cartan)
+    return CartanData(k=k, cartan=cartan, inverse_cartan=inverse, det=int(det))
+
+
+def cartan_matrix(k: int) -> tuple:
+    """A_{k-1} Cartan matrix as a tuple of int tuples."""
     if k < 2:
         raise InvalidRankError(f"su(k) needs k >= 2, got k={k}")
     n = k - 1
-    cartan = tuple(
+    return tuple(
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
         for i in range(n)
     )
-    inverse, det = rational_inverse(cartan)
-    return CartanData(k=k, cartan=cartan, inverse_cartan=inverse, det=int(det))
 
 
 def weight_inner_product(a: Sequence, b: Sequence, cd: CartanData) -> Fraction:
@@ -104,15 +109,6 @@ def to_orthogonal(weight: Sequence, k: int) -> tuple:
     coords = list(reversed(partial)) + [Fraction(0)]
     mean = sum(coords) / k
     return tuple(c - mean for c in coords)
-
-
-def from_orthogonal(coords: Sequence) -> tuple:
-    """Dynkin labels from epsilon coordinates (consecutive differences)."""
-    return tuple(coords[i] - coords[i + 1] for i in range(len(coords) - 1))
-
-
-def orthogonal_inner_product(ea: Sequence, eb: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(ea, eb)), Fraction(0))
 
 
 def weyl_group(k: int):

@@ -14,14 +14,12 @@ exp/sin evaluation in double precision.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from . import lie
 from .errors import (
     ConsistencyError,
     ContractViolationError,
@@ -33,9 +31,11 @@ from .errors import (
 DEFAULT_TOLERANCE = 1e-10
 
 
-def unit_phase(q) -> complex:
-    """exp(2 pi i q) for an exact rational q, reduced mod 1 first."""
-    return cmath.exp(2j * math.pi * float(Fraction(q) % 1))
+def phase(num, den: int):
+    """exp(2 pi i num/den) for integer (arrays) num: the numerator is
+    reduced mod den exactly and picks its value from the den roots of
+    unity, the one call to exp."""
+    return np.exp(2j * np.pi * (np.arange(den) / den))[np.mod(num, den)]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,18 @@ def canonical_weights(k: int):
     """All k(k+1)/2 canonical coset weights, sorted by (nu - mu, mu)."""
     ws = [CosetWeight(mu, nu, k) for mu in range(k) for nu in range(mu, k)]
     return tuple(sorted(ws, key=lambda w: (w.diff, w.mu)))
+
+
+def canonical_index(mu, nu, k: int):
+    """Position of Lam_mu + Lam_nu (0 <= mu <= nu < k, integers or integer
+    arrays) in canonical_weights(k)."""
+    d = nu - mu
+    return d * k - d * (d - 1) // 2 + mu
+
+
+def weight_arrays(labels):
+    """Integer-array views (mu, nu) of a sequence of CosetWeights."""
+    return np.array([(w.mu, w.nu) for w in labels], dtype=np.int64).T
 
 
 @dataclass
@@ -137,16 +149,6 @@ def s_su2k(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     return SMatrix(tuple(range(k + 1)), entries.astype(complex), tolerance=tolerance)
 
 
-def _weight_dynkin(w: CosetWeight):
-    """Finite Dynkin labels of Lam_mu + Lam_nu (Lam_0 is the zero weight)."""
-    a = [0] * (w.k - 1)
-    if w.mu > 0:
-        a[w.mu - 1] += 1
-    if w.nu > 0:
-        a[w.nu - 1] += 1
-    return a
-
-
 def s_suk2_weylkac(k: int, basis=None,
                    tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """su(k)_2 S matrix by the Weyl-Kac sum, one determinant per entry.
@@ -164,13 +166,12 @@ def s_suk2_weylkac(k: int, basis=None,
     labels = tuple(basis) if basis is not None else canonical_weights(k)
     n = len(labels)
 
-    # Scale orthogonal coordinates by k so everything is integer.
-    shifted = []
-    for w in labels:
-        dyn = [a + 1 for a in _weight_dynkin(w)]  # Lam + rho
-        coords = lie.to_orthogonal(dyn, k)
-        shifted.append([int(c * k) for c in coords])
-    shifted = np.array(shifted, dtype=np.int64)  # (n, k)
+    # Orthogonal coordinates (k - j) + [j <= mu] + [j <= nu], j = 1..k, of
+    # Lam_mu + Lam_nu + rho (Lam_0 = 0) less their mean, times k: integers.
+    mu, nu = weight_arrays(labels)
+    j = np.arange(1, k + 1)
+    coords = (k - j) + (j <= mu[:, None]) + (j <= nu[:, None])
+    shifted = k * coords - coords.sum(axis=1, keepdims=True)  # (n, k)
 
     npos = k * (k - 1) // 2
     pref = (1j ** (npos % 4)) / math.sqrt(k * float(h) ** (k - 1))
@@ -178,9 +179,9 @@ def s_suk2_weylkac(k: int, basis=None,
 
     entries = np.empty((n, n), dtype=complex)
     for i in range(n):
-        # (n, k, k): k^2 x_i y_m for every column, reduced exactly before exp
-        nums = np.mod(shifted[i][None, :, None] * shifted[:, None, :], denom)
-        entries[i] = pref * np.linalg.det(np.exp(-2j * np.pi * (nums / denom)))
+        # (n, k, k): k^2 x_i y_m for every column
+        nums = shifted[i][None, :, None] * shifted[:, None, :]
+        entries[i] = pref * np.linalg.det(phase(-nums, denom))
     return SMatrix(labels, entries, tolerance=tolerance)
 
 
@@ -194,19 +195,11 @@ def s_suk2_compact(k: int, basis=None, tolerance: float = DEFAULT_TOLERANCE) -> 
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     labels = tuple(basis) if basis is not None else canonical_weights(k)
-    n = len(labels)
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            entries[i, j] = _suk2_compact_entry(a, b, k)
+    mu, nu = weight_arrays(labels)
+    m, l = mu + nu, nu - mu
+    sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
+    entries = 2.0 / math.sqrt(k * (k + 2)) * phase(np.outer(m, m), 2 * k) * sine
     return SMatrix(labels, entries, tolerance=tolerance)
-
-
-def _suk2_compact_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
-    pref = 2.0 / math.sqrt(k * (k + 2))
-    phase = unit_phase(Fraction((a.mu + a.nu) * (b.mu + b.nu), 2 * k))
-    sine = math.sin(math.pi * (a.diff + 1) * (b.diff + 1) / (k + 2))
-    return pref * phase * sine
 
 
 def level_rank_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
@@ -224,7 +217,7 @@ def level_rank_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
         )
     l, lp = a.nu, b.nu
     s2 = math.sqrt(2.0 / (k + 2)) * math.sin(math.pi * (l + 1) * (lp + 1) / (k + 2))
-    return math.sqrt(2.0 / k) * unit_phase(Fraction(l * lp, 2 * k)) * s2
+    return math.sqrt(2.0 / k) * complex(phase(l * lp, 2 * k)) * s2
 
 
 def simple_current_step(w: CosetWeight) -> CosetWeight:
@@ -340,15 +333,13 @@ def simple_current_extend(representative_row, k: int, basis=None,
     """
     dec = orbit_decomposition_suk2(k)
     labels = tuple(basis) if basis is not None else canonical_weights(k)
-    n = len(labels)
-    entries = np.empty((n, n), dtype=complex)
-    for i, a in enumerate(labels):
-        rep_a, p = dec.orbit_of(a)
-        for j, b in enumerate(labels):
-            rep_b, q = dec.orbit_of(b)
-            # S_{J^p(0,ra), J^q(0,rb)} picks up e^{-2 pi i Q} per action
-            phase = unit_phase(Fraction(p * (b.mu + b.nu), k) + Fraction(q * rep_a, k))
-            entries[i, j] = phase * representative_row[(rep_a, rep_b)]
+    rep, power = np.array([dec.orbit_of(w) for w in labels]).T
+    mu, nu = weight_arrays(labels)
+    block = np.array([[representative_row[(a, b)] for b in range(dec.r)]
+                      for a in range(dec.r)], dtype=complex)
+    # S_{J^p(0,ra), J^q(0,rb)} picks up e^{-2 pi i Q} per action
+    entries = (phase(np.outer(power, mu + nu) + np.outer(rep, power), k)
+               * block[np.ix_(rep, rep)])
     out = SMatrix(labels, entries, tolerance=tolerance)
     defect = out.max_abs_diff(s_suk2_compact(k, basis=labels, tolerance=tolerance))
     if defect > tolerance:

@@ -244,7 +244,7 @@ def test_criterion_11_cli_round_trip(capsys, monkeypatch):
 
     for which in sorted(cli._SMATRIX_BUILDERS):
         code, out = run("smatrix", "--k", "3", "--which", which)
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         rebuilt = cli.matrix_from_document(doc)
         original = cli._SMATRIX_BUILDERS[which](3, 1e-10).entries
         ok = ok and code == 0 and np.array_equal(rebuilt, original)
@@ -254,11 +254,11 @@ def test_criterion_11_cli_round_trip(capsys, monkeypatch):
                  ["interfere", "--k", "3", "--bulk", "1,2",
                   "--probe", "0,1", "--samples", "8"]):
         code, out = run(*argv)
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         ok = ok and code == 0 and doc == json.loads(json.dumps(doc))
 
     code, out = run("verify", "--k", "3", "--targets", "oracle")
-    ok = ok and code == 0 and cli.parse_document(out)["passed"]
+    ok = ok and code == 0 and json.loads(out)["passed"]
 
     code, _ = run("smatrix", "--k", "0", "--which", "su2k")
     ok = ok and code == 1

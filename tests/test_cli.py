@@ -29,7 +29,7 @@ class TestSmatrixCommand:
     def test_coset_k3_roundtrip(self, capsys):
         code, out, _ = run(capsys, "smatrix", "--k", "3", "--which", "coset")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["kind"] == "smatrix" and doc["k"] == 3
         matrix = cli.matrix_from_document(doc)
         expected = co.coset_s_compact(3).s.entries
@@ -39,7 +39,7 @@ class TestSmatrixCommand:
     def test_every_construction_emits(self, capsys, which):
         code, out, _ = run(capsys, "smatrix", "--k", "3", "--which", which)
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         n = len(doc["basis"])
         assert cli.matrix_from_document(doc).shape == (n, n)
 
@@ -47,7 +47,7 @@ class TestSmatrixCommand:
         code, out, _ = run(capsys, "smatrix", "--k", "2",
                            "--which", "full-compact")
         assert code == 0
-        m = cli.matrix_from_document(cli.parse_document(out))
+        m = cli.matrix_from_document(json.loads(out))
         assert m.shape == (6, 6)
         assert np.max(np.abs(m @ m.conj().T - np.eye(6))) < 1e-10
 
@@ -65,7 +65,7 @@ class TestSmatrixCommand:
         # header + 3 label rows after 3 metadata rows
         assert len(lines) == 3 + 1 + 3
         _, json_out, _ = run(capsys, "smatrix", "--k", "2", "--which", "su2k")
-        doc = cli.parse_document(json_out)
+        doc = json.loads(json_out)
         rows = list(csv.reader(io.StringIO(out)))[4:]
         assert [r[0] for r in rows] == doc["basis"]
         cells = [[float(x) for x in r[1:]] for r in rows]  # every cell
@@ -78,7 +78,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--k", "3",
                            "--targets", "oracle")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["passed"]
         assert doc["checks"][0]["residual"] < 1e-10
 
@@ -86,7 +86,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--k", "9",
                            "--targets", "oracle")
         assert code == 0
-        assert cli.parse_document(out)["checks"][0]["residual"] < 1e-10
+        assert json.loads(out)["checks"][0]["residual"] < 1e-10
 
     def test_weyl_cap_flag_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -113,13 +113,53 @@ class TestVerifyCommand:
         # the second coset build is the one inside full_s_product
         assert calls == {"full": 1, "coset": 2}
 
+    def test_raising_build_is_built_once(self, capsys, monkeypatch):
+        # at this tolerance full_s_product raises; the error is kept and
+        # raised again for every check that needs the matrix
+        calls = {"full": 0, "coset": 0, "suk2": 0}
+
+        def counted(name, build):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(fc, "full_s_product",
+                            counted("full", fc.full_s_product))
+        monkeypatch.setattr(co, "coset_s_compact",
+                            counted("coset", co.coset_s_compact))
+        monkeypatch.setattr(sm, "s_suk2_compact",
+                            counted("suk2", sm.s_suk2_compact))
+        code, out, _ = run(capsys, "verify", "--k", "3", "--all",
+                           "--tolerance", "1e-30")
+        assert code == 3
+        full_checks = [c for c in strict_json(out)["checks"]
+                       if "full" in c["name"]]
+        assert len(full_checks) == 5
+        assert all(c["passed"] is False and "not unitary" in c["error"]
+                   for c in full_checks)
+        # one call each through the cache; the second coset build is the
+        # one inside full_s_product, and s_suk2_compact also runs inside
+        # coset_s_compact (twice) and coset_s_phase_form
+        assert calls == {"full": 1, "coset": 2, "suk2": 4}
+
+    @pytest.mark.usefixtures("zero_cartan_corner")
+    def test_lattice_error_is_a_failed_check(self, capsys):
+        code, out, err = run(capsys, "verify", "--k", "4", "--targets",
+                             "filling-factor")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert check["passed"] is False and check["residual"] is None
+        assert "leading minor 2 is -1" in check["error"]
+        assert "filling-factor: Gram matrix not positive definite" in err
+
     def test_passing_subset(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
                            "oracle", "coset-four-way", "verlinde",
                            "full-dual", "filling", "unitarity", "s2",
                            "st3-su2k", "st3-coset")
         assert code == 0
-        assert cli.parse_document(out)["passed"]
+        assert json.loads(out)["passed"]
 
     def test_all_reports_full_st3(self, capsys):
         # the full Z_k theory is a fermionic extension: its T is only
@@ -127,7 +167,7 @@ class TestVerifyCommand:
         # exit 3 naming the failing check
         code, out, err = run(capsys, "verify", "--k", "3", "--all")
         assert code == 3
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         failing = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failing == ["st3-full"]
         assert "st3-full" in err
@@ -175,7 +215,7 @@ class TestFusionDimsSectors:
     def test_fusion_roundtrip(self, capsys):
         code, out, _ = run(capsys, "fusion", "--k", "3", "--which", "coset")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         tensor = np.array(doc["tensor"])
         assert tensor.shape == (6, 6, 6)
         assert doc["basis"][doc["vacuum_index"]] == "0,0"
@@ -183,7 +223,7 @@ class TestFusionDimsSectors:
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--k", "3")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["central_charge"] == "4/5"
         assert "1/15" in doc["conformal_dimensions"]
         assert doc["total_quantum_dimension"] == pytest.approx(3.2945564,
@@ -192,7 +232,7 @@ class TestFusionDimsSectors:
     def test_sectors(self, capsys):
         code, out, _ = run(capsys, "sectors", "--k", "3")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["count"] == 10
         assert doc["coset_primaries"] == 6
         assert doc["filling_factor"] == "3/5"
@@ -204,7 +244,7 @@ class TestInterfereCommand:
                            "--bulk", "1,2", "--probe", "0,1",
                            "--t1", "1", "--t2", "1", "--samples", "4")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["monodromy"][0] == pytest.approx(-0.3819660, abs=1e-7)
         assert doc["monodromy"][1] == pytest.approx(0.0, abs=1e-10)
         assert doc["visibility"] == pytest.approx(0.3819660, abs=1e-7)
@@ -214,7 +254,7 @@ class TestInterfereCommand:
         code, out, _ = run(capsys, "interfere", "--k", "3",
                            "--bulk", "0,0", "--probe", "0,1")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert doc["monodromy"][0] == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_label_exits_1(self, capsys):
@@ -227,7 +267,7 @@ class TestInterfereCommand:
         code, out, _ = run(capsys, "interfere", "--k", "3", "--which",
                            "full", "--bulk", "1,1", "--probe", "1,1")
         assert code == 0
-        doc = cli.parse_document(out)
+        doc = json.loads(out)
         assert abs(complex(*doc["monodromy"])) <= 1 + 1e-10
 
     def test_csv_curve(self, capsys):
@@ -241,7 +281,7 @@ class TestInterfereCommand:
         rows = list(csv.reader(io.StringIO(out)))
         start = rows.index(["alpha", "sigma_xx"]) + 1
         curve = [[float(x) for x in r] for r in rows[start:]]
-        assert curve == cli.parse_document(json_out)["curve"]
+        assert curve == json.loads(json_out)["curve"]
 
 
 class TestUsage:
@@ -279,4 +319,4 @@ class TestUsage:
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
                            "oracle", "--tolerance", "1e-8")
         assert code == 0
-        assert cli.parse_document(out)["tolerance"] == 1e-8
+        assert json.loads(out)["tolerance"] == 1e-8

@@ -7,7 +7,25 @@ import pytest
 from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import smatrix as sm
-from parafermions.errors import InvalidRankError, LabelError
+from parafermions.errors import InvalidRankError, LabelError, LatticeError
+
+
+def fraction_det(rows):
+    """Exact determinant by Gaussian elimination over Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return det
 
 
 class TestSectors:
@@ -123,10 +141,30 @@ class TestChargeLattice:
         assert g[0, 1] == g[0, 3] == 1
         assert g[0, 2] == g[0, 4] == 0
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 31))
     def test_filling_factor_exact(self, k):
         nu = fc.filling_factor(fc.gram_matrix(k))
         assert nu == Fraction(k, k + 2)  # exact rational, no tolerance
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pivots_are_leading_minors(self, k):
+        cl = fc.gram_matrix(k)
+        minors = [fraction_det([row[:m] for row in cl.gram[:m]])
+                  for m in range(1, cl.dim + 1)]
+        assert list(cl.pivots[:cl.dim]) == minors
+        assert all(m > 0 for m in minors)
+        # the appended row [Q^T | 0] ends on det G * (0 - Q^T G^-1 Q)
+        assert cl.pivots[-1] == -minors[-1] * Fraction(k, k + 2)
+
+    def test_zero_corner_names_first_failing_minor(self):
+        with pytest.raises(LatticeError, match="leading minor 1 is 0"):
+            fc.ChargeLattice(k=2, gram=((0, 1, 1), (1, 2, 0), (1, 0, 2)),
+                             charge_vector=(1, 0, 0))
+
+    @pytest.mark.usefixtures("zero_cartan_corner")
+    def test_zero_cartan_corner_rejected(self):
+        with pytest.raises(LatticeError, match="leading minor 2 is -1"):
+            fc.gram_matrix(4)
 
     def test_symmetric(self):
         for k in range(1, 9):

@@ -198,6 +198,17 @@ class TestClosedForms:
             expected = sm.CosetWeight(weight.mu + 1, weight.nu + 1, k)
             assert fu.fusion_coset_closed(j, weight) == Counter({expected: 1})
 
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_coset_tensor_is_the_per_pair_rule(self, k):
+        labels = sm.canonical_weights(k)
+        index = {lab: i for i, lab in enumerate(labels)}
+        expected = np.zeros((len(labels),) * 3, dtype=np.int64)
+        for i, a in enumerate(labels):
+            for j, b in enumerate(labels):
+                for c, mult in fu.fusion_coset_closed(a, b).items():
+                    expected[i, j, index[c]] = mult
+        assert np.array_equal(fu.coset_fusion_tensor(k), expected)
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_coset_matches_verlinde(self, k):
         ring = fu.verlinde(co.coset_s_compact(k).s)
