@@ -277,6 +277,7 @@ def cmd_fusion(args) -> int:
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
+        "generators": [str(ring.labels[g]) for g in ring.generators],
         "tensor": ring.tensor.tolist(),
     })
     emit(doc, args.format)

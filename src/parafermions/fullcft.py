@@ -16,9 +16,9 @@ import numpy as np
 
 from . import coset as co
 from . import lie
+from . import smatrix as sm
 from .errors import ConsistencyError, InvalidRankError, LabelError, LatticeError
-from .smatrix import (CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index,
-                      phase)
+from .smatrix import CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def s_u1(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
         raise InvalidRankError(f"need k >= 1, got {k}")
     n = k * (k + 2)
     m = np.arange(n)
-    entries = phase(-np.outer(m, m), n) / math.sqrt(n)
+    entries = sm.phase(-np.outer(m, m), n) / math.sqrt(n)
     return SMatrix(tuple(range(n)), entries, tolerance=tolerance)
 
 
@@ -92,14 +92,14 @@ def full_s_product(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
 
     The u(1) label of sector (l, rho) inside u(1)_{k(k+2)} is l itself;
     periodicity l -> l + k+2 is absorbed by the parafermion label through
-    the pairing rule.
+    the pairing rule. So only the block l, l' < k+2 of s_u1 is built, and
+    the coset S is su(k)_2's (coset_s_compact without its dimensions).
     """
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
     l, _, _, _, neutral = sector_arrays(k)
-    entries = (k * s_u1(k, tolerance=tolerance).entries[np.ix_(l, l)]
-               * co.coset_s_compact(k, tolerance=tolerance).s.entries[
-                   np.ix_(neutral, neutral)])
+    charged = sm.phase(-np.outer(l, l), k * (k + 2)) / math.sqrt(k * (k + 2))
+    entries = k * charged * sm.s_suk2_compact(k).entries[np.ix_(neutral, neutral)]
     out = SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
     if not out.is_unitary():
         raise ConsistencyError(
@@ -120,7 +120,7 @@ def full_s_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
         raise InvalidRankError(f"need k >= 2, got {k}")
     _, _, lifted, d, _ = sector_arrays(k)
     sine = np.sin(np.pi * np.outer(d + 1, d + 1) / (k + 2))
-    entries = (2.0 / (k + 2)) * phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine
+    entries = (2.0 / (k + 2)) * sm.phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine
     return SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
 
 

@@ -36,6 +36,8 @@ INTEGRALITY_TOLERANCE = 1e-8
 # then the rounding temporaries), so this leaves a margin of 1.6.
 VERLINDE_BYTES_PER_CUBE = 64
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
+# Below 2^25: with max|N|^2 n < 2^53, int64 sums stay exact for n < 2^12.
+CERTIFICATE_PRIME = 2 ** 25 - 39
 
 
 def memory_budget() -> int:
@@ -45,16 +47,13 @@ def memory_budget() -> int:
 
 def find_vacuum(s: SMatrix) -> int:
     """Index of the unique row that is entrywise real and strictly positive."""
-    rows = []
-    for i in range(s.dim):
-        row = s.entries[i]
-        if np.max(np.abs(row.imag)) < s.tolerance and np.min(row.real) > s.tolerance:
-            rows.append(i)
+    rows = np.flatnonzero((np.max(np.abs(s.entries.imag), axis=1) < s.tolerance)
+                          & (np.min(s.entries.real, axis=1) > s.tolerance))
     if len(rows) != 1:
         raise VacuumError(
             f"expected exactly one real-positive row, found {len(rows)}"
         )
-    return rows[0]
+    return int(rows[0])
 
 
 @dataclass
@@ -64,6 +63,7 @@ class FusionRing:
     labels: tuple
     tensor: np.ndarray  # integer, shape (n, n, n)
     vacuum_index: int
+    generators: tuple = field(init=False, default=())  # set by check_axioms
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -83,11 +83,14 @@ class FusionRing:
         row = self.tensor[self.index(a), self.index(b)]
         return Counter({self.labels[c]: int(row[c]) for c in np.flatnonzero(row)})
 
-    def check_axioms(self) -> None:
+    def check_axioms(self) -> tuple:
         """Commutativity, vacuum identity and exact associativity
-        sum_e N_ab^e N_ec^d = sum_f N_bc^f N_af^d, one a at a time in
-        O(n^3) memory. The float64 products are exact integers because
-        every partial sum stays below max|N|^2 n < 2^53."""
+        sum_e N_ab^e N_ec^d = sum_f N_bc^f N_af^d for each a in the
+        generating set G (returned), in O(n^3) memory. That covers every a:
+        the a with vanishing associator form a subspace that holds the
+        vacuum and each product gu of its members, ((gu)x)y = g((ux)y) =
+        g(u(xy)) = (gu)(xy), so every word over G. Float64 sums are exact
+        integers below max|N|^2 n < 2^53."""
         n = self.tensor
         dim = len(self.labels)
         if np.any(n != np.swapaxes(n, 0, 1)):
@@ -101,13 +104,40 @@ class FusionRing:
                 f"coefficients up to {largest} are too large for an exact "
                 "float64 associativity check"
             )
+        self.generators = _generating_set(n, self.vacuum_index)
         nf = n.astype(np.float64)
         by_a, by_ab = nf.reshape(dim, dim * dim), nf.reshape(dim * dim, dim)
-        for a in range(dim):
+        for a in self.generators:
             lhs = nf[a] @ by_a  # [b, (c, d)]: sum_e N_ab^e N_ec^d
             rhs = by_ab @ nf[a]  # [(b, c), d]: sum_f N_bc^f N_af^d
             if np.any(lhs.reshape(dim, dim, dim) != rhs.reshape(dim, dim, dim)):
                 raise ConsistencyError("fusion tensor is not associative")
+        return self.generators
+
+
+def _generating_set(tensor: np.ndarray, vac: int) -> tuple:
+    """Labels G, walked greedily, whose words g1(g2(...(gm vac))) span
+    Q^n: a label outside the span joins G, and the span is closed under
+    w -> w @ N_g for all of G. The span is kept mod CERTIFICATE_PRIME in
+    reduced row echelon form; rank n mod p means n integer words have a
+    nonzero determinant. A bad prime only adds to G."""
+    p, dim = CERTIFICATE_PRIME, len(tensor)
+    basis, pivots, gens = np.eye(dim, dtype=np.int64)[[vac]], [vac], []
+    for a in range(dim):
+        if a in pivots and np.count_nonzero(basis[pivots.index(a)]) == 1:
+            continue  # e_a = a vac is spanned already
+        gens.append(a)
+        rows = basis @ tensor[a] % p
+        while len(rows):  # reduce, add the new pivots, multiply the new rows
+            start, rows = len(pivots), (rows - rows[:, pivots] @ basis) % p
+            while len(rows := rows[rows.any(axis=1)]):
+                col = int(np.flatnonzero(rows[0])[0])
+                top = rows[0] * pow(int(rows[0, col]), -1, p) % p
+                rows = (rows - np.outer(rows[:, col], top)) % p
+                basis = np.vstack([(basis - np.outer(basis[:, col], top)) % p, top])
+                pivots.append(col)
+            rows = np.vstack([basis[start:] @ tensor[g] % p for g in gens])
+    return tuple(gens)
 
 
 def verlinde(s: SMatrix,
@@ -242,23 +272,6 @@ class ModularReport:
                 and self.st3_defect < self.tolerance
                 and self.c2_defect < self.tolerance
                 and self.unitarity_defect < self.tolerance)
-
-
-def charge_conjugation(s: SMatrix) -> np.ndarray:
-    """S^2 snapped to a matrix with entries in {0, +-1}; raises if it is
-    not a genuine signed permutation within tolerance."""
-    s2 = s.entries @ s.entries
-    snapped = np.round(s2.real).astype(np.int64)
-    defect = float(np.max(np.abs(s2 - snapped)))
-    ok = (defect < s.tolerance
-          and set(np.unique(snapped)) <= {-1, 0, 1}
-          and np.all(np.abs(snapped).sum(axis=0) == 1)
-          and np.all(np.abs(snapped).sum(axis=1) == 1))
-    if not ok:
-        raise ConsistencyError(
-            f"S^2 is not a permutation matrix (snap defect {defect:g})"
-        )
-    return snapped
 
 
 def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:

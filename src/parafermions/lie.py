@@ -97,20 +97,6 @@ def weight_inner_product(a: Sequence, b: Sequence, cd: CartanData) -> Fraction:
     return total
 
 
-def to_orthogonal(weight: Sequence, k: int) -> tuple:
-    """Embed a Dynkin-label weight into traceless epsilon coordinates."""
-    if len(weight) != k - 1:
-        raise ShapeError(f"expected length {k - 1}, got {len(weight)}")
-    partial = []
-    acc = Fraction(0)
-    for a in reversed(weight):
-        acc += Fraction(a)
-        partial.append(acc)
-    coords = list(reversed(partial)) + [Fraction(0)]
-    mean = sum(coords) / k
-    return tuple(c - mean for c in coords)
-
-
 def weyl_group(k: int):
     """The k! Weyl elements of A_{k-1} as permutations of the epsilon
     coordinates: (perms, signs), perms of shape (k!, k) and signs

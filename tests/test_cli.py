@@ -110,8 +110,8 @@ class TestVerifyCommand:
                             counted("coset", co.coset_s_compact))
         code, _, _ = run(capsys, "verify", "--k", "6", "--all")
         assert code == 3
-        # the second coset build is the one inside full_s_product
-        assert calls == {"full": 1, "coset": 2}
+        # full_s_product builds its neutral factor from s_suk2_compact
+        assert calls == {"full": 1, "coset": 1}
 
     def test_raising_build_is_built_once(self, capsys, monkeypatch):
         # at this tolerance full_s_product raises; the error is kept and
@@ -138,10 +138,9 @@ class TestVerifyCommand:
         assert len(full_checks) == 5
         assert all(c["passed"] is False and "not unitary" in c["error"]
                    for c in full_checks)
-        # one call each through the cache; the second coset build is the
-        # one inside full_s_product, and s_suk2_compact also runs inside
-        # coset_s_compact (twice) and coset_s_phase_form
-        assert calls == {"full": 1, "coset": 2, "suk2": 4}
+        # one call each through the cache; s_suk2_compact also runs inside
+        # coset_s_compact, coset_s_phase_form and full_s_product
+        assert calls == {"full": 1, "coset": 1, "suk2": 4}
 
     @pytest.mark.usefixtures("zero_cartan_corner")
     def test_lattice_error_is_a_failed_check(self, capsys):
@@ -219,6 +218,18 @@ class TestFusionDimsSectors:
         tensor = np.array(doc["tensor"])
         assert tensor.shape == (6, 6, 6)
         assert doc["basis"][doc["vacuum_index"]] == "0,0"
+
+    @pytest.mark.parametrize("which", ["su2k", "coset", "full"])
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_fusion_reports_generators(self, capsys, which, k):
+        code, out, _ = run(capsys, "fusion", "--k", str(k), "--which", which)
+        assert code == 0
+        doc = json.loads(out)
+        gens = doc["generators"]
+        assert gens and set(gens) <= set(doc["basis"])
+        assert doc["basis"][doc["vacuum_index"]] not in gens
+        if which == "coset":
+            assert len(gens) == 2
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--k", "3")

@@ -96,7 +96,8 @@ class TestFullSMatrix:
         s = fc.full_s_product(k)
         assert s.is_unitary()
         assert s.symmetry_defect() < 1e-10
-        fu.charge_conjugation(s)  # raises unless S^2 is a permutation
+        t = fu.TData(fc.full_dims(k), fc.full_central_charge(k))
+        assert fu.verify_modular_relations(s, t).conjugation_is_permutation
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_verlinde_integral_and_simple_currents(self, k):

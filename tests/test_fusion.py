@@ -1,9 +1,12 @@
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafermions import coset as co
 from parafermions import fullcft as fc
@@ -78,6 +81,64 @@ def _reference_associative(n):
                           np.einsum("bcf,afd->abcd", n, n))
 
 
+def _reference_sliced(n, slices=None):
+    """The all-labels slice loop the generator check replaced: whether
+    (ab)c = a(bc) for every b, c and every a in `slices` (default all)."""
+    dim = len(n)
+    nf = n.astype(np.float64)
+    by_a, by_ab = nf.reshape(dim, dim * dim), nf.reshape(dim * dim, dim)
+    for a in range(dim) if slices is None else slices:
+        lhs = nf[a] @ by_a  # [b, (c, d)]: sum_e N_ab^e N_ec^d
+        rhs = by_ab @ nf[a]  # [(b, c), d]: sum_f N_bc^f N_af^d
+        if np.any(lhs.reshape(dim, dim, dim) != rhs.reshape(dim, dim, dim)):
+            return False
+    return True
+
+
+def _echelon(rows, p):
+    """Nonzero rows of a row echelon form of `rows` mod p, column by column."""
+    rows, out = rows % p, []
+    for col in range(rows.shape[1]):
+        hit = np.flatnonzero(rows[:, col])
+        if len(hit):
+            top = rows[hit[0]] * pow(int(rows[hit[0], col]), -1, p) % p
+            rows = np.delete(rows, hit[0], axis=0)
+            rows = (rows - np.outer(rows[:, col], top)) % p
+            out.append(top)
+    return np.array(out, dtype=np.int64).reshape(-1, rows.shape[1])
+
+
+def _word_rank(tensor, vac, gens, p=fu.CERTIFICATE_PRIME):
+    """Rank mod p of the words g1(g2(...(gm vac))) over `gens`: the span
+    of the vacuum, multiplied by every generator until it stops growing."""
+    span = np.eye(len(tensor), dtype=np.int64)[[vac]]
+    while True:
+        grown = _echelon(np.vstack([span] + [span @ tensor[g] % p
+                                             for g in gens]), p)
+        if len(grown) == len(span):
+            return len(span)
+        span = grown
+
+
+def _s_matrix(theory, k):
+    return {"su2k": sm.s_su2k, "full": fc.full_s_product,
+            "coset": lambda k: co.coset_s_compact(k).s}[theory](k)
+
+
+@functools.cache
+def _ring(theory, k):
+    return fu.verlinde(_s_matrix(theory, k))
+
+
+def _klein_four():
+    """The group ring of Z2 x Z2 on labels 0, a, b, ab: a x b = ab."""
+    tensor = np.zeros((4, 4, 4), dtype=np.int64)
+    for x in range(4):
+        for y in range(4):
+            tensor[x, y, x ^ y] = 1
+    return fu.FusionRing((0, 1, 2, 3), tensor, 0)
+
+
 def _ring3():
     return fu.verlinde(co.coset_s_compact(3).s)
 
@@ -150,6 +211,64 @@ class TestCheckAxioms:
             except ConsistencyError:
                 sliced = False
             assert sliced == _reference_associative(bumped.tensor)
+
+
+class TestGeneratingSet:
+    @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_agrees_with_sliced_reference(self, theory, k):
+        ring = _ring(theory, k)
+        gens = ring.check_axioms()
+        assert gens == ring.generators and ring.vacuum_index not in gens
+        assert _reference_sliced(ring.tensor)
+        x, y = _others(ring, 2)
+        for a, b, c in [(x, y, x), (x, x, y), (y, y, ring.vacuum_index)]:
+            bumped = _symmetric_bump(ring, a, b, c)
+            try:
+                bumped.check_axioms()
+                passed = True
+            except ConsistencyError:
+                passed = False
+            assert passed == _reference_sliced(bumped.tensor)
+
+    @pytest.mark.parametrize("theory", ["coset", "full"])
+    @pytest.mark.parametrize("k", range(4, 7))
+    def test_rejects_bump_outside_generators(self, theory, k):
+        ring = _ring(theory, k)
+        outside = [i for i in _others(ring, len(ring.labels))
+                   if i not in ring.check_axioms()]
+        x, y, z = outside[0], outside[-1], outside[len(outside) // 2]
+        bumped = _symmetric_bump(ring, x, y, z)
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+
+    def test_words_of_one_label_need_not_span(self):
+        ring = _klein_four()
+        assert _reference_sliced(ring.tensor)
+        assert _word_rank(ring.tensor, 0, (1,)) == 2  # {1, a} only
+        gens = ring.check_axioms()
+        assert gens == (1, 2)
+        assert _word_rank(ring.tensor, 0, gens) == 4
+        # ab x ab = 1 + a: commutative, vacuum intact, not associative
+        bumped = _modified(ring, {(3, 3, 1): 1})
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+
+    def test_su2k_is_generated_by_the_spin_half(self):
+        for k in range(1, 13):
+            assert _ring("su2k", k).check_axioms() == (1,)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 12), theory=st.sampled_from(["su2k", "coset", "full"]))
+def test_generators_span_and_pass_the_reference(k, theory):
+    ring = _ring(theory, k)
+    gens = ring.check_axioms()
+    n = len(ring.labels)
+    assert _word_rank(ring.tensor, ring.vacuum_index, gens) == n
+    assert _reference_sliced(ring.tensor, gens)
 
 
 class TestMemoryBudget:
@@ -250,9 +369,9 @@ class TestModularRelations:
         t = fu.TData({l: sm.dim_su2k(l, k) for l in s.labels},
                      Fraction(3 * k, k + 2))
         report = fu.verify_modular_relations(s, t)
-        assert report.passed
+        assert report.passed and report.conjugation_is_permutation
         # su(2)_k is self-conjugate: C must be the identity
-        assert np.all(fu.charge_conjugation(s) == np.eye(k + 1))
+        assert np.max(np.abs(s.entries @ s.entries - np.eye(k + 1))) < 1e-10
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_coset(self, k):

@@ -96,8 +96,10 @@ def weyl_sum_s(k):
         for index in (weight.mu, weight.nu):
             if index:
                 dynkin[index - 1] += 1
-        coords.append([float(c) for c in lie.to_orthogonal(dynkin, k)])
-    x = np.array(coords)
+        # epsilon coordinates: suffix sums of the Dynkin labels, then 0
+        coords.append(np.cumsum(dynkin[::-1])[::-1].tolist() + [0])
+    x = np.array(coords, dtype=float)
+    x -= x.mean(axis=1, keepdims=True)  # traceless
     pref = 1j ** (k * (k - 1) // 2 % 4) / math.sqrt(k * (k + 2) ** (k - 1))
     # (Lam+rho | w(Lam'+rho)) for every w: (|W|, n, n)
     inner = np.einsum("ai,wbi->wab", x, x[:, perms].transpose(1, 0, 2))
