@@ -31,10 +31,15 @@ from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
-# Bytes per n^3 budgeted for `verlinde` including `check_axioms`; the
-# measured tracemalloc peak is 40 n^3 (the complex product and its factor,
-# then the rounding temporaries), so this leaves a margin of 1.6.
-VERLINDE_BYTES_PER_CUBE = 64
+# Labels per block of the Verlinde sum and of each associativity slice,
+# whose temporaries are O(LABEL_BLOCK n^2): 2 to 8 time alike at n = 55
+# and 105, 16 and 32 are slower.
+LABEL_BLOCK = 8
+# Bytes per n^3 budgeted for `verlinde` including `check_axioms`: the
+# int64 tensor and its float64 copy plus O(LABEL_BLOCK n^2) block
+# temporaries; the tracemalloc peak measures 19.5 n^3 at n = 55, 17.8 at
+# 105 and 16.8 at 231, and tests/test_fusion.py pins it below this.
+VERLINDE_BYTES_PER_CUBE = 32
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
 # Below 2^25: with max|N|^2 n < 2^53, int64 sums stay exact for n < 2^12.
 CERTIFICATE_PRIME = 2 ** 25 - 39
@@ -43,6 +48,17 @@ CERTIFICATE_PRIME = 2 ** 25 - 39
 def memory_budget() -> int:
     """Bytes one fusion computation may hold: half of physical memory."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def require_budget(need: int, what: str) -> None:
+    """Raise ResourceError, before allocating, when `what` needs more
+    than `memory_budget()` bytes."""
+    budget = memory_budget()
+    if need > budget:
+        raise ResourceError(
+            f"{what} needs about {need / 2 ** 20:.0f} MiB, over the budget "
+            f"of {budget / 2 ** 20:.0f} MiB (half of physical memory)"
+        )
 
 
 def find_vacuum(s: SMatrix) -> int:
@@ -65,6 +81,7 @@ class FusionRing:
     vacuum_index: int
     generators: tuple = field(init=False, default=())  # set by check_axioms
     _index: dict = field(init=False, repr=False)
+    _nonzero: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -79,9 +96,21 @@ class FusionRing:
         return int(self.tensor[self.index(a), self.index(b), self.index(c)])
 
     def product(self, a, b) -> Counter:
-        """Multiset of fusion outcomes of a x b."""
-        row = self.tensor[self.index(a), self.index(b)]
-        return Counter({self.labels[c]: int(row[c]) for c in np.flatnonzero(row)})
+        """Multiset of fusion outcomes of a x b, a fresh Counter read from
+        the nonzero table (row ends, labels, counts over the rows (a, b))
+        that the first lookup builds."""
+        if self._nonzero is None:
+            dim = len(self.labels)
+            flat = self.tensor.reshape(dim * dim, dim)
+            rows, cols = np.nonzero(flat)
+            ends = np.cumsum(np.bincount(rows, minlength=dim * dim))
+            self._nonzero = ([0, *ends.tolist()],
+                             [self.labels[c] for c in cols.tolist()],
+                             flat[rows, cols].tolist())
+        ends, outcomes, counts = self._nonzero
+        row = self.index(a) * len(self.labels) + self.index(b)
+        lo, hi = ends[row], ends[row + 1]
+        return Counter(dict(zip(outcomes[lo:hi], counts[lo:hi])))
 
     def check_axioms(self) -> tuple:
         """Commutativity, vacuum identity and exact associativity
@@ -89,8 +118,10 @@ class FusionRing:
         generating set G (returned), in O(n^3) memory. That covers every a:
         the a with vanishing associator form a subspace that holds the
         vacuum and each product gu of its members, ((gu)x)y = g((ux)y) =
-        g(u(xy)) = (gu)(xy), so every word over G. Float64 sums are exact
-        integers below max|N|^2 n < 2^53."""
+        g(u(xy)) = (gu)(xy), so every word over G. With N commutative the
+        slice of a is N_a N_b = N_b N_a for the matrices (N_x)_cd = N_xc^d,
+        run over blocks of LABEL_BLOCK labels b so each block reads N once.
+        Float64 sums are exact integers below max|N|^2 n < 2^53."""
         n = self.tensor
         dim = len(self.labels)
         if np.any(n != np.swapaxes(n, 0, 1)):
@@ -106,12 +137,13 @@ class FusionRing:
             )
         self.generators = _generating_set(n, self.vacuum_index)
         nf = n.astype(np.float64)
-        by_a, by_ab = nf.reshape(dim, dim * dim), nf.reshape(dim * dim, dim)
         for a in self.generators:
-            lhs = nf[a] @ by_a  # [b, (c, d)]: sum_e N_ab^e N_ec^d
-            rhs = by_ab @ nf[a]  # [(b, c), d]: sum_f N_bc^f N_af^d
-            if np.any(lhs.reshape(dim, dim, dim) != rhs.reshape(dim, dim, dim)):
-                raise ConsistencyError("fusion tensor is not associative")
+            for b in range(0, dim, LABEL_BLOCK):
+                block = nf[b:b + LABEL_BLOCK]
+                lhs = np.matmul(nf[a], block)  # [b, c, d]: sum_e N_ac^e N_eb^d
+                rhs = block.reshape(-1, dim) @ nf[a]  # [(b, c), d]: N_bc^f N_af^d
+                if not np.array_equal(lhs.reshape(rhs.shape), rhs):
+                    raise ConsistencyError("fusion tensor is not associative")
         return self.generators
 
 
@@ -146,14 +178,8 @@ def verlinde(s: SMatrix,
 
     Raises ResourceError before allocating when the O(n^3) working set
     (fusion tensor and axiom check included) exceeds `memory_budget()`."""
-    need = VERLINDE_BYTES_PER_CUBE * s.dim ** 3
-    budget = memory_budget()
-    if need > budget:
-        raise ResourceError(
-            f"Verlinde fusion of {s.dim} labels needs about "
-            f"{need / 2 ** 20:.0f} MiB, over the budget of "
-            f"{budget / 2 ** 20:.0f} MiB (half of physical memory)"
-        )
+    require_budget(VERLINDE_BYTES_PER_CUBE * s.dim ** 3,
+                   f"Verlinde fusion of {s.dim} labels")
     vac = find_vacuum(s)
     ring = FusionRing(labels=s.labels,
                       tensor=_verlinde_tensor(s, vac, integrality_tolerance),
@@ -163,21 +189,32 @@ def verlinde(s: SMatrix,
 
 
 def _verlinde_tensor(s: SMatrix, vac: int, integrality_tolerance: float):
-    """The Verlinde sum as one (n^2, n) x (n, n) BLAS product, checked
-    integral and non-negative; its complex temporaries die on return."""
+    """The Verlinde sum one block of LABEL_BLOCK labels a at a time, each a
+    (block n, n) x (n, n) BLAS product rounded into the int64 tensor, then
+    checked integral (sqrt of the largest (re - round)^2 + im^2 over all
+    blocks) and non-negative; each block's complex temporaries die with it."""
     n = s.dim
     weighted = s.entries / s.entries[vac]  # divide inside the x-sum
-    raw = ((s.entries[:, None, :] * weighted[None]).reshape(n * n, n)
-           @ s.entries.conj().T).reshape(n, n, n)  # [a, b, c]
-    rounded = np.round(raw.real)
-    residual = float(np.max(np.hypot(raw.real - rounded, raw.imag)))
-    if residual >= integrality_tolerance:
+    conj_t = s.entries.conj().T
+    tensor = np.empty((n, n, n), dtype=np.int64)
+    worst = 0.0
+    for start in range(0, n, LABEL_BLOCK):
+        rows = s.entries[start:start + LABEL_BLOCK]
+        raw = (rows[:, None, :] * weighted[None]).reshape(-1, n) @ conj_t
+        rounded = np.round(raw.real)
+        dev = raw.real - rounded
+        dev *= dev
+        dev += np.square(raw.imag, out=raw.imag)
+        worst = np.maximum(worst, dev.max())  # a NaN stays
+        tensor[start:start + LABEL_BLOCK] = rounded.reshape(-1, n, n)
+    residual = float(np.sqrt(worst))
+    if not residual < integrality_tolerance:
         raise NonIntegerFusionError(
             f"Verlinde residual {residual:g} >= {integrality_tolerance:g}"
         )
-    if np.any(rounded < 0):
+    if tensor.min() < 0:
         raise NegativeFusionError("negative Verlinde coefficient")
-    return rounded.astype(np.int64)
+    return tensor
 
 
 def fusion_su2k_closed(l: int, l2: int, k: int) -> set:

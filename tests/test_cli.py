@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from parafermions import cli
 from parafermions import coset as co
 from parafermions import fullcft as fc
 from parafermions import fusion as fu
+from parafermions import interferometry as it
 from parafermions import smatrix as sm
 
 
@@ -113,6 +115,31 @@ class TestVerifyCommand:
         # full_s_product builds its neutral factor from s_suk2_compact
         assert calls == {"full": 1, "coset": 1}
 
+    def test_checks_carry_elapsed_s(self, capsys, monkeypatch):
+        oracle = sm.s_suk2_weylkac
+
+        def slow_oracle(*args, **kwargs):
+            time.sleep(0.05)
+            return oracle(*args, **kwargs)
+        monkeypatch.setattr(sm, "s_suk2_weylkac", slow_oracle)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", "--k", "3", "--all")
+        wall = time.perf_counter() - start
+        assert code == 3
+        checks = {c["name"]: c["elapsed_s"] for c in strict_json(out)["checks"]}
+        assert len(checks) == 16
+        assert all(isinstance(e, float) and e >= 0 for e in checks.values())
+        assert sum(checks.values()) <= wall
+        # the oracle's time is charged to the one check that runs it
+        assert checks["oracle-vs-compact"] >= 0.05
+
+    def test_failed_check_carries_elapsed_s(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
+                           "full-dual", "--tolerance", "1e-30")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert check["residual"] is None and check["elapsed_s"] >= 0
+
     def test_raising_build_is_built_once(self, capsys, monkeypatch):
         # at this tolerance full_s_product raises; the error is kept and
         # raised again for every check that needs the matrix
@@ -200,6 +227,23 @@ class TestResourceExit:
         assert out == ""
         assert err.startswith("error: ") and "budget" in err
         assert "Traceback" not in err
+
+    def test_interfere_samples_over_budget_exits_2(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("curve sampled over budget")
+        need = 64 * cli.INTERFERE_BYTES_PER_SAMPLE
+        argv = ("interfere", "--k", "3", "--bulk", "1,2", "--probe", "0,1",
+                "--samples", "64")
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(it, "sigma_xx_curve", never)  # refused before sampling
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a curve of 64 samples") and "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["curve"]) == 64
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):

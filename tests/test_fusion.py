@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from parafermions import smatrix as sm
 from parafermions.errors import (
     ConsistencyError,
     LabelError,
+    NegativeFusionError,
     NonIntegerFusionError,
     ResourceError,
     VacuumError,
@@ -271,7 +273,133 @@ def test_generators_span_and_pass_the_reference(k, theory):
     assert _reference_sliced(ring.tensor, gens)
 
 
+def _one_shot_verlinde(s, vac):
+    """The one-shot Verlinde sum the blocked one replaced: one (n^2, n) x
+    (n, n) product, rounded, and its np.hypot integrality residual."""
+    n = s.dim
+    weighted = s.entries / s.entries[vac]
+    raw = ((s.entries[:, None, :] * weighted[None]).reshape(n * n, n)
+           @ s.entries.conj().T).reshape(n, n, n)
+    rounded = np.round(raw.real)
+    residual = float(np.max(np.hypot(raw.real - rounded, raw.imag)))
+    return rounded.astype(np.int64), residual
+
+
+def _group_ring(m):
+    """The group ring of Z_m: labels 0..m-1, x y = x + y mod m."""
+    tensor = np.zeros((m, m, m), dtype=np.int64)
+    for x in range(m):
+        for y in range(m):
+            tensor[x, y, (x + y) % m] = 1
+    return fu.FusionRing(tuple(range(m)), tensor, 0)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_tensor_equals_one_shot(self, theory, k):
+        # n = 3..11 (su2k), 3..55 (coset) and 6..66 (full): below one
+        # block of 8, at it, and past it by a partial block
+        s = _s_matrix(theory, k)
+        vac = fu.find_vacuum(s)
+        expected, _ = _one_shot_verlinde(s, vac)
+        got = fu._verlinde_tensor(s, vac, fu.INTEGRALITY_TOLERANCE)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 10), ("coset", 5),
+                                          ("full", 4)])
+    def test_residual_matches_hypot(self, theory, k):
+        s = _s_matrix(theory, k)
+        vac = fu.find_vacuum(s)
+        rng = np.random.default_rng(k)
+        noise = rng.standard_normal((2, s.dim, s.dim)) * 1e-9
+        entries = s.entries + noise[0] + 1j * noise[1]
+        entries[vac] = s.entries[vac]  # keep the vacuum row's divisor
+        bumped = sm.SMatrix(s.labels, entries)
+        _, ref = _one_shot_verlinde(bumped, vac)
+        assert ref > 1e-10
+        # passing below ref + 2 ulp and failing at ref - 1 ulp pins the
+        # blocked residual within 1 ulp of the hypot form
+        fu._verlinde_tensor(bumped, vac, np.nextafter(ref + np.spacing(ref),
+                                                      np.inf))
+        with pytest.raises(NonIntegerFusionError):
+            fu._verlinde_tensor(bumped, vac, np.nextafter(ref, 0))
+
+    def test_non_integer_reported_before_negative(self):
+        s = sm.s_su2k(10)  # two blocks of labels
+        entries = s.entries.copy()
+        entries[1] *= -1  # N_ab^1 = -N_ab^1 for a, b != 1
+        _, ref = _one_shot_verlinde(sm.SMatrix(s.labels, entries), 0)
+        assert ref < 1e-10
+        with pytest.raises(NegativeFusionError):
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
+                                fu.INTEGRALITY_TOLERANCE)
+        entries[10, 5] += 0.01  # row 10 sits in the last block
+        with pytest.raises(NonIntegerFusionError):
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
+                                fu.INTEGRALITY_TOLERANCE)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_nan_is_non_integer(self):
+        s = sm.s_su2k(10)
+        entries = s.entries.copy()
+        entries[10, 5] = np.nan  # row 10 sits in the last block
+        with pytest.raises(NonIntegerFusionError, match="nan"):
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
+                                fu.INTEGRALITY_TOLERANCE)
+
+    def test_bump_in_last_partial_block_rejected(self):
+        m = fu.LABEL_BLOCK + 3  # blocks of b: [0, B) and [B, B + 3)
+        ring = _group_ring(m)
+        assert ring.check_axioms() == (1,)
+        assert _reference_sliced(ring.tensor)
+        # (m-1)(m-1) gains the outcome 2; only the matrix N_{m-1} changes,
+        # so only the last block's slice sees N_1 N_{m-1} != N_{m-1} N_1
+        bumped = _modified(ring, {(m - 1, m - 1, 2): 1})
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 9), ("coset", 5),
+                                          ("full", 4)])
+    def test_product_is_the_tensor_row(self, theory, k):
+        ring = _ring(theory, k)
+        fresh = fu.FusionRing(ring.labels, ring.tensor, ring.vacuum_index)
+        for i, a in enumerate(fresh.labels):
+            for j, b in enumerate(fresh.labels):
+                row = fresh.tensor[i, j]
+                expected = {fresh.labels[c]: int(row[c])
+                            for c in np.flatnonzero(row)}
+                got = fresh.product(a, b)
+                assert type(got) is Counter and got == expected
+                assert all(type(v) is int for v in got.values())
+
+    def test_returned_counter_is_fresh(self):
+        ring = _ring3()
+        a = ring.labels[1]
+        first = ring.product(a, a)
+        expected = dict(first)
+        first[a] += 5
+        first["junk"] = 1
+        del first[next(iter(expected))]
+        assert ring.product(a, a) == expected
+
+
 class TestMemoryBudget:
+    @pytest.mark.parametrize("theory,k", [("coset", 10), ("full", 13)])
+    def test_peak_within_budget_constant(self, theory, k):
+        # n = 55 and 105: the tracemalloc peak of verlinde(), check_axioms
+        # included, stays below the bytes per n^3 its guard charges
+        s = _s_matrix(theory, k)
+        tracemalloc.start()
+        try:
+            fu.verlinde(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fu.VERLINDE_BYTES_PER_CUBE * s.dim ** 3
+
     def test_guard_raises_before_allocating(self, monkeypatch):
         s = co.coset_s_compact(4).s
         need = fu.VERLINDE_BYTES_PER_CUBE * s.dim ** 3
