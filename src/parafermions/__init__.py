@@ -23,10 +23,8 @@ from .errors import (
     ShapeError,
     VacuumError,
 )
-from .lie import CartanData, cartan_data
 from .smatrix import (
     CosetWeight,
-    OrbitDecomposition,
     SMatrix,
     canonical_weights,
     dim_su2k,
@@ -34,8 +32,7 @@ from .smatrix import (
     level_rank_entry,
     monodromy_charge,
     orbit_basis,
-    orbit_decomposition_su2k,
-    orbit_decomposition_suk2,
+    orbit_of,
     s_su2k,
     s_suk2_compact,
     s_suk2_weylkac,

@@ -102,18 +102,18 @@ def count_primaries(k: int) -> int:
     return n
 
 
-def coset_s_compact(k: int, basis=None,
+def coset_s_compact(k: int,
                     tolerance: float = sm.DEFAULT_TOLERANCE) -> CosetModularData:
     """Coset modular data from the closed form (identical to su(k)_2)."""
-    s = sm.s_suk2_compact(k, basis=basis, tolerance=tolerance)
+    s = sm.s_suk2_compact(k, tolerance=tolerance)
     dims = {w: coset_dimension(w) for w in s.labels}
     return CosetModularData(s=s, dims=dims, central_charge=central_charge(k))
 
 
-def coset_s_phase_form(k: int, basis=None,
+def coset_s_phase_form(k: int,
                        tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry)."""
-    base = sm.s_suk2_compact(k, basis=basis, tolerance=tolerance)
+    base = sm.s_suk2_compact(k, tolerance=tolerance)
     m = sum(sm.weight_arrays(base.labels))
     entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
     out = SMatrix(base.labels, entries, tolerance=tolerance)
@@ -134,20 +134,19 @@ def s_u1_2k(k: int, tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     return SMatrix(tuple(range(2 * k)), entries, tolerance=tolerance)
 
 
-def coset_s_via_su2k_u1(k: int, basis=None,
+def coset_s_via_su2k_u1(k: int,
                         tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
     """Coset S as 2 S^{su(2)_k}_{l,l'} conj(S^{u(1)_{2k}}_{m,m'}).
 
-    The (l, m) = (nu - mu, mu + nu) labels of the basis weights (to_lm)
-    pick the su(2)_k and u(1)_{2k} entries by fancy indexing.
+    The (l, m) = (nu - mu, mu + nu) labels of the canonical weights
+    (to_lm), one-to-one since 0 <= mu <= nu < k, pick the su(2)_k and
+    u(1)_{2k} entries by fancy indexing.
     """
-    labels = tuple(basis) if basis is not None else canonical_weights(k)
+    labels = canonical_weights(k)
     s2 = sm.s_su2k(k, tolerance=tolerance)
     su1 = s_u1_2k(k, tolerance=tolerance)
     mu, nu = sm.weight_arrays(labels)
     l, m = nu - mu, mu + nu
-    if len(set(zip(l.tolist(), m.tolist()))) != len(labels):
-        raise IdentificationError(f"(l, m) labels collide at k={k}")
     entries = (2 * s2.entries[np.ix_(l, l)]
                * np.conj(su1.entries[np.ix_(m, m)]))
     return SMatrix(labels, entries, tolerance=tolerance)

@@ -32,9 +32,8 @@ class FullSector:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidRankError(f"need k >= 1, got {self.k}")
-        l, rho = self.l % (self.k * (self.k + 2)), self.rho % self.k
-        object.__setattr__(self, "l", l % (self.k + 2))
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "l", self.l % (self.k + 2))
+        object.__setattr__(self, "rho", self.rho % self.k)
         if not self.allowed():
             raise LabelError(
                 f"(l, rho) = ({self.l}, {self.rho}) violates the Z_k pairing "

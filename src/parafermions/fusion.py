@@ -62,9 +62,14 @@ def require_budget(need: int, what: str) -> None:
 
 
 def find_vacuum(s: SMatrix) -> int:
-    """Index of the unique row that is entrywise real and strictly positive."""
+    """Index of the unique row that is entrywise real and strictly positive.
+
+    Only the imaginary parts are held to the tolerance: the vacuum entries
+    1/D shrink with k, and every other row of a unitary S is orthogonal
+    to the positive vacuum row, so it has an entry with negative real
+    part."""
     rows = np.flatnonzero((np.max(np.abs(s.entries.imag), axis=1) < s.tolerance)
-                          & (np.min(s.entries.real, axis=1) > s.tolerance))
+                          & (np.min(s.entries.real, axis=1) > 0))
     if len(rows) != 1:
         raise VacuumError(
             f"expected exactly one real-positive row, found {len(rows)}"

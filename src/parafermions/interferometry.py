@@ -42,7 +42,7 @@ def monodromy(s: SMatrix, a, b, vac: int | None = None) -> Monodromy:
         vac = find_vacuum(s)
     ia, ib = s.index(a), s.index(b)
     denom = s.entries[vac, ia] * s.entries[vac, ib]
-    if abs(denom) < s.tolerance:
+    if denom == 0:
         raise ConsistencyError(
             f"vanishing vacuum entries for {a!r}, {b!r}; S matrix is not "
             "valid modular data"
@@ -64,11 +64,6 @@ class InterferencePattern:
     t1: complex
     t2: complex
     monodromy: Monodromy
-
-    @property
-    def contrast(self) -> float:
-        """Relative modulation amplitude |t1||t2||M| of the cosine term."""
-        return abs(self.t1) * abs(self.t2) * self.monodromy.magnitude
 
     @property
     def mean(self) -> float:

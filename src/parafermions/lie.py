@@ -1,18 +1,17 @@
 """Finite Lie-algebra data for su(k) = A_{k-1}.
 
 Everything here is exact: rational arithmetic (fractions.Fraction) or
-integer arrays; floating point never enters. Weights live in the
-Dynkin-label basis; the Weyl group acts through the orthogonal
-(epsilon-coordinate) embedding, where it is a literal permutation of k
-coordinates.
+integer arrays; floating point never enters. It holds the Cartan matrix,
+which the charge lattice's Gram matrix is built from, an exact
+Gauss-Jordan inverse and solve, and the Weyl group as the k! permutations
+of the orthogonal coordinates, which the tests use to expand the Weyl-Kac
+sum term by term.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -52,27 +51,6 @@ def rational_solve(matrix, rhs):
     return tuple(sum(a * b for a, b in zip(row, rhs)) for row in inverse)
 
 
-@dataclass(frozen=True)
-class CartanData:
-    """Cartan matrix of su(k), its exact inverse and determinant."""
-
-    k: int
-    cartan: tuple
-    inverse_cartan: tuple
-    det: int
-
-    @property
-    def rank(self):
-        return self.k - 1
-
-
-def cartan_data(k: int) -> CartanData:
-    """A_{k-1} Cartan matrix with exact rational inverse; det = k."""
-    cartan = cartan_matrix(k)
-    inverse, det = rational_inverse(cartan)
-    return CartanData(k=k, cartan=cartan, inverse_cartan=inverse, det=int(det))
-
-
 def cartan_matrix(k: int) -> tuple:
     """A_{k-1} Cartan matrix as a tuple of int tuples."""
     if k < 2:
@@ -82,19 +60,6 @@ def cartan_matrix(k: int) -> tuple:
         tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
         for i in range(n)
     )
-
-
-def weight_inner_product(a: Sequence, b: Sequence, cd: CartanData) -> Fraction:
-    """(a|b) = a^T C^{-1} b in the normalization with root length^2 = 2."""
-    n = cd.rank
-    if len(a) != n or len(b) != n:
-        raise ShapeError(f"expected weights of length {n}, got {len(a)} and {len(b)}")
-    total = Fraction(0)
-    for i in range(n):
-        if a[i] == 0:
-            continue
-        total += Fraction(a[i]) * sum(cd.inverse_cartan[i][j] * Fraction(b[j]) for j in range(n))
-    return total
 
 
 def weyl_group(k: int):

@@ -6,7 +6,8 @@ Three independent routes to the su(k)_2 matrix live here:
   oracle),
 * the single-term closed form obtained through level-rank duality with
   su(2)_k,
-* reconstruction from the orbit representatives via simple-current phases.
+* reconstruction from the orbit representatives via simple-current phases,
+  with each weight's orbit read off its labels by orbit_of.
 
 All phases and conformal dimensions are exact rationals until the final
 exp/sin evaluation in double precision.
@@ -149,8 +150,7 @@ def s_su2k(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     return SMatrix(tuple(range(k + 1)), entries.astype(complex), tolerance=tolerance)
 
 
-def s_suk2_weylkac(k: int, basis=None,
-                   tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_suk2_weylkac(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """su(k)_2 S matrix by the Weyl-Kac sum, one determinant per entry.
 
     Entry = i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) *
@@ -163,7 +163,7 @@ def s_suk2_weylkac(k: int, basis=None,
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     h = k + 2
-    labels = tuple(basis) if basis is not None else canonical_weights(k)
+    labels = canonical_weights(k)
     n = len(labels)
 
     # Orthogonal coordinates (k - j) + [j <= mu] + [j <= nu], j = 1..k, of
@@ -185,7 +185,7 @@ def s_suk2_weylkac(k: int, basis=None,
     return SMatrix(labels, entries, tolerance=tolerance)
 
 
-def s_suk2_compact(k: int, basis=None, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_suk2_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """su(k)_2 S matrix in the level-rank closed form.
 
     Entry ((mu,nu),(rho,sigma)) =
@@ -194,7 +194,7 @@ def s_suk2_compact(k: int, basis=None, tolerance: float = DEFAULT_TOLERANCE) -> 
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
-    labels = tuple(basis) if basis is not None else canonical_weights(k)
+    labels = canonical_weights(k)
     mu, nu = weight_arrays(labels)
     m, l = mu + nu, nu - mu
     sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
@@ -220,64 +220,21 @@ def level_rank_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
     return math.sqrt(2.0 / k) * complex(phase(l * lp, 2 * k)) * s2
 
 
-def simple_current_step(w: CosetWeight) -> CosetWeight:
-    """Fusion with J = Lam_1 + Lam_1: shifts both indices by one mod k."""
-    return CosetWeight(w.mu + 1, w.nu + 1, w.k)
-
-
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Simple-current orbits of the canonical su(k)_2 weights."""
-
-    orbits: tuple  # of (representative CosetWeight, tuple of members)
-    r: int
-    _where: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_where", {
-            w: (rep.nu, p) for rep, members in self.orbits
-            for p, w in enumerate(members)})
-
-    def orbit_of(self, w: CosetWeight):
-        """(representative nu-index, power p) with w = J^p * (0, rep)."""
-        try:
-            return self._where[w]
-        except KeyError:
-            raise LabelError(f"{w} not found in any orbit") from None
-
-
 def orbit_count(k: int) -> int:
-    return k // 2 + 1 if k % 2 == 0 else (k + 1) // 2
+    """Number of J-orbits of the su(k)_2 weights, one per l = 0..k // 2."""
+    return k // 2 + 1
 
 
-def orbit_decomposition_suk2(k: int) -> OrbitDecomposition:
-    """Partition of the canonical weights into J-orbits, reps (0, l)."""
-    if k < 2:
-        raise InvalidRankError(f"need k >= 2, got {k}")
-    orbits = []
-    seen = set()
-    for l in range(orbit_count(k)):
-        rep = CosetWeight(0, l, k)
-        members = []
-        w = rep
-        while w not in members:
-            members.append(w)
-            w = simple_current_step(w)
-        orbits.append((rep, tuple(members)))
-        seen.update(members)
-    if len(seen) != k * (k + 1) // 2 or sum(len(m) for _, m in orbits) != len(seen):
-        raise ConsistencyError(f"orbits do not partition the weights at k={k}")
-    return OrbitDecomposition(orbits=tuple(orbits), r=len(orbits))
+def orbit_of(mu, nu, k: int):
+    """(l, p) with Lam_mu + Lam_nu = J^p (Lam_0 + Lam_l), 0 <= l <= k // 2,
+    for 0 <= mu <= nu < k (integers or integer arrays).
 
-
-def orbit_decomposition_su2k(k: int):
-    """su(2)_k orbits {l, k-l} under J = phi_k."""
-    if k < 1:
-        raise InvalidLevelError(f"need k >= 1, got {k}")
-    orbits = []
-    for l in range(k // 2 + 1):
-        orbits.append((l,) if l == k - l else (l, k - l))
-    return orbits
+    J = 2 Lam_1 shifts both indices by one mod k, so the orbit is fixed by
+    d = nu - mu alone (Schellekens & Yankielowicz 1990): the weight is
+    J^mu (0, d) when d <= k - d and J^nu (0, k - d) otherwise."""
+    d = nu - mu
+    near = d <= k - d
+    return np.where(near, d, k - d), np.where(near, mu, nu)
 
 
 def dim_su2k(l: int, k: int) -> Fraction:
@@ -322,7 +279,7 @@ def _reduce_charge(q: Fraction) -> Fraction:
     return r - 1 if r > 0 else r
 
 
-def simple_current_extend(representative_row, k: int, basis=None,
+def simple_current_extend(representative_row, k: int,
                           tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     """Full su(k)_2 matrix from its orbit-representative block.
 
@@ -331,17 +288,19 @@ def simple_current_extend(representative_row, k: int, basis=None,
     the simple-current phases exp(-2 pi i Q_{J^p}); the result is checked
     against the closed form.
     """
-    dec = orbit_decomposition_suk2(k)
-    labels = tuple(basis) if basis is not None else canonical_weights(k)
-    rep, power = np.array([dec.orbit_of(w) for w in labels]).T
+    if k < 2:
+        raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
+    labels = canonical_weights(k)
     mu, nu = weight_arrays(labels)
-    block = np.array([[representative_row[(a, b)] for b in range(dec.r)]
-                      for a in range(dec.r)], dtype=complex)
+    rep, power = orbit_of(mu, nu, k)
+    r = orbit_count(k)
+    block = np.array([[representative_row[(a, b)] for b in range(r)]
+                      for a in range(r)], dtype=complex)
     # S_{J^p(0,ra), J^q(0,rb)} picks up e^{-2 pi i Q} per action
     entries = (phase(np.outer(power, mu + nu) + np.outer(rep, power), k)
                * block[np.ix_(rep, rep)])
     out = SMatrix(labels, entries, tolerance=tolerance)
-    defect = out.max_abs_diff(s_suk2_compact(k, basis=labels, tolerance=tolerance))
+    defect = out.max_abs_diff(s_suk2_compact(k, tolerance=tolerance))
     if defect > tolerance:
         raise ConsistencyError(
             f"simple-current extension inconsistent at k={k}: defect {defect:g}"
@@ -355,8 +314,9 @@ def orbit_basis(k: int):
     For k=3 this is the ordering [00, 11, 22, 01, 02, 12] of the 6x6
     reference matrix.
     """
-    dec = orbit_decomposition_suk2(k)
-    out = []
-    for _, members in dec.orbits:
-        out.extend(sorted(members, key=lambda w: (w.mu, w.nu)))
-    return tuple(out)
+    if k < 2:
+        raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
+    labels = canonical_weights(k)
+    mu, nu = weight_arrays(labels)
+    l, _ = orbit_of(mu, nu, k)
+    return tuple(labels[i] for i in np.lexsort((nu, mu, l)))

@@ -21,6 +21,12 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+def matrix_of(doc):
+    """The complex matrix of an smatrix document, bit for bit: each
+    [re, im] pair is one complex128."""
+    return np.array(doc["matrix"]).view(complex)[..., 0]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -33,7 +39,7 @@ class TestSmatrixCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["kind"] == "smatrix" and doc["k"] == 3
-        matrix = cli.matrix_from_document(doc)
+        matrix = matrix_of(doc)
         expected = co.coset_s_compact(3).s.entries
         assert np.array_equal(matrix, expected)  # bit-identical round trip
 
@@ -43,13 +49,13 @@ class TestSmatrixCommand:
         assert code == 0
         doc = json.loads(out)
         n = len(doc["basis"])
-        assert cli.matrix_from_document(doc).shape == (n, n)
+        assert matrix_of(doc).shape == (n, n)
 
     def test_full_compact_k2_is_6x6_unitary(self, capsys):
         code, out, _ = run(capsys, "smatrix", "--k", "2",
                            "--which", "full-compact")
         assert code == 0
-        m = cli.matrix_from_document(json.loads(out))
+        m = matrix_of(json.loads(out))
         assert m.shape == (6, 6)
         assert np.max(np.abs(m @ m.conj().T - np.eye(6))) < 1e-10
 
@@ -198,6 +204,13 @@ class TestVerifyCommand:
         assert failing == ["st3-full"]
         assert "st3-full" in err
 
+    def test_target_matches_inside_a_name(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k", "3", "--targets", "full")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names == ["unitarity-full", "s2-full", "st3-full",
+                         "verlinde-full-integrality", "full-dual-construction"]
+        assert code == 3
+
     def test_unknown_target(self, capsys):
         code, _, _ = run(capsys, "verify", "--k", "3",
                          "--targets", "no-such-check")
@@ -283,6 +296,21 @@ class TestFusionDimsSectors:
         assert "1/15" in doc["conformal_dimensions"]
         assert doc["total_quantum_dimension"] == pytest.approx(3.2945564,
                                                                abs=1e-7)
+
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--k", "20", "--tolerance", "0.02"),
+        ("fusion", "--k", "12", "--tolerance", "0.04"),
+        ("interfere", "--k", "12", "--bulk", "1,2", "--probe", "0,1",
+         "--tolerance", "0.01"),
+    ])
+    def test_vacuum_entries_below_tolerance(self, capsys, argv):
+        # S_00 = 0.0136 at k = 20 and 0.0343 at k = 12: the vacuum row is
+        # found, and the monodromy taken, whatever the tolerance
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        if argv[0] == "fusion":
+            assert doc["basis"][doc["vacuum_index"]] == "0,0"
 
     def test_sectors(self, capsys):
         code, out, _ = run(capsys, "sectors", "--k", "3")

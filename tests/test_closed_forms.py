@@ -42,15 +42,25 @@ def representative_row(k):
             for a in reps for b in reps}
 
 
+def current_walk(k):
+    """(l, p) of each weight w = J^p (0, l), found by walking the current
+    J = 2 Lam_1 (both indices + 1 mod k) from each representative (0, l)."""
+    where = {}
+    for l in range(k // 2 + 1):
+        for p in range(k):
+            where.setdefault(sm.CosetWeight(p, l + p, k), (l, p))
+    return where
+
+
 def extend_ref(k):
-    dec = sm.orbit_decomposition_suk2(k)
+    where = current_walk(k)
     row = representative_row(k)
     labels = sm.canonical_weights(k)
     entries = np.empty((len(labels), len(labels)), dtype=complex)
     for i, a in enumerate(labels):
-        rep_a, p = dec.orbit_of(a)
+        rep_a, p = where[a]
         for j, b in enumerate(labels):
-            rep_b, q = dec.orbit_of(b)
+            rep_b, q = where[b]
             phase = unit_phase(Fraction(p * (b.mu + b.nu), k)
                                + Fraction(q * rep_a, k))
             entries[i, j] = phase * row[(rep_a, rep_b)]
@@ -131,9 +141,38 @@ def test_builders_honour_a_permuted_basis():
     basis = sm.orbit_basis(5)
     for build in (sm.s_suk2_compact, co.coset_s_phase_form,
                   co.coset_s_via_su2k_u1):
-        s = build(5, basis=basis)
-        assert s.labels == basis
-        assert s.max_abs_diff(build(5)) < 1e-15
+        s = build(5)
+        r = s.reindexed(basis)
+        assert r.labels == basis
+        perm = [s.labels.index(x) for x in basis]
+        assert np.array_equal(r.entries, s.entries[np.ix_(perm, perm)])
+        assert all(r.entry(a, b) == s.entry(a, b)
+                   for a in basis for b in basis)
+
+
+def test_orbit_of_matches_the_current_walk():
+    for k in range(2, 31):
+        where = current_walk(k)
+        labels = sm.canonical_weights(k)
+        assert len(where) == len(labels)  # the orbits partition the weights
+        l, p = sm.orbit_of(*sm.weight_arrays(labels), k)
+        assert list(zip(l.tolist(), p.tolist())) == [where[x] for x in labels]
+        assert sm.orbit_basis(k) == tuple(
+            sorted(labels, key=lambda x: (where[x][0], x.mu, x.nu)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 20), data=st.data())
+def test_orbit_of_inverts_the_current(k, data):
+    labels = sm.canonical_weights(k)
+    l, p = sm.orbit_of(*sm.weight_arrays(labels), k)
+    assert all(0 <= x <= k // 2 for x in l.tolist())
+    assert set(l.tolist()) == set(range(sm.orbit_count(k)))
+    assert [sm.CosetWeight(b, a + b, k)
+            for a, b in zip(l.tolist(), p.tolist())] == list(labels)
+    w = data.draw(st.sampled_from(labels))
+    assert sm.orbit_of(w.mu, w.nu, k) == (l[labels.index(w)],
+                                          p[labels.index(w)])
 
 
 def test_phase_is_exact_mod_den():

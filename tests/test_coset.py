@@ -36,6 +36,13 @@ class TestLmCorrespondence:
         for weight in sm.canonical_weights(k):
             assert co.from_lm(co.to_lm(weight)) == weight
 
+    def test_lm_labels_are_injective(self):
+        # coset_s_via_su2k_u1 indexes su(2)_k and u(1)_2k by these labels
+        for k in range(2, 31):
+            mu, nu = sm.weight_arrays(sm.canonical_weights(k))
+            pairs = set(zip((nu - mu).tolist(), (mu + nu).tolist()))
+            assert len(pairs) == k * (k + 1) // 2
+
 
 class TestFieldIdentification:
     def test_examples(self):

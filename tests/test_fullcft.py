@@ -42,6 +42,13 @@ class TestSectors:
         with pytest.raises(LabelError):
             fc.FullSector(1, 0, 3)  # mu = 1 > rho = 0
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_labels_reduced_mod_k_plus_2_and_k(self, k):
+        for s in fc.enumerate_sectors(k):
+            for a, b in ((1, 0), (-1, 1), (k, 3), (k + 1, -2)):
+                t = fc.FullSector(s.l + a * (k + 2), s.rho + b * k, k)
+                assert (t.l, t.rho) == (s.l, s.rho)
+
     def test_neutral_label(self):
         s = fc.FullSector(1, 1, 3)
         assert s.neutral == sm.CosetWeight(0, 1, 3)

@@ -42,8 +42,7 @@ class TestVerlinde:
 
     def test_epsilon_squared_hits_both_orbits(self):
         ring = fu.verlinde(co.coset_s_compact(3).s)
-        dec = sm.orbit_decomposition_suk2(3)
-        outcome_orbits = sorted(dec.orbit_of(x)[0]
+        outcome_orbits = sorted(int(sm.orbit_of(x.mu, x.nu, 3)[0])
                                 for x in ring.product(w(0, 1), w(0, 1)))
         assert outcome_orbits == [0, 1]  # one vacuum-orbit, one eps-orbit
 
@@ -67,6 +66,24 @@ class TestVerlinde:
         ring = fu.verlinde(co.coset_s_compact(3).s)
         assert ring.coefficient(w(0, 2), w(0, 2), w(0, 1)) == 1
         assert ring.coefficient(w(0, 2), w(0, 2), w(0, 0)) == 0
+
+
+class TestFindVacuum:
+    @pytest.mark.parametrize("k,tol", [(12, 0.04), (20, 0.02)])
+    def test_vacuum_entries_below_tolerance(self, k, tol):
+        s = sm.s_suk2_compact(k, tolerance=tol)
+        assert s.entries[0, 0].real < tol
+        assert fu.find_vacuum(s) == 0  # (0, 0) leads canonical_weights
+
+    def test_full_theory_at_a_loose_tolerance(self):
+        s = fc.full_s_product(12, tolerance=0.05)
+        assert s.labels[fu.find_vacuum(s)] == fc.FullSector(0, 0, 12)
+
+    def test_imaginary_parts_still_held_to_tolerance(self):
+        s = sm.s_suk2_compact(3)
+        s.entries[0, 1] += 1e-6j
+        with pytest.raises(VacuumError, match="found 0"):
+            fu.find_vacuum(s)
 
 
 def _reference_verlinde(s):

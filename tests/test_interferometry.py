@@ -8,7 +8,7 @@ from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import interferometry as it
 from parafermions import smatrix as sm
-from parafermions.errors import SamplingError
+from parafermions.errors import ConsistencyError, SamplingError
 
 DELTA = (1 + math.sqrt(5)) / 2
 
@@ -37,6 +37,19 @@ class TestMonodromy:
     def test_vacuum_pair(self, coset3):
         m = it.monodromy(coset3, w(0, 0), w(0, 0))
         assert m.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_vacuum_entries_below_tolerance(self):
+        loose = co.coset_s_compact(12, tolerance=0.01).s
+        a, b = w(0, 1, 12), w(1, 2, 12)
+        vac = w(0, 0, 12)
+        assert abs(loose.entry(vac, a) * loose.entry(vac, b)) < 0.01
+        assert it.monodromy(loose, a, b).value == \
+            it.monodromy(co.coset_s_compact(12).s, a, b).value
+
+    def test_zero_vacuum_entry_rejected(self):
+        s = sm.SMatrix((0, 1), np.eye(2))
+        with pytest.raises(ConsistencyError, match="vanishing"):
+            it.monodromy(s, 0, 1, vac=0)
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_bound_and_symmetry(self, k):

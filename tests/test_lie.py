@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -20,57 +21,70 @@ def to_orthogonal(weight, k):
     return tuple(c - mean for c in coords)
 
 
+@cache
+def inverse_cartan(k):
+    return lie.rational_inverse(lie.cartan_matrix(k))[0]
+
+
+def inner(a, b, k):
+    """(a|b) = a^T C^{-1} b for Dynkin labels (root length^2 = 2), read
+    from the exact inverse of the A_{k-1} Cartan matrix."""
+    return sum(Fraction(x) * g * Fraction(y)
+               for x, row in zip(a, inverse_cartan(k)) for g, y in zip(row, b))
+
+
 def test_cartan_a1():
-    cd = lie.cartan_data(2)
-    assert cd.cartan == ((2,),)
-    assert cd.inverse_cartan == ((Fraction(1, 2),),)
-    assert cd.det == 2
+    inverse, det = lie.rational_inverse(lie.cartan_matrix(2))
+    assert lie.cartan_matrix(2) == ((2,),)
+    assert inverse == ((Fraction(1, 2),),)
+    assert det == 2
 
 
 def test_cartan_a2():
-    cd = lie.cartan_data(3)
-    assert cd.cartan == ((2, -1), (-1, 2))
-    assert cd.det == 3
+    assert lie.cartan_matrix(3) == ((2, -1), (-1, 2))
+    assert lie.rational_inverse(lie.cartan_matrix(3))[1] == 3
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_cartan_inverse_exact(k):
-    cd = lie.cartan_data(k)
-    n = cd.rank
+    cartan = lie.cartan_matrix(k)
+    inverse, det = lie.rational_inverse(cartan)
+    n = k - 1
     for i in range(n):
         for j in range(n):
-            prod = sum(cd.cartan[i][m] * cd.inverse_cartan[m][j]
-                       for m in range(n))
+            prod = sum(cartan[i][m] * inverse[m][j] for m in range(n))
             assert prod == (1 if i == j else 0)
-    assert cd.det == k
+    assert det == k
 
 
 def test_cartan_rejects_small_k():
     with pytest.raises(InvalidRankError):
-        lie.cartan_data(1)
+        lie.cartan_matrix(1)
+
+
+def test_rational_inverse_rejects_singular():
+    with pytest.raises(ShapeError):
+        lie.rational_inverse([[1, 2], [2, 4]])
+
+
+def test_rational_solve_is_exact():
+    cartan = lie.cartan_matrix(4)
+    x = lie.rational_solve(cartan, [1, 0, 0])
+    assert x == (Fraction(3, 4), Fraction(1, 2), Fraction(1, 4))
 
 
 def test_inner_product_a1():
-    cd = lie.cartan_data(2)
-    assert lie.weight_inner_product([1], [1], cd) == Fraction(1, 2)
+    assert inner([1], [1], 2) == Fraction(1, 2)
 
 
 def test_inner_product_a2():
-    cd = lie.cartan_data(3)
-    assert lie.weight_inner_product([1, 0], [0, 1], cd) == Fraction(1, 3)
-    assert lie.weight_inner_product([0, 0], [5, 7], cd) == 0
-
-
-def test_inner_product_shape_error():
-    cd = lie.cartan_data(3)
-    with pytest.raises(ShapeError):
-        lie.weight_inner_product([1], [1, 0], cd)
+    assert inner([1, 0], [0, 1], 3) == Fraction(1, 3)
+    assert inner([0, 0], [5, 7], 3) == 0
 
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_inner_product_symmetric_bilinear(k):
     rng = random.Random(k)
-    cd = lie.cartan_data(k)
     for _ in range(20):
         a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
              for _ in range(k - 1)]
@@ -79,12 +93,9 @@ def test_inner_product_symmetric_bilinear(k):
         c = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
              for _ in range(k - 1)]
         lam = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        assert lie.weight_inner_product(a, b, cd) == \
-            lie.weight_inner_product(b, a, cd)
-        lhs = lie.weight_inner_product(
-            [x + lam * y for x, y in zip(a, c)], b, cd)
-        rhs = lie.weight_inner_product(a, b, cd) \
-            + lam * lie.weight_inner_product(c, b, cd)
+        assert inner(a, b, k) == inner(b, a, k)
+        lhs = inner([x + lam * y for x, y in zip(a, c)], b, k)
+        rhs = inner(a, b, k) + lam * inner(c, b, k)
         assert lhs == rhs
 
 
@@ -127,7 +138,6 @@ def test_weyl_group_rejects_small_k():
 @pytest.mark.parametrize("k", range(2, 6))
 def test_weyl_action_preserves_inner_product(k):
     rng = random.Random(100 + k)
-    cd = lie.cartan_data(k)
     perms, _ = lie.weyl_group(k)
     for _ in range(100):
         a = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
@@ -137,8 +147,7 @@ def test_weyl_action_preserves_inner_product(k):
         perm = perms[rng.randrange(len(perms))]
         wa, wb = (from_orthogonal(np.array(to_orthogonal(x, k))[perm])
                   for x in (a, b))
-        assert lie.weight_inner_product(wa, wb, cd) == \
-            lie.weight_inner_product(a, b, cd)
+        assert inner(wa, wb, k) == inner(a, b, k)
 
 
 def test_orthogonal_roundtrip():
@@ -148,8 +157,6 @@ def test_orthogonal_roundtrip():
 
 
 def test_orthogonal_embedding_is_isometric():
-    cd = lie.cartan_data(4)
     a, b = [1, 0, 2], [0, 1, 1]
     ea, eb = to_orthogonal(a, 4), to_orthogonal(b, 4)
-    assert sum(x * y for x, y in zip(ea, eb)) == \
-        lie.weight_inner_product(a, b, cd)
+    assert sum(x * y for x, y in zip(ea, eb)) == inner(a, b, 4)

@@ -143,35 +143,29 @@ class TestLevelRank:
 
 class TestOrbits:
     def test_k3_orbits(self):
-        dec = sm.orbit_decomposition_suk2(3)
-        assert dec.r == 2
-        reps = {rep: members for rep, members in dec.orbits}
-        assert reps[w(0, 0)] == (w(0, 0), w(1, 1), w(2, 2))
-        assert reps[w(0, 1)] == (w(0, 1), w(1, 2), w(0, 2))
+        assert sm.orbit_count(3) == 2
+        for l, members in ((0, (w(0, 0), w(1, 1), w(2, 2))),
+                           (1, (w(0, 1), w(1, 2), w(0, 2)))):
+            for p, x in enumerate(members):
+                assert sm.orbit_of(x.mu, x.nu, 3) == (l, p)
 
     def test_orbit_counts(self):
-        assert sm.orbit_decomposition_suk2(4).r == 3
+        assert sm.orbit_count(4) == 3
         for k in range(2, 9):
-            dec = sm.orbit_decomposition_suk2(k)
             expected = k // 2 + 1 if k % 2 == 0 else (k + 1) // 2
-            assert dec.r == expected
-            members = [m for _, ms in dec.orbits for m in ms]
-            assert len(members) == len(set(members)) == k * (k + 1) // 2
-
-    def test_su2k_orbits(self):
-        assert sm.orbit_decomposition_su2k(3) == [(0, 3), (1, 2)]
-        assert sm.orbit_decomposition_su2k(4) == [(0, 4), (1, 3), (2,)]
-        assert sm.orbit_decomposition_su2k(1) == [(0, 1)]
+            assert sm.orbit_count(k) == expected
+            l, _ = sm.orbit_of(*sm.weight_arrays(sm.canonical_weights(k)), k)
+            assert sorted(set(l.tolist())) == list(range(expected))
 
     def test_orbit_of(self):
-        dec = sm.orbit_decomposition_suk2(3)
-        assert dec.orbit_of(w(1, 2)) == (1, 1)
-        assert dec.orbit_of(w(0, 2)) == (1, 2)
+        assert sm.orbit_of(1, 2, 3) == (1, 1)
+        assert sm.orbit_of(0, 2, 3) == (1, 2)
+        l, p = sm.orbit_of(np.array([1, 0]), np.array([2, 2]), 3)
+        assert l.tolist() == [1, 1] and p.tolist() == [1, 2]
 
-    def test_orbit_of_unknown_weight(self):
-        dec = sm.orbit_decomposition_suk2(3)
-        with pytest.raises(LabelError):
-            dec.orbit_of(w(0, 1, k=4))
+    def test_orbit_basis_rejects_small_k(self):
+        with pytest.raises(InvalidRankError):
+            sm.orbit_basis(1)
 
     def test_orbit_basis_k3_order(self):
         assert [str(x) for x in sm.orbit_basis(3)] == \
@@ -222,8 +216,7 @@ class TestMonodromyCharge:
 class TestSimpleCurrentExtend:
     @staticmethod
     def representative_row(k):
-        dec = sm.orbit_decomposition_suk2(k)
-        reps = [rep.nu for rep, _ in dec.orbits]
+        reps = range(sm.orbit_count(k))
         return {(a, b): sm.level_rank_entry(sm.CosetWeight(0, a, k),
                                             sm.CosetWeight(0, b, k), k)
                 for a in reps for b in reps}
@@ -234,7 +227,11 @@ class TestSimpleCurrentExtend:
         assert ext.entry(w(1, 1), w(1, 1)) == pytest.approx(expected,
                                                             abs=1e-10)
 
-    @pytest.mark.parametrize("k", range(2, 7))
+    def test_rejects_small_k(self):
+        with pytest.raises(InvalidRankError):
+            sm.simple_current_extend({(0, 0): 1.0}, 1)
+
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_matches_oracle(self, k):
         ext = sm.simple_current_extend(self.representative_row(k), k)
         assert ext.max_abs_diff(sm.s_suk2_weylkac(k)) < 1e-10
