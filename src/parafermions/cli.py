@@ -118,28 +118,27 @@ def to_csv(doc: dict) -> str:
 
 
 _SMATRIX_BUILDERS = {
-    "su2k": lambda k, tol: sm.s_su2k(k, tolerance=tol),
-    "suk2-oracle": lambda k, tol: sm.s_suk2_weylkac(k, tolerance=tol),
-    "suk2-compact": lambda k, tol: sm.s_suk2_compact(k, tolerance=tol),
-    "coset": lambda k, tol: co.coset_s_compact(k, tolerance=tol).s,
-    "coset-lm": lambda k, tol: co.coset_s_via_su2k_u1(k, tolerance=tol),
-    "u1": lambda k, tol: fc.s_u1(k, tolerance=tol),
-    "full-product": lambda k, tol: fc.full_s_product(k, tolerance=tol),
-    "full-compact": lambda k, tol: fc.full_s_compact(k, tolerance=tol),
+    "su2k": sm.s_su2k,
+    "suk2-oracle": sm.s_suk2_weylkac,
+    "suk2-compact": sm.s_suk2_compact,
+    "coset": lambda k: co.coset_s_compact(k).s,
+    "coset-lm": co.coset_s_via_su2k_u1,
+    "u1": fc.s_u1,
+    "full-product": fc.full_s_product,
+    "full-compact": fc.full_s_compact,
 }
 
 
 def _build_s(args) -> sm.SMatrix:
     """The S matrix that args.which names; `full` is `full-product`."""
     which = "full-product" if args.which == "full" else args.which
-    return _SMATRIX_BUILDERS[which](args.k, args.tolerance)
+    return _SMATRIX_BUILDERS[which](args.k)
 
 
 def cmd_smatrix(args) -> int:
     s = _build_s(args)
     doc = document("smatrix", args.k, s.labels, {
         "which": args.which,
-        "tolerance": s.tolerance,
         "matrix": _complex_pairs(s.entries),
     })
     emit(doc, args.format)
@@ -166,20 +165,22 @@ def _once(build):
 
 def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
-    never run. Each S matrix is built at most once per call, also when
-    its build raises. A check returns its residual, or (residual, passed)
-    when passing takes more than residual < tol. A check that raises one
-    of CHECK_FAILURES is recorded as failed with the error's message.
-    Each check records its wall time as elapsed_s, which includes the
-    builds of the S matrices it is the first to use."""
-    su2k = _once(lambda: sm.s_su2k(k, tolerance=tol))
-    suk2 = _once(lambda: sm.s_suk2_compact(k, tolerance=tol))
-    coset = _once(lambda: co.coset_s_compact(k, tolerance=tol))
-    full = _once(lambda: fc.full_s_product(k, tolerance=tol))
+    never run. tol decides pass or fail here and nowhere else: builds
+    hold their self-checks to the module constants. Each S matrix is built
+    at most once per call, also when its build raises. A check returns
+    its residual, or (residual, passed) when passing takes more than
+    residual < tol. A check that raises one of CHECK_FAILURES is recorded
+    as failed with the error's message. Each check records its wall time
+    as elapsed_s, which includes the builds of the S matrices it is the
+    first to use."""
+    su2k = _once(lambda: sm.s_su2k(k))
+    suk2 = _once(lambda: sm.s_suk2_compact(k))
+    coset = _once(lambda: co.coset_s_compact(k))
+    full = _once(lambda: fc.full_s_product(k))
 
     def four_way():
-        four = [suk2(), coset().s, co.coset_s_phase_form(k, tolerance=tol),
-                co.coset_s_via_su2k_u1(k, tolerance=tol)]
+        four = [suk2(), coset().s, co.coset_s_phase_form(k),
+                co.coset_s_via_su2k_u1(k)]
         return max(a.max_abs_diff(b) for a in four for b in four)
 
     @cache
@@ -217,7 +218,7 @@ def _verify_checks(k: int, tol: float, targets=None):
         return 0
 
     plan = [("oracle-vs-compact",
-             lambda: sm.s_suk2_weylkac(k, tolerance=tol).max_abs_diff(suk2())),
+             lambda: sm.s_suk2_weylkac(k).max_abs_diff(suk2())),
             ("coset-four-way", four_way)]
     for name in ("su2k", "coset", "full"):
         plan += [
@@ -230,7 +231,7 @@ def _verify_checks(k: int, tol: float, targets=None):
         ("verlinde-vs-closed-su2k", verlinde_su2k),
         ("verlinde-full-integrality", verlinde_full),
         ("full-dual-construction",
-         lambda: full().max_abs_diff(fc.full_s_compact(k, tolerance=tol))),
+         lambda: full().max_abs_diff(fc.full_s_compact(k))),
         ("filling-factor",
          lambda: int(fc.filling_factor(fc.gram_matrix(k))
                      != Fraction(k, k + 2))),
@@ -257,12 +258,12 @@ def _verify_checks(k: int, tol: float, targets=None):
 
 
 def cmd_verify(args) -> int:
-    checks = _verify_checks(args.k, args.tolerance, targets=args.targets)
+    checks = _verify_checks(args.k, args.tol, targets=args.targets)
     if args.targets and not checks:
         print(f"no checks match targets {args.targets}", file=sys.stderr)
         return EXIT_USAGE
     doc = document("verify", args.k, [c["name"] for c in checks], {
-        "tolerance": args.tolerance,
+        "tolerance": args.tol,
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     })
@@ -290,7 +291,7 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    cdata = co.coset_s_compact(args.k, tolerance=args.tolerance)
+    cdata = co.coset_s_compact(args.k)
     qdims = fu.quantum_dimensions(cdata.s)
     doc = document("dims", args.k, cdata.s.labels, {
         "central_charge": str(cdata.central_charge),
@@ -374,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tolerance", type=_tolerance_arg,
-                       default=sm.DEFAULT_TOLERANCE)
 
     p = sub.add_parser("smatrix", parents=[], help="emit an S matrix")
     common(p)
@@ -385,6 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run consistency checks")
     common(p)
+    p.add_argument("--tolerance", dest="tol", type=_tolerance_arg,
+                   default=sm.DEFAULT_TOLERANCE,
+                   help="a check passes when its residual is below this")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all", action="store_true")
     group.add_argument("--targets", nargs="+")

@@ -102,51 +102,49 @@ def count_primaries(k: int) -> int:
     return n
 
 
-def coset_s_compact(k: int,
-                    tolerance: float = sm.DEFAULT_TOLERANCE) -> CosetModularData:
+def coset_s_compact(k: int) -> CosetModularData:
     """Coset modular data from the closed form (identical to su(k)_2)."""
-    s = sm.s_suk2_compact(k, tolerance=tolerance)
+    s = sm.s_suk2_compact(k)
     dims = {w: coset_dimension(w) for w in s.labels}
     return CosetModularData(s=s, dims=dims, central_charge=central_charge(k))
 
 
-def coset_s_phase_form(k: int,
-                       tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
-    """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry)."""
-    base = sm.s_suk2_compact(k, tolerance=tolerance)
+def coset_s_phase_form(k: int) -> SMatrix:
+    """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry),
+    checked against su(k)_2 to DEFAULT_TOLERANCE."""
+    base = sm.s_suk2_compact(k)
     m = sum(sm.weight_arrays(base.labels))
     entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
-    out = SMatrix(base.labels, entries, tolerance=tolerance)
+    out = SMatrix(base.labels, entries)
     defect = out.max_abs_diff(base)
-    if defect > tolerance:
+    if defect > sm.DEFAULT_TOLERANCE:
         raise ConsistencyError(
             f"phase form disagrees with the compact form at k={k}: {defect:g}"
         )
     return out
 
 
-def s_u1_2k(k: int, tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
+def s_u1_2k(k: int) -> SMatrix:
     """u(1)_{2k} S matrix: (1/sqrt(2k)) exp(-2 pi i m m'/(2k)), m = 0..2k-1."""
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
     m = np.arange(2 * k)
     entries = sm.phase(-np.outer(m, m), 2 * k) / math.sqrt(2 * k)
-    return SMatrix(tuple(range(2 * k)), entries, tolerance=tolerance)
+    return SMatrix(tuple(range(2 * k)), entries)
 
 
-def coset_s_via_su2k_u1(k: int,
-                        tolerance: float = sm.DEFAULT_TOLERANCE) -> SMatrix:
+def coset_s_via_su2k_u1(k: int) -> SMatrix:
     """Coset S as 2 S^{su(2)_k}_{l,l'} conj(S^{u(1)_{2k}}_{m,m'}).
 
     The (l, m) = (nu - mu, mu + nu) labels of the canonical weights
     (to_lm), one-to-one since 0 <= mu <= nu < k, pick the su(2)_k and
     u(1)_{2k} entries by fancy indexing.
     """
+    if k < 2:
+        raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     labels = canonical_weights(k)
-    s2 = sm.s_su2k(k, tolerance=tolerance)
-    su1 = s_u1_2k(k, tolerance=tolerance)
     mu, nu = sm.weight_arrays(labels)
     l, m = nu - mu, mu + nu
-    entries = (2 * s2.entries[np.ix_(l, l)]
-               * np.conj(su1.entries[np.ix_(m, m)]))
-    return SMatrix(labels, entries, tolerance=tolerance)
+    entries = (2 * sm.s_su2k(k).entries[np.ix_(l, l)]
+               * np.conj(s_u1_2k(k).entries[np.ix_(m, m)]))
+    return SMatrix(labels, entries)

@@ -76,39 +76,39 @@ def enumerate_sectors(k: int):
     return out
 
 
-def s_u1(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_u1(k: int) -> SMatrix:
     """u(1)_{k(k+2)} S matrix: (1/sqrt(k(k+2))) exp(-2 pi i l l'/(k(k+2)))."""
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
     n = k * (k + 2)
     m = np.arange(n)
     entries = sm.phase(-np.outer(m, m), n) / math.sqrt(n)
-    return SMatrix(tuple(range(n)), entries, tolerance=tolerance)
+    return SMatrix(tuple(range(n)), entries)
 
 
-def full_s_product(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def full_s_product(k: int) -> SMatrix:
     """k * S^{u(1)}_{l,l'} * S^{coset} on the induced neutral labels.
 
     The u(1) label of sector (l, rho) inside u(1)_{k(k+2)} is l itself;
     periodicity l -> l + k+2 is absorbed by the parafermion label through
     the pairing rule. So only the block l, l' < k+2 of s_u1 is built, and
     the coset S is su(k)_2's (coset_s_compact without its dimensions).
+    The product is checked unitary to DEFAULT_TOLERANCE.
     """
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
     l, _, _, _, neutral = sector_arrays(k)
     charged = sm.phase(-np.outer(l, l), k * (k + 2)) / math.sqrt(k * (k + 2))
     entries = k * charged * sm.s_suk2_compact(k).entries[np.ix_(neutral, neutral)]
-    out = SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
-    if not out.is_unitary():
+    out = SMatrix(enumerate_sectors(k), entries)
+    defect = out.unitarity_defect()
+    if not defect < DEFAULT_TOLERANCE:
         raise ConsistencyError(
-            f"full S product form not unitary at k={k}: "
-            f"defect {out.unitarity_defect():g}"
-        )
+            f"full S product form not unitary at k={k}: defect {defect:g}")
     return out
 
 
-def full_s_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def full_s_compact(k: int) -> SMatrix:
     """Single-term closed form of the full S matrix.
 
     Entry = (2/(k+2)) exp(i pi L L'/(k+2)) sin(pi (d+1)(d'+1)/(k+2)) with
@@ -120,7 +120,7 @@ def full_s_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     _, _, lifted, d, _ = sector_arrays(k)
     sine = np.sin(np.pi * np.outer(d + 1, d + 1) / (k + 2))
     entries = (2.0 / (k + 2)) * sm.phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine
-    return SMatrix(enumerate_sectors(k), entries, tolerance=tolerance)
+    return SMatrix(enumerate_sectors(k), entries)
 
 
 def full_dims(k: int) -> dict:

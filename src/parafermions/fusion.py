@@ -64,11 +64,12 @@ def require_budget(need: int, what: str) -> None:
 def find_vacuum(s: SMatrix) -> int:
     """Index of the unique row that is entrywise real and strictly positive.
 
-    Only the imaginary parts are held to the tolerance: the vacuum entries
-    1/D shrink with k, and every other row of a unitary S is orthogonal
-    to the positive vacuum row, so it has an entry with negative real
-    part."""
-    rows = np.flatnonzero((np.max(np.abs(s.entries.imag), axis=1) < s.tolerance)
+    Only the imaginary parts are held to DEFAULT_TOLERANCE: the vacuum
+    entries 1/D shrink with k, and every other row of a unitary S is
+    orthogonal to the positive vacuum row, so it has an entry with
+    negative real part."""
+    imag = np.max(np.abs(s.entries.imag), axis=1)
+    rows = np.flatnonzero((imag < sm.DEFAULT_TOLERANCE)
                           & (np.min(s.entries.real, axis=1) > 0))
     if len(rows) != 1:
         raise VacuumError(
@@ -177,8 +178,7 @@ def _generating_set(tensor: np.ndarray, vac: int) -> tuple:
     return tuple(gens)
 
 
-def verlinde(s: SMatrix,
-             integrality_tolerance: float = INTEGRALITY_TOLERANCE) -> FusionRing:
+def verlinde(s: SMatrix) -> FusionRing:
     """N_ab^c = sum_x S_ax S_bx conj(S_cx) / S_vac,x, rounded to integers.
 
     Raises ResourceError before allocating when the O(n^3) working set
@@ -187,17 +187,18 @@ def verlinde(s: SMatrix,
                    f"Verlinde fusion of {s.dim} labels")
     vac = find_vacuum(s)
     ring = FusionRing(labels=s.labels,
-                      tensor=_verlinde_tensor(s, vac, integrality_tolerance),
+                      tensor=_verlinde_tensor(s, vac),
                       vacuum_index=vac)
     ring.check_axioms()
     return ring
 
 
-def _verlinde_tensor(s: SMatrix, vac: int, integrality_tolerance: float):
+def _verlinde_tensor(s: SMatrix, vac: int):
     """The Verlinde sum one block of LABEL_BLOCK labels a at a time, each a
     (block n, n) x (n, n) BLAS product rounded into the int64 tensor, then
     checked integral (sqrt of the largest (re - round)^2 + im^2 over all
-    blocks) and non-negative; each block's complex temporaries die with it."""
+    blocks, below INTEGRALITY_TOLERANCE) and non-negative; each block's
+    complex temporaries die with it."""
     n = s.dim
     weighted = s.entries / s.entries[vac]  # divide inside the x-sum
     conj_t = s.entries.conj().T
@@ -213,9 +214,9 @@ def _verlinde_tensor(s: SMatrix, vac: int, integrality_tolerance: float):
         worst = np.maximum(worst, dev.max())  # a NaN stays
         tensor[start:start + LABEL_BLOCK] = rounded.reshape(-1, n, n)
     residual = float(np.sqrt(worst))
-    if not residual < integrality_tolerance:
+    if not residual < INTEGRALITY_TOLERANCE:
         raise NonIntegerFusionError(
-            f"Verlinde residual {residual:g} >= {integrality_tolerance:g}"
+            f"Verlinde residual {residual:g} >= {INTEGRALITY_TOLERANCE:g}"
         )
     if tensor.min() < 0:
         raise NegativeFusionError("negative Verlinde coefficient")
@@ -270,7 +271,7 @@ def quantum_dimensions(s: SMatrix) -> dict:
     vac = find_vacuum(s)
     row = s.entries[vac].real
     dims = {lab: float(row[i] / row[vac]) for i, lab in enumerate(s.labels)}
-    bad = [lab for lab, d in dims.items() if d < 1 - s.tolerance]
+    bad = [lab for lab, d in dims.items() if d < 1 - sm.DEFAULT_TOLERANCE]
     if bad:
         raise VacuumError(f"quantum dimensions below 1 for {bad}; wrong vacuum?")
     return dims
@@ -298,30 +299,24 @@ class TData:
 
 @dataclass(frozen=True)
 class ModularReport:
-    """Max residuals of the modular-group relations on (S, T)."""
+    """Max residuals of the modular-group relations on (S, T); the caller
+    compares them with its tolerance."""
 
     s2_defect: float
     st3_defect: float
     c2_defect: float
     unitarity_defect: float
     conjugation_is_permutation: bool
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return (self.conjugation_is_permutation
-                and self.s2_defect < self.tolerance
-                and self.st3_defect < self.tolerance
-                and self.c2_defect < self.tolerance
-                and self.unitarity_defect < self.tolerance)
 
 
 def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:
-    """Check S S^dag = I, S^2 = C (a permutation), (ST)^3 = C, C^2 = I."""
+    """Residuals of S S^dag = I, S^2 = C, (ST)^3 = C and C^2 = I, with C
+    the rounded real part of S^2. conjugation_is_permutation is
+    structural: C has entries in {-1, 0, 1}, one nonzero per row and per
+    column; how close S^2 comes to C is s2_defect."""
     s2 = s.entries @ s.entries
     snapped = np.round(s2.real).astype(np.int64)
-    is_perm = (float(np.max(np.abs(s2 - snapped))) < s.tolerance
-               and set(np.unique(snapped)) <= {-1, 0, 1}
+    is_perm = (set(np.unique(snapped)) <= {-1, 0, 1}
                and bool(np.all(np.abs(snapped).sum(axis=0) == 1))
                and bool(np.all(np.abs(snapped).sum(axis=1) == 1)))
     c = snapped.astype(float)
@@ -333,5 +328,4 @@ def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:
         c2_defect=float(np.max(np.abs(c @ c - np.eye(s.dim)))),
         unitarity_defect=s.unitarity_defect(),
         conjugation_is_permutation=is_perm,
-        tolerance=s.tolerance,
     )

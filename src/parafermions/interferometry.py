@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConsistencyError, SamplingError
 from .fusion import find_vacuum
-from .smatrix import SMatrix
+from .smatrix import DEFAULT_TOLERANCE, SMatrix
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def monodromy(s: SMatrix, a, b, vac: int | None = None) -> Monodromy:
             "valid modular data"
         )
     value = s.entries[ia, ib] * s.entries[vac, vac] / denom
-    if abs(value) > 1 + s.tolerance:
+    if abs(value) > 1 + DEFAULT_TOLERANCE:
         raise ConsistencyError(
             f"monodromy magnitude {abs(value):g} exceeds 1 for {a!r}, {b!r}"
         )
@@ -64,10 +64,6 @@ class InterferencePattern:
     t1: complex
     t2: complex
     monodromy: Monodromy
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.sigma_xx))
 
 
 def sigma_xx_curve(s: SMatrix, a, b, t1: complex, t2: complex,
@@ -95,13 +91,13 @@ class DetectionRow:
     bulk: object
     magnitude: float
     phase: float
-    visibility: float  # relative to a vacuum bulk with the same t1, t2
     non_abelian: bool
 
 
 def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
-    """Monodromy magnitude, phase and vacuum-relative visibility for each
-    bulk candidate; flags non-Abelian whenever |M| < 1."""
+    """Monodromy magnitude (the visibility relative to a vacuum bulk, whose
+    |M| is 1) and phase for each bulk candidate; flags non-Abelian
+    whenever |M| < 1 by more than DEFAULT_TOLERANCE."""
     vac = find_vacuum(s)
     rows = []
     for bulk in bulk_candidates:
@@ -110,8 +106,7 @@ def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
             bulk=bulk,
             magnitude=m.magnitude,
             phase=m.phase,
-            visibility=m.magnitude,  # vacuum bulk has |M| = 1 exactly
             non_abelian=not math.isclose(m.magnitude, 1.0,
-                                         abs_tol=s.tolerance),
+                                         abs_tol=DEFAULT_TOLERANCE),
         ))
     return tuple(rows)

@@ -16,7 +16,7 @@ exp/sin evaluation in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -92,8 +92,6 @@ class SMatrix:
 
     labels: tuple
     entries: np.ndarray
-    tolerance: float = DEFAULT_TOLERANCE
-    _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
@@ -122,24 +120,17 @@ class SMatrix:
         eye = np.eye(self.dim)
         return float(np.max(np.abs(self.entries @ self.entries.conj().T - eye)))
 
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
-
-    def is_unitary(self) -> bool:
-        return self.unitarity_defect() < self.tolerance
-
     def reindexed(self, new_labels) -> "SMatrix":
         """Same matrix in a different basis order (labels must coincide as sets)."""
         perm = [self.index(lab) for lab in new_labels]
-        return SMatrix(tuple(new_labels), self.entries[np.ix_(perm, perm)],
-                       tolerance=self.tolerance)
+        return SMatrix(tuple(new_labels), self.entries[np.ix_(perm, perm)])
 
     def max_abs_diff(self, other: "SMatrix") -> float:
         aligned = other if other.labels == self.labels else other.reindexed(self.labels)
         return float(np.max(np.abs(self.entries - aligned.entries)))
 
 
-def s_su2k(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_su2k(k: int) -> SMatrix:
     """su(2)_k S matrix: sqrt(2/(k+2)) sin(pi (l+1)(l'+1)/(k+2))."""
     if k < 1:
         raise InvalidLevelError(f"su(2)_k needs level k >= 1, got {k}")
@@ -147,10 +138,10 @@ def s_su2k(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     pref = math.sqrt(2.0 / h)
     m = np.arange(1, k + 2)
     entries = pref * np.sin(np.pi * np.outer(m, m) / h)
-    return SMatrix(tuple(range(k + 1)), entries.astype(complex), tolerance=tolerance)
+    return SMatrix(tuple(range(k + 1)), entries.astype(complex))
 
 
-def s_suk2_weylkac(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_suk2_weylkac(k: int) -> SMatrix:
     """su(k)_2 S matrix by the Weyl-Kac sum, one determinant per entry.
 
     Entry = i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) *
@@ -182,10 +173,10 @@ def s_suk2_weylkac(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
         # (n, k, k): k^2 x_i y_m for every column
         nums = shifted[i][None, :, None] * shifted[:, None, :]
         entries[i] = pref * np.linalg.det(phase(-nums, denom))
-    return SMatrix(labels, entries, tolerance=tolerance)
+    return SMatrix(labels, entries)
 
 
-def s_suk2_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def s_suk2_compact(k: int) -> SMatrix:
     """su(k)_2 S matrix in the level-rank closed form.
 
     Entry ((mu,nu),(rho,sigma)) =
@@ -199,7 +190,7 @@ def s_suk2_compact(k: int, tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
     m, l = mu + nu, nu - mu
     sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
     entries = 2.0 / math.sqrt(k * (k + 2)) * phase(np.outer(m, m), 2 * k) * sine
-    return SMatrix(labels, entries, tolerance=tolerance)
+    return SMatrix(labels, entries)
 
 
 def level_rank_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
@@ -279,14 +270,13 @@ def _reduce_charge(q: Fraction) -> Fraction:
     return r - 1 if r > 0 else r
 
 
-def simple_current_extend(representative_row, k: int,
-                          tolerance: float = DEFAULT_TOLERANCE) -> SMatrix:
+def simple_current_extend(representative_row, k: int) -> SMatrix:
     """Full su(k)_2 matrix from its orbit-representative block.
 
     representative_row maps (l, l') pairs of representative nu-indices to
     the complex entries S_{(0,l),(0,l')}. Rows and columns are filled with
     the simple-current phases exp(-2 pi i Q_{J^p}); the result is checked
-    against the closed form.
+    against the closed form to DEFAULT_TOLERANCE.
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
@@ -299,9 +289,9 @@ def simple_current_extend(representative_row, k: int,
     # S_{J^p(0,ra), J^q(0,rb)} picks up e^{-2 pi i Q} per action
     entries = (phase(np.outer(power, mu + nu) + np.outer(rep, power), k)
                * block[np.ix_(rep, rep)])
-    out = SMatrix(labels, entries, tolerance=tolerance)
-    defect = out.max_abs_diff(s_suk2_compact(k, tolerance=tolerance))
-    if defect > tolerance:
+    out = SMatrix(labels, entries)
+    defect = out.max_abs_diff(s_suk2_compact(k))
+    if defect > DEFAULT_TOLERANCE:
         raise ConsistencyError(
             f"simple-current extension inconsistent at k={k}: defect {defect:g}"
         )

@@ -201,7 +201,7 @@ def test_criterion_07_monodromy(capsys):
     rows = it.detection_report(s3, eps, [sm.CosetWeight(0, 0, 3), bulk_eps])
     ok = (abs(trivial - 1) < 1e-10
           and abs(suppressed - (-0.3819660113)) < 1e-10
-          and abs(rows[1].visibility - 0.382) < 1e-3)
+          and abs(rows[1].magnitude - 0.382) < 1e-3)
     assert announce(capsys, 7, "monodromy 1 and -1/delta^2; visibility 0.382",
                     ok, f"suppressed = {suppressed.real:.10f}")
 
@@ -246,7 +246,7 @@ def test_criterion_11_cli_round_trip(capsys, monkeypatch):
         code, out = run("smatrix", "--k", "3", "--which", which)
         doc = json.loads(out)
         rebuilt = np.array(doc["matrix"]).view(complex)[..., 0]
-        original = cli._SMATRIX_BUILDERS[which](3, 1e-10).entries
+        original = cli._SMATRIX_BUILDERS[which](3).entries
         ok = ok and code == 0 and np.array_equal(rebuilt, original)
 
     for argv in (["fusion", "--k", "3"], ["dims", "--k", "3"],

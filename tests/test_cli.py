@@ -12,6 +12,7 @@ from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import interferometry as it
 from parafermions import smatrix as sm
+from parafermions.errors import ConsistencyError
 
 
 def strict_json(text):
@@ -63,6 +64,12 @@ class TestSmatrixCommand:
         code, _, err = run(capsys, "smatrix", "--k", "0", "--which", "su2k")
         assert code == 1
         assert err
+
+    @pytest.mark.parametrize("which", ["coset", "coset-lm"])
+    def test_coset_needs_k_2(self, capsys, which):
+        code, out, err = run(capsys, "smatrix", "--k", "1", "--which", which)
+        assert code == 1 and out == ""
+        assert "su(k)_2 needs k >= 2, got 1" in err
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "smatrix", "--k", "2", "--which", "su2k",
@@ -144,11 +151,28 @@ class TestVerifyCommand:
                            "full-dual", "--tolerance", "1e-30")
         assert code == 3
         check, = strict_json(out)["checks"]
-        assert check["residual"] is None and check["elapsed_s"] >= 0
+        assert check["passed"] is False and "error" not in check
+        assert 0 < check["residual"] < 1e-10 and check["elapsed_s"] >= 0
+
+    def test_tiny_tolerance_reports_every_residual(self, capsys):
+        # the tolerance reaches only the verdicts: every build succeeds,
+        # every check has a residual, and the exact checks still pass
+        code, out, err = run(capsys, "verify", "--k", "3", "--all",
+                             "--tolerance", "1e-30")
+        assert code == 3
+        checks = strict_json(out)["checks"]
+        assert len(checks) == 16
+        assert all(isinstance(c["residual"], float) and "error" not in c
+                   for c in checks)
+        exact = {c["name"]: c["passed"] for c in checks
+                 if c["name"].startswith("verlinde-")
+                 or c["name"] == "filling-factor"}
+        assert len(exact) == 4 and all(exact.values())
+        assert err.startswith("failing checks: ") and err.count("\n") == 1
 
     def test_raising_build_is_built_once(self, capsys, monkeypatch):
-        # at this tolerance full_s_product raises; the error is kept and
-        # raised again for every check that needs the matrix
+        # a build that raises is called once; its error is kept and raised
+        # again for every check that needs the matrix
         calls = {"full": 0, "coset": 0, "suk2": 0}
 
         def counted(name, build):
@@ -157,23 +181,24 @@ class TestVerifyCommand:
                 return build(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fc, "full_s_product",
-                            counted("full", fc.full_s_product))
+        def broken(k):
+            raise ConsistencyError(f"full S product form not unitary at k={k}")
+
+        monkeypatch.setattr(fc, "full_s_product", counted("full", broken))
         monkeypatch.setattr(co, "coset_s_compact",
                             counted("coset", co.coset_s_compact))
         monkeypatch.setattr(sm, "s_suk2_compact",
                             counted("suk2", sm.s_suk2_compact))
-        code, out, _ = run(capsys, "verify", "--k", "3", "--all",
-                           "--tolerance", "1e-30")
+        code, out, _ = run(capsys, "verify", "--k", "3", "--all")
         assert code == 3
         full_checks = [c for c in strict_json(out)["checks"]
                        if "full" in c["name"]]
         assert len(full_checks) == 5
-        assert all(c["passed"] is False and "not unitary" in c["error"]
-                   for c in full_checks)
+        assert all(c["passed"] is False and c["residual"] is None
+                   and "not unitary" in c["error"] for c in full_checks)
         # one call each through the cache; s_suk2_compact also runs inside
-        # coset_s_compact, coset_s_phase_form and full_s_product
-        assert calls == {"full": 1, "coset": 1, "suk2": 4}
+        # coset_s_compact and coset_s_phase_form
+        assert calls == {"full": 1, "coset": 1, "suk2": 3}
 
     @pytest.mark.usefixtures("zero_cartan_corner")
     def test_lattice_error_is_a_failed_check(self, capsys):
@@ -216,11 +241,14 @@ class TestVerifyCommand:
                          "--targets", "no-such-check")
         assert code == 1
 
-    def test_raising_check_is_a_failed_check(self, capsys):
-        # at this tolerance coset_s_phase_form raises a ConsistencyError;
-        # the check fails with its message, the other checks still run
-        code, out, err = run(capsys, "verify", "--k", "3", "--all",
-                             "--tolerance", "1e-30")
+    def test_raising_check_is_a_failed_check(self, capsys, monkeypatch):
+        # a construction that raises a ConsistencyError fails its check
+        # with the message; the other checks still run
+        def broken(k):
+            raise ConsistencyError(
+                f"phase form disagrees with the compact form at k={k}")
+        monkeypatch.setattr(co, "coset_s_phase_form", broken)
+        code, out, err = run(capsys, "verify", "--k", "3", "--all")
         assert code == 3
         doc = strict_json(out)
         assert len(doc["checks"]) == 16
@@ -298,14 +326,14 @@ class TestFusionDimsSectors:
                                                                abs=1e-7)
 
     @pytest.mark.parametrize("argv", [
-        ("dims", "--k", "20", "--tolerance", "0.02"),
-        ("fusion", "--k", "12", "--tolerance", "0.04"),
-        ("interfere", "--k", "12", "--bulk", "1,2", "--probe", "0,1",
-         "--tolerance", "0.01"),
+        ("dims", "--k", "20"),
+        ("fusion", "--k", "12"),
+        ("interfere", "--k", "12", "--bulk", "1,2", "--probe", "0,1"),
     ])
     def test_vacuum_entries_below_tolerance(self, capsys, argv):
-        # S_00 = 0.0136 at k = 20 and 0.0343 at k = 12: the vacuum row is
-        # found, and the monodromy taken, whatever the tolerance
+        # S_00 = 0.0136 at k = 20 and 0.0343 at k = 12: only the imaginary
+        # parts meet a tolerance, so the vacuum row is still found and the
+        # monodromy taken
         code, out, err = run(capsys, *argv)
         assert code == 0, err
         doc = json.loads(out)
@@ -397,6 +425,15 @@ class TestUsage:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert flag in err and value in err
+
+    @pytest.mark.parametrize("command,argv", [
+        ("smatrix", ("--which", "su2k")), ("fusion", ()), ("dims", ()),
+        ("sectors", ()), ("interfere", ("--bulk", "0,0", "--probe", "0,1"))])
+    def test_tolerance_is_verify_only(self, capsys, command, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--k", "3", *argv, "--tolerance", "1e-10"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
     def test_good_tolerance(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",

@@ -130,8 +130,8 @@ class TestModularData:
         data = co.coset_s_compact(3)
         assert data.central_charge == Fraction(4, 5)
         assert data.dims[w(0, 1)] == Fraction(1, 15)
-        assert data.s.is_unitary()
+        assert data.s.unitarity_defect() < 1e-10
 
     def test_u1_2k_unitary(self):
         for k in range(1, 7):
-            assert co.s_u1_2k(k).is_unitary()
+            assert co.s_u1_2k(k).unitarity_defect() < 1e-10

@@ -92,7 +92,7 @@ class TestFullSMatrix:
     def test_k3_shape(self):
         s = fc.full_s_product(3)
         assert s.dim == 10
-        assert s.is_unitary()
+        assert s.unitarity_defect() < 1e-10
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_dual_construction(self, k):
@@ -101,8 +101,8 @@ class TestFullSMatrix:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_unitary_symmetric_conjugation(self, k):
         s = fc.full_s_product(k)
-        assert s.is_unitary()
-        assert s.symmetry_defect() < 1e-10
+        assert s.unitarity_defect() < 1e-10
+        assert np.max(np.abs(s.entries - s.entries.T)) < 1e-10
         t = fu.TData(fc.full_dims(k), fc.full_central_charge(k))
         assert fu.verify_modular_relations(s, t).conjugation_is_permutation
 

@@ -69,15 +69,19 @@ class TestVerlinde:
 
 
 class TestFindVacuum:
-    @pytest.mark.parametrize("k,tol", [(12, 0.04), (20, 0.02)])
-    def test_vacuum_entries_below_tolerance(self, k, tol):
-        s = sm.s_suk2_compact(k, tolerance=tol)
-        assert s.entries[0, 0].real < tol
+    # the vacuum entries 1/D shrink with k; only the imaginary parts meet
+    # DEFAULT_TOLERANCE, so small real entries still pick the vacuum row
+    @pytest.mark.parametrize("k,bound", [(12, 0.04), (20, 0.02)])
+    def test_vacuum_entries_below_tolerance(self, k, bound):
+        s = sm.s_suk2_compact(k)
+        assert s.entries[0, 0].real < bound
         assert fu.find_vacuum(s) == 0  # (0, 0) leads canonical_weights
 
     def test_full_theory_at_a_loose_tolerance(self):
-        s = fc.full_s_product(12, tolerance=0.05)
-        assert s.labels[fu.find_vacuum(s)] == fc.FullSector(0, 0, 12)
+        s = fc.full_s_product(12)
+        vac = fu.find_vacuum(s)
+        assert s.entries[vac, vac].real < 0.05
+        assert s.labels[vac] == fc.FullSector(0, 0, 12)
 
     def test_imaginary_parts_still_held_to_tolerance(self):
         s = sm.s_suk2_compact(3)
@@ -320,13 +324,13 @@ class TestBlocks:
         s = _s_matrix(theory, k)
         vac = fu.find_vacuum(s)
         expected, _ = _one_shot_verlinde(s, vac)
-        got = fu._verlinde_tensor(s, vac, fu.INTEGRALITY_TOLERANCE)
+        got = fu._verlinde_tensor(s, vac)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("theory,k", [("su2k", 10), ("coset", 5),
                                           ("full", 4)])
-    def test_residual_matches_hypot(self, theory, k):
+    def test_residual_matches_hypot(self, theory, k, monkeypatch):
         s = _s_matrix(theory, k)
         vac = fu.find_vacuum(s)
         rng = np.random.default_rng(k)
@@ -338,10 +342,12 @@ class TestBlocks:
         assert ref > 1e-10
         # passing below ref + 2 ulp and failing at ref - 1 ulp pins the
         # blocked residual within 1 ulp of the hypot form
-        fu._verlinde_tensor(bumped, vac, np.nextafter(ref + np.spacing(ref),
-                                                      np.inf))
+        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE",
+                            np.nextafter(ref + np.spacing(ref), np.inf))
+        fu._verlinde_tensor(bumped, vac)
+        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", np.nextafter(ref, 0))
         with pytest.raises(NonIntegerFusionError):
-            fu._verlinde_tensor(bumped, vac, np.nextafter(ref, 0))
+            fu._verlinde_tensor(bumped, vac)
 
     def test_non_integer_reported_before_negative(self):
         s = sm.s_su2k(10)  # two blocks of labels
@@ -350,12 +356,10 @@ class TestBlocks:
         _, ref = _one_shot_verlinde(sm.SMatrix(s.labels, entries), 0)
         assert ref < 1e-10
         with pytest.raises(NegativeFusionError):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
-                                fu.INTEGRALITY_TOLERANCE)
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
         entries[10, 5] += 0.01  # row 10 sits in the last block
         with pytest.raises(NonIntegerFusionError):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
-                                fu.INTEGRALITY_TOLERANCE)
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     def test_nan_is_non_integer(self):
@@ -363,8 +367,7 @@ class TestBlocks:
         entries = s.entries.copy()
         entries[10, 5] = np.nan  # row 10 sits in the last block
         with pytest.raises(NonIntegerFusionError, match="nan"):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0,
-                                fu.INTEGRALITY_TOLERANCE)
+            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
 
     def test_bump_in_last_partial_block_rejected(self):
         m = fu.LABEL_BLOCK + 3  # blocks of b: [0, B) and [B, B + 3)
@@ -507,23 +510,41 @@ class TestQuantumDimensions:
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
+def _passes(report, tol=1e-10):
+    """Every residual of a ModularReport below tol, C a permutation."""
+    return report.conjugation_is_permutation and max(
+        report.s2_defect, report.st3_defect, report.c2_defect,
+        report.unitarity_defect) < tol
+
+
 class TestModularRelations:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_su2k(self, k):
         s = sm.s_su2k(k)
         t = fu.TData({l: sm.dim_su2k(l, k) for l in s.labels},
                      Fraction(3 * k, k + 2))
-        report = fu.verify_modular_relations(s, t)
-        assert report.passed and report.conjugation_is_permutation
+        assert _passes(fu.verify_modular_relations(s, t))
         # su(2)_k is self-conjugate: C must be the identity
         assert np.max(np.abs(s.entries @ s.entries - np.eye(k + 1))) < 1e-10
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_coset(self, k):
         data = co.coset_s_compact(k)
-        report = fu.verify_modular_relations(
-            data.s, fu.TData(data.dims, data.central_charge))
-        assert report.passed
+        assert _passes(fu.verify_modular_relations(
+            data.s, fu.TData(data.dims, data.central_charge)))
+
+    def test_conjugation_is_structural(self):
+        data = co.coset_s_compact(3)
+        t = fu.TData(data.dims, data.central_charge)
+        # S^2 off C by 1e-6 is still a permutation; s2_defect shows how far
+        off = sm.SMatrix(data.s.labels, data.s.entries * (1 + 5e-7))
+        report = fu.verify_modular_relations(off, t)
+        assert report.conjugation_is_permutation
+        assert report.s2_defect == pytest.approx(1e-6, rel=1e-3)
+        # S^2 that rounds to 2 I is not
+        twice = sm.SMatrix(data.s.labels, data.s.entries * math.sqrt(2))
+        assert not fu.verify_modular_relations(
+            twice, t).conjugation_is_permutation
 
     def test_t_phases_unimodular(self):
         data = co.coset_s_compact(4)

@@ -39,12 +39,16 @@ class TestMonodromy:
         assert m.value == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_entries_below_tolerance(self):
-        loose = co.coset_s_compact(12, tolerance=0.01).s
+        # a denominator below 0.01 is still a valid one: no tolerance
+        # meets the vacuum entries, only |M| <= 1 + DEFAULT_TOLERANCE
+        s = co.coset_s_compact(12).s
         a, b = w(0, 1, 12), w(1, 2, 12)
         vac = w(0, 0, 12)
-        assert abs(loose.entry(vac, a) * loose.entry(vac, b)) < 0.01
-        assert it.monodromy(loose, a, b).value == \
-            it.monodromy(co.coset_s_compact(12).s, a, b).value
+        denom = s.entry(vac, a) * s.entry(vac, b)
+        assert abs(denom) < 0.01
+        m = it.monodromy(s, a, b)
+        assert m.value == s.entry(a, b) * s.entry(vac, vac) / denom
+        assert m.magnitude <= 1 + sm.DEFAULT_TOLERANCE
 
     def test_zero_vacuum_entry_rejected(self):
         s = sm.SMatrix((0, 1), np.eye(2))
@@ -87,7 +91,8 @@ class TestSigmaXxCurve:
 
     def test_mean_is_incoherent_sum(self, coset3):
         pat = it.sigma_xx_curve(coset3, w(0, 1), w(1, 2), 0.7, 1.3j, 32)
-        assert pat.mean == pytest.approx(0.7 ** 2 + 1.3 ** 2, abs=1e-10)
+        assert np.mean(pat.sigma_xx) == pytest.approx(0.7 ** 2 + 1.3 ** 2,
+                                                      abs=1e-10)
 
     def test_modulation_amplitude(self, coset3):
         pat = it.sigma_xx_curve(coset3, w(0, 1), w(1, 2), 1, 1, 4096)
@@ -108,12 +113,12 @@ class TestSigmaXxCurve:
 class TestDetectionReport:
     def test_fibonacci_detection(self, coset3):
         rows = it.detection_report(coset3, w(0, 1), [w(0, 0), w(1, 2)])
-        visibilities = [round(r.visibility, 7) for r in rows]
+        visibilities = [round(r.magnitude, 7) for r in rows]
         assert visibilities == [1.0, 0.3819660]
         assert not rows[0].non_abelian
         assert rows[1].non_abelian
         # suppression factor 1/delta^2, approximately 0.38
-        assert abs(rows[1].visibility - 0.382) < 1e-3
+        assert abs(rows[1].magnitude - 0.382) < 1e-3
 
     def test_abelian_pair(self):
         s = fc.full_s_product(2)
@@ -121,7 +126,7 @@ class TestDetectionReport:
         abelian = [lab for lab, d in dims.items() if abs(d - 1) < 1e-8]
         probe = abelian[1]
         rows = it.detection_report(s, probe, abelian)
-        assert all(r.visibility == pytest.approx(1.0, abs=1e-10)
+        assert all(r.magnitude == pytest.approx(1.0, abs=1e-10)
                    for r in rows)
         assert not any(r.non_abelian for r in rows)
 
