@@ -117,7 +117,7 @@ def coset_s_phase_form(k: int) -> SMatrix:
     entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
     out = SMatrix(base.labels, entries)
     defect = out.max_abs_diff(base)
-    if defect > sm.DEFAULT_TOLERANCE:
+    if not defect < sm.DEFAULT_TOLERANCE:
         raise ConsistencyError(
             f"phase form disagrees with the compact form at k={k}: {defect:g}"
         )

@@ -36,10 +36,11 @@ INTEGRALITY_TOLERANCE = 1e-8
 # and 105, 16 and 32 are slower.
 LABEL_BLOCK = 8
 # Bytes per n^3 budgeted for `verlinde` including `check_axioms`: the
-# int64 tensor and its float64 copy plus O(LABEL_BLOCK n^2) block
-# temporaries; the tracemalloc peak measures 19.5 n^3 at n = 55, 17.8 at
-# 105 and 16.8 at 231, and tests/test_fusion.py pins it below this.
-VERLINDE_BYTES_PER_CUBE = 32
+# tensor at one byte an entry (int8 holds every ring here), the bool of
+# the commutativity check and O(LABEL_BLOCK n^2) temporaries, with no
+# float64 copy; the tracemalloc peak measures 5.4 n^3 at n = 55, 3.6 at
+# 105 and 2.1 at 231, and tests/test_fusion.py pins it below this.
+VERLINDE_BYTES_PER_CUBE = 8
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
 # Below 2^25: with max|N|^2 n < 2^53, int64 sums stay exact for n < 2^12.
 CERTIFICATE_PRIME = 2 ** 25 - 39
@@ -87,7 +88,7 @@ class FusionRing:
     vacuum_index: int
     generators: tuple = field(init=False, default=())  # set by check_axioms
     _index: dict = field(init=False, repr=False)
-    _nonzero: tuple = field(init=False, repr=False, default=None)
+    _rows: list = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self._index = {lab: i for i, lab in enumerate(self.labels)}
@@ -102,32 +103,48 @@ class FusionRing:
         return int(self.tensor[self.index(a), self.index(b), self.index(c)])
 
     def product(self, a, b) -> Counter:
-        """Multiset of fusion outcomes of a x b, a fresh Counter read from
-        the nonzero table (row ends, labels, counts over the rows (a, b))
+        """Multiset of fusion outcomes of a x b: a fresh Counter copied
+        from row (a, b) of a table of dicts {label: count}, one per row,
         that the first lookup builds."""
-        if self._nonzero is None:
+        if self._rows is None:
             dim = len(self.labels)
             flat = self.tensor.reshape(dim * dim, dim)
             rows, cols = np.nonzero(flat)
-            ends = np.cumsum(np.bincount(rows, minlength=dim * dim))
-            self._nonzero = ([0, *ends.tolist()],
-                             [self.labels[c] for c in cols.tolist()],
-                             flat[rows, cols].tolist())
-        ends, outcomes, counts = self._nonzero
-        row = self.index(a) * len(self.labels) + self.index(b)
-        lo, hi = ends[row], ends[row + 1]
-        return Counter(dict(zip(outcomes[lo:hi], counts[lo:hi])))
+            self._rows = [{} for _ in range(dim * dim)]
+            for row, c, count in zip(rows.tolist(), cols.tolist(),
+                                     flat[rows, cols].tolist()):
+                self._rows[row][self.labels[c]] = count
+        try:
+            return Counter(self._rows[self._index[a] * len(self.labels)
+                                      + self._index[b]])
+        except KeyError as missing:
+            raise LabelError(
+                f"label {missing.args[0]!r} not in basis") from None
 
     def check_axioms(self) -> tuple:
         """Commutativity, vacuum identity and exact associativity
-        sum_e N_ab^e N_ec^d = sum_f N_bc^f N_af^d for each a in the
-        generating set G (returned), in O(n^3) memory. That covers every a:
-        the a with vanishing associator form a subspace that holds the
-        vacuum and each product gu of its members, ((gu)x)y = g((ux)y) =
-        g(u(xy)) = (gu)(xy), so every word over G. With N commutative the
-        slice of a is N_a N_b = N_b N_a for the matrices (N_x)_cd = N_xc^d,
-        run over blocks of LABEL_BLOCK labels b so each block reads N once.
-        Float64 sums are exact integers below max|N|^2 n < 2^53."""
+        (ab)c = a(bc) for each a in the generating set G (returned), in
+        O(n^3) memory. That covers every a: the a with vanishing
+        associator form a subspace V that holds the vacuum and each product
+        gu of its members, ((gu)x)y = g((ux)y) = g(u(xy)) = (gu)(xy), so
+        every word over G.
+
+        The simple currents are the labels J whose matrix (N_J)_cd = N_Jc^d
+        permutes the labels, c -> Jc. A current that the currents already
+        in V do not reach from the vacuum is put in V by the exact compare
+        (Jc)b = J(cb), N_Jc,b^d = N_bc^(J^-1 d), which needs no flops. A
+        current in V has, by commutativity, a vanishing associator in
+        every slot, so for b = Jr the slice of g at b follows from its
+        slice at r:
+            (gc)b = (gc)(rJ) = ((gc)r)J
+                  = (g(cr))J             [slice of g at r]
+                  = g((cr)J) = g(c(rJ)) = g(cb).
+        Each g in G that is not a current is therefore sliced only at one
+        representative r of each current orbit (and at any label no
+        representative reaches): with N commutative, the slice is
+        N_g N_r = N_r N_g for the matrices N_x, run over blocks of
+        LABEL_BLOCK representatives. Float64 sums are exact integers below
+        max|N|^2 n < 2^53."""
         n = self.tensor
         dim = len(self.labels)
         if np.any(n != np.swapaxes(n, 0, 1)):
@@ -135,22 +152,65 @@ class FusionRing:
         vac = n[self.vacuum_index]
         if np.any(vac != np.eye(dim, dtype=n.dtype)):
             raise ConsistencyError("vacuum does not act as the identity")
-        largest = int(np.max(np.abs(n)))
+        largest = max(int(n.max()), -int(n.min()))
         if largest ** 2 * dim >= EXACT_FLOAT_INT:
             raise ConsistencyError(
                 f"coefficients up to {largest} are too large for an exact "
                 "float64 associativity check"
             )
         self.generators = _generating_set(n, self.vacuum_index)
-        nf = n.astype(np.float64)
+        currents = _permutation_rows(n)
+        checked, reached = [], np.arange(dim) == self.vacuum_index
+        for j, perm in currents.items():
+            if reached[j]:  # a word over the checked currents
+                continue
+            inverse = np.empty_like(perm)
+            inverse[perm] = np.arange(dim)
+            for c in range(0, dim, LABEL_BLOCK):
+                if not np.array_equal(n[perm[c:c + LABEL_BLOCK]],
+                                      n[c:c + LABEL_BLOCK][:, :, inverse]):
+                    raise ConsistencyError("fusion tensor is not associative")
+            checked.append(perm)
+            size = 0
+            while size < (size := np.count_nonzero(reached)):
+                for p in checked:
+                    reached[p[reached]] = True
+        reps = _representatives(np.array(list(currents.values())))
         for a in self.generators:
-            for b in range(0, dim, LABEL_BLOCK):
-                block = nf[b:b + LABEL_BLOCK]
-                lhs = np.matmul(nf[a], block)  # [b, c, d]: sum_e N_ac^e N_eb^d
-                rhs = block.reshape(-1, dim) @ nf[a]  # [(b, c), d]: N_bc^f N_af^d
+            if a in currents:
+                continue
+            na = n[a].astype(np.float64)
+            for start in range(0, len(reps), LABEL_BLOCK):
+                block = n[reps[start:start + LABEL_BLOCK]].astype(np.float64)
+                lhs = np.matmul(na, block)  # [r, c, d]: sum_e N_ac^e N_er^d
+                rhs = block.reshape(-1, dim) @ na  # [(r, c), d]: N_rc^f N_af^d
                 if not np.array_equal(lhs.reshape(rhs.shape), rhs):
                     raise ConsistencyError("fusion tensor is not associative")
         return self.generators
+
+
+def _permutation_rows(tensor: np.ndarray) -> dict:
+    """{x: pi} for the labels x whose matrix (N_x)_cd = N_xc^d is the
+    permutation matrix of c -> pi[c]: the simple currents. Only labels
+    whose coefficients sum to n are candidates."""
+    dim = len(tensor)
+    eye, out = np.eye(dim, dtype=tensor.dtype), {}
+    for x in np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim):
+        perm = np.nonzero(tensor[x])[1]
+        if (len(perm) == dim and np.array_equal(tensor[x], eye[perm])
+                and np.all(tensor[x].sum(axis=0) == 1)):
+            out[int(x)] = perm
+    return out
+
+
+def _representatives(perms: np.ndarray) -> np.ndarray:
+    """The least label of each orbit of the permutations `perms` (rows,
+    the identity among them), plus any label that no permutation takes
+    one of those to: every label is one permutation away from one."""
+    reps = perms.min(axis=0) == np.arange(perms.shape[1])
+    covered = np.zeros(len(reps), dtype=bool)
+    covered[perms[:, reps]] = True
+    return np.flatnonzero(reps | ~covered)
 
 
 def _generating_set(tensor: np.ndarray, vac: int) -> tuple:
@@ -193,33 +253,90 @@ def verlinde(s: SMatrix) -> FusionRing:
     return ring
 
 
+def _simple_currents(s: SMatrix, vac: int):
+    """The labels J with |S_Jx| = S_0x for every x (to DEFAULT_TOLERANCE;
+    S_0J = S_00 when S is symmetric, in any order of the columns x), the
+    permutation a -> Ja each one induces, and its covariance defect.
+
+    Ja is the row of S nearest phi_J S_a, phi_J(x) = S_Jx / S_0x, on a
+    fixed generic projection of the rows; the defect is the larger of
+    max|S_Ja - phi_J S_a| and max|conj(phi_J) S_Ja - S_a|. The loop holds
+    O(n^2) memory. Returns (currents, perms of shape (m, n), defects)."""
+    e, n = s.entries, s.dim
+    currents = np.flatnonzero(np.abs(np.abs(e) - np.abs(e[vac])).max(axis=1)
+                              < sm.DEFAULT_TOLERANCE)
+    probe = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n) ** 2)  # Weyl phases
+    prints = e @ probe
+    perms = np.empty((len(currents), n), dtype=np.intp)
+    defects = np.empty(len(currents))
+    image, diff = np.empty_like(e), np.empty_like(e)
+    for i, j in enumerate(currents):
+        phi = e[j] / e[vac]
+        perms[i] = np.abs(prints - (e @ (phi * probe))[:, None]).argmin(axis=1)
+        np.take(e, perms[i], axis=0, out=image)
+        np.subtract(image, np.multiply(e, phi, out=diff), out=diff)
+        defects[i] = np.abs(diff).max()
+        np.subtract(np.multiply(image, phi.conj(), out=diff), e, out=diff)
+        defects[i] = np.maximum(defects[i], np.abs(diff).max())
+    return currents, perms, defects
+
+
 def _verlinde_tensor(s: SMatrix, vac: int):
-    """The Verlinde sum one block of LABEL_BLOCK labels a at a time, each a
-    (block n, n) x (n, n) BLAS product rounded into the int64 tensor, then
-    checked integral (sqrt of the largest (re - round)^2 + im^2 over all
-    blocks, below INTEGRALITY_TOLERANCE) and non-negative; each block's
-    complex temporaries die with it."""
-    n = s.dim
-    weighted = s.entries / s.entries[vac]  # divide inside the x-sum
-    conj_t = s.entries.conj().T
-    tensor = np.empty((n, n, n), dtype=np.int64)
+    """The Verlinde sum on simple-current orbits, stored in the smallest
+    integer dtype that holds max N.
+
+    Only one representative a per orbit of the currents (_simple_currents)
+    runs the sum, one block of LABEL_BLOCK labels at a time as a
+    (block n, n) x (n, n) BLAS product; each other row is a gather
+    N_Ja,b^c = N_a,b^(J^-1 c), one per current. With S_Ja = phi_J S_a +
+    eps_a and conj(phi_J) S_Jc = S_c + eps'_c, both within the defect
+    delta_J, the Verlinde sum at (Ja, b, Jc) moves from the one at
+    (a, b, c) by
+        sum_x (S_bx / S_0x)(eps_ax conj(S_Jc,x) + S_ax conj(eps'_cx))
+        <= 2 delta_J max|S| max_b sum_x |S_bx / S_0x|,
+    the current's bound. The representative residual (sqrt of the largest
+    (re - round)^2 + im^2) must stay below INTEGRALITY_TOLERANCE, alone
+    and then plus each bound; a NaN fails both. A current that does not
+    permute the rows has an infinite bound. Non-integer is reported
+    before negative."""
+    e, n = s.entries, s.dim
+    currents, perms, defects = _simple_currents(s, vac)
+    reps = _representatives(perms)
+    weighted = e / e[vac]  # divide inside the x-sum
+    conj_t = e.conj().T
+    rows = np.empty((len(reps), n, n))
     worst = 0.0
-    for start in range(0, n, LABEL_BLOCK):
-        rows = s.entries[start:start + LABEL_BLOCK]
-        raw = (rows[:, None, :] * weighted[None]).reshape(-1, n) @ conj_t
+    for start in range(0, len(reps), LABEL_BLOCK):
+        block = e[reps[start:start + LABEL_BLOCK]]
+        raw = (block[:, None, :] * weighted[None]).reshape(-1, n) @ conj_t
         rounded = np.round(raw.real)
         dev = raw.real - rounded
         dev *= dev
         dev += np.square(raw.imag, out=raw.imag)
         worst = np.maximum(worst, dev.max())  # a NaN stays
-        tensor[start:start + LABEL_BLOCK] = rounded.reshape(-1, n, n)
+        rows[start:start + LABEL_BLOCK] = rounded.reshape(-1, n, n)
     residual = float(np.sqrt(worst))
     if not residual < INTEGRALITY_TOLERANCE:
         raise NonIntegerFusionError(
             f"Verlinde residual {residual:g} >= {INTEGRALITY_TOLERANCE:g}"
         )
-    if tensor.min() < 0:
+    inverses = np.full_like(perms, -1)
+    inverses[np.arange(len(perms))[:, None], perms] = np.arange(n)
+    weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
+    bounds = np.where(np.all(inverses >= 0, axis=1), defects * weight, np.inf)
+    j = int(np.argmax(bounds))  # the first NaN, if any
+    if not residual + bounds[j] < INTEGRALITY_TOLERANCE:
+        raise NonIntegerFusionError(
+            f"S is not covariant under the simple current "
+            f"{s.labels[currents[j]]}: Verlinde residual {residual:g} plus "
+            f"bound {bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}"
+        )
+    if rows.min() < 0:
         raise NegativeFusionError("negative Verlinde coefficient")
+    rows = rows.astype(np.min_scalar_type(-1 - int(rows.max())))
+    tensor = np.empty((n, n, n), dtype=rows.dtype)
+    for perm, inverse in zip(perms, inverses):
+        tensor[perm[reps]] = rows[:, :, inverse]
     return tensor
 
 

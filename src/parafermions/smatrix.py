@@ -86,9 +86,10 @@ def weight_arrays(labels):
     return np.array([(w.mu, w.nu) for w in labels], dtype=np.int64).T
 
 
-@dataclass
+@dataclass(eq=False)
 class SMatrix:
-    """Square complex matrix with an ordered label basis."""
+    """Square complex matrix with an ordered label basis; == is identity
+    (max_abs_diff compares entries)."""
 
     labels: tuple
     entries: np.ndarray
@@ -291,7 +292,7 @@ def simple_current_extend(representative_row, k: int) -> SMatrix:
                * block[np.ix_(rep, rep)])
     out = SMatrix(labels, entries)
     defect = out.max_abs_diff(s_suk2_compact(k))
-    if defect > DEFAULT_TOLERANCE:
+    if not defect < DEFAULT_TOLERANCE:
         raise ConsistencyError(
             f"simple-current extension inconsistent at k={k}: defect {defect:g}"
         )

@@ -6,7 +6,11 @@ import pytest
 
 from parafermions import coset as co
 from parafermions import smatrix as sm
-from parafermions.errors import BranchingParityError, IdentificationError
+from parafermions.errors import (
+    BranchingParityError,
+    ConsistencyError,
+    IdentificationError,
+)
 
 
 def w(mu, nu, k=3):
@@ -107,6 +111,15 @@ class TestFourWayAgreement:
         for a in mats:
             for b in mats:
                 assert a.max_abs_diff(b) < 1e-10
+
+    def test_phase_form_refuses_a_nan(self, monkeypatch):
+        base = sm.s_suk2_compact(4)
+        entries = base.entries.copy()
+        entries[1, 2] = np.nan
+        monkeypatch.setattr(sm, "s_suk2_compact",
+                            lambda k: sm.SMatrix(base.labels, entries))
+        with pytest.raises(ConsistencyError, match="nan"):
+            co.coset_s_phase_form(4)
 
     def test_k2_ising_pattern(self):
         s = co.coset_s_via_su2k_u1(2)

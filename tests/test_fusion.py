@@ -295,15 +295,29 @@ def test_generators_span_and_pass_the_reference(k, theory):
 
 
 def _one_shot_verlinde(s, vac):
-    """The one-shot Verlinde sum the blocked one replaced: one (n^2, n) x
-    (n, n) product, rounded, and its np.hypot integrality residual."""
+    """The all-rows Verlinde sum, the reference for the orbit one: one
+    (n^2, n) x (n, n) product, rounded, and the np.hypot integrality
+    residual of each row a."""
     n = s.dim
     weighted = s.entries / s.entries[vac]
     raw = ((s.entries[:, None, :] * weighted[None]).reshape(n * n, n)
            @ s.entries.conj().T).reshape(n, n, n)
     rounded = np.round(raw.real)
-    residual = float(np.max(np.hypot(raw.real - rounded, raw.imag)))
-    return rounded.astype(np.int64), residual
+    residuals = np.max(np.hypot(raw.real - rounded, raw.imag), axis=(1, 2))
+    return rounded.astype(np.int64), residuals
+
+
+def _representatives(s, vac):
+    """The labels whose rows the orbit Verlinde sum computes."""
+    return fu._representatives(fu._simple_currents(s, vac)[1])
+
+
+def _covariance_bound(s, vac):
+    """2 delta max|S| max_b sum_x |S_bx / S_0x| for the worst current."""
+    _, _, defects = fu._simple_currents(s, vac)
+    e = s.entries
+    return defects.max() * 2 * np.abs(e).max() * np.abs(e / e[vac]).sum(
+        axis=1).max()
 
 
 def _group_ring(m):
@@ -325,7 +339,7 @@ class TestBlocks:
         vac = fu.find_vacuum(s)
         expected, _ = _one_shot_verlinde(s, vac)
         got = fu._verlinde_tensor(s, vac)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int8  # the smallest that holds max N
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("theory,k", [("su2k", 10), ("coset", 5),
@@ -334,32 +348,81 @@ class TestBlocks:
         s = _s_matrix(theory, k)
         vac = fu.find_vacuum(s)
         rng = np.random.default_rng(k)
-        noise = rng.standard_normal((2, s.dim, s.dim)) * 1e-9
+        # below DEFAULT_TOLERANCE, so the currents stay currents
+        noise = rng.standard_normal((2, s.dim, s.dim)) * 1e-11
         entries = s.entries + noise[0] + 1j * noise[1]
         entries[vac] = s.entries[vac]  # keep the vacuum row's divisor
         bumped = sm.SMatrix(s.labels, entries)
-        _, ref = _one_shot_verlinde(bumped, vac)
-        assert ref > 1e-10
-        # passing below ref + 2 ulp and failing at ref - 1 ulp pins the
-        # blocked residual within 1 ulp of the hypot form
-        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE",
-                            np.nextafter(ref + np.spacing(ref), np.inf))
+        _, residuals = _one_shot_verlinde(bumped, vac)
+        bound = _covariance_bound(bumped, vac)
+        total = residuals[_representatives(bumped, vac)].max() + bound
+        assert len(_representatives(bumped, vac)) < s.dim
+        assert bound > 1e-12 and residuals.min() > 1e-12
+        assert residuals.max() <= total  # the bound covers every row
+        # passing just above the representative hypot residual plus the
+        # bound and failing just below pins what the check compares
+        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 + 1e-12))
         fu._verlinde_tensor(bumped, vac)
-        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", np.nextafter(ref, 0))
-        with pytest.raises(NonIntegerFusionError):
+        monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 - 1e-12))
+        with pytest.raises(NonIntegerFusionError, match="covariant"):
             fu._verlinde_tensor(bumped, vac)
 
     def test_non_integer_reported_before_negative(self):
-        s = sm.s_su2k(10)  # two blocks of labels
+        s = sm.s_su2k(10)  # the current 10 maps l to 10 - l
         entries = s.entries.copy()
-        entries[1] *= -1  # N_ab^1 = -N_ab^1 for a, b != 1
-        _, ref = _one_shot_verlinde(sm.SMatrix(s.labels, entries), 0)
-        assert ref < 1e-10
+        entries[[1, 9]] *= -1  # a whole orbit: N_ab^c picks up signs
+        _, residuals = _one_shot_verlinde(sm.SMatrix(s.labels, entries), 0)
+        assert residuals.max() < 1e-10
         with pytest.raises(NegativeFusionError):
             fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
         entries[10, 5] += 0.01  # row 10 sits in the last block
         with pytest.raises(NonIntegerFusionError):
             fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
+
+    def test_simple_currents(self):
+        s = sm.s_su2k(10)
+        currents, perms, defects = fu._simple_currents(s, 0)
+        assert currents.tolist() == [0, 10]
+        assert perms.tolist() == [list(range(11)), list(range(10, -1, -1))]
+        assert defects.max() < 1e-14
+        # coset k = 5, noise off the vacuum row: each defect is the larger
+        # of its two sides, and for some current the conjugate side is
+        s = co.coset_s_compact(5).s
+        noise = np.random.default_rng(0).standard_normal((2, 15, 15)) * 1e-11
+        e = s.entries + noise[0] + 1j * noise[1]
+        currents, perms, defects = fu._simple_currents(
+            sm.SMatrix(s.labels, e), 0)
+        assert currents.tolist() == [0, 1, 2, 3, 4]  # (m, m) sort first
+        assert np.array_equal(perms, fu._simple_currents(s, 0)[1])
+        sides = [(np.abs(e[p] - e[j] / e[0] * e).max(),
+                  np.abs(e[p] * (e[j] / e[0]).conj() - e).max())
+                 for j, p in zip(currents, perms)]
+        assert defects == pytest.approx([max(pair) for pair in sides],
+                                        rel=1e-12)
+        assert any(conj > direct for direct, conj in sides)
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 4), ("coset", 6),
+                                          ("full", 5)])
+    def test_columns_in_any_order(self, theory, k):
+        # the sum runs over the columns x, so their order is free, and
+        # |S_Jx| = S_0x finds the currents in any order
+        s = _s_matrix(theory, k)
+        order = np.random.default_rng(k).permutation(s.dim)
+        shuffled = sm.SMatrix(s.labels, s.entries[:, order])
+        assert np.array_equal(fu.verlinde(shuffled).tensor,
+                              _ring(theory, k).tensor)
+
+    def test_non_covariant_s_is_refused(self):
+        s = sm.s_su2k(10)
+        entries = s.entries.copy()
+        entries[9] *= -1  # S_9 = -phi_10 S_1: integral, not covariant
+        flipped = sm.SMatrix(s.labels, entries)
+        _, residuals = _one_shot_verlinde(flipped, 0)
+        assert residuals.max() < 1e-10
+        assert residuals[_representatives(flipped, 0)].max() < 1e-10
+        with pytest.raises(NonIntegerFusionError,
+                           match="covariant under the simple current 10"):
+            fu.verlinde(flipped)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     def test_nan_is_non_integer(self):
@@ -404,6 +467,99 @@ class TestBlocks:
         first["junk"] = 1
         del first[next(iter(expected))]
         assert ring.product(a, a) == expected
+
+
+class TestOrbits:
+    """check_axioms slices non-current generators at orbit representatives
+    only and compares each current exactly."""
+
+    @pytest.mark.parametrize("theory,k", [("coset", 5), ("coset", 6),
+                                          ("full", 4), ("full", 6)])
+    def test_symmetric_bump_at_non_representative_is_caught(self, theory, k):
+        ring = _ring(theory, k)
+        currents = fu._permutation_rows(ring.tensor)
+        reps = fu._representatives(np.array(list(currents.values())))
+        g = next(a for a in ring.check_axioms() if a not in currents)
+        b = next(b for b in range(len(ring.labels))
+                 if b not in reps and b not in currents and b != g)
+        for d in (ring.vacuum_index, g, b):
+            bumped = _symmetric_bump(ring, g, b, d)
+            assert not _reference_sliced(bumped.tensor)
+            with pytest.raises(ConsistencyError, match="associative"):
+                bumped.check_axioms()
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 6), ("coset", 5),
+                                          ("full", 4), ("full", 5)])
+    def test_bump_in_a_current_row_is_caught(self, theory, k):
+        ring = _ring(theory, k)
+        vac = ring.vacuum_index
+        j, perm = next((j, p) for j, p in fu._permutation_rows(
+            ring.tensor).items() if j != vac)
+        c1, c2 = [c for c in range(len(ring.labels)) if c not in (vac, j)][:2]
+        # +1 on N_J,c1^c2: the row of J no longer permutes the labels
+        bumped = _symmetric_bump(ring, j, c1, c2)
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+        # J c1 and J c2 swapped: the row of J still permutes the labels
+        e1, e2 = np.eye(len(ring.labels), dtype=ring.tensor.dtype)[
+            [perm[c1], perm[c2]]]
+        swapped = _modified(ring, {(j, c1): e2, (c1, j): e2,
+                                   (j, c2): e1, (c2, j): e1})
+        assert j in fu._permutation_rows(swapped.tensor)
+        assert not _reference_sliced(swapped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            swapped.check_axioms()
+
+    @pytest.mark.parametrize("theory,k,xyz", [
+        ("su2k", 18, (7, 8, 2)), ("su2k", 18, (1, 8, 8)),
+        ("coset", 6, (2, 4, 3)), ("full", 5, (2, 3, 7))])
+    def test_covariant_bump_is_caught_by_the_slices(self, theory, k, xyz):
+        # +1 on every image of N_xy^z under pairs of currents keeps each
+        # current's compare exact, so only the representative slices see it
+        ring = _ring(theory, k)
+        currents = fu._permutation_rows(ring.tensor)
+        others = [a for a in range(len(ring.labels)) if a not in currents]
+        x, y, z = (others[i] for i in xyz)
+        bumped = ring.tensor.copy()
+        for p in currents.values():
+            for q in currents.values():
+                bumped[p[x], q[y], p[q[z]]] += 1
+                bumped[q[y], p[x], p[q[z]]] += 1
+        bumped = fu.FusionRing(ring.labels, bumped, ring.vacuum_index)
+        assert fu._permutation_rows(bumped.tensor).keys() == currents.keys()
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="associative"):
+            bumped.check_axioms()
+
+    def test_representatives_reach_every_label(self):
+        # {1, (0 1), (1 2)} is no group: the least label of each "orbit"
+        # misses 2, which no permutation takes 0 to, so 2 is sliced too
+        perms = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
+        reps = fu._representatives(perms)
+        assert set(reps.tolist()) == {0, 2}
+        assert set(perms[:, reps].ravel().tolist()) == {0, 1, 2}
+
+    def test_currents_are_the_permutation_rows(self):
+        ring = _ring("coset", 5)
+        currents = fu._permutation_rows(ring.tensor)
+        assert {ring.labels[j] for j in currents} == {
+            w(m, m, k=5) for m in range(5)}  # psi_m = Lam_m + Lam_m
+        for j, perm in currents.items():
+            assert [ring.product(ring.labels[j], a) for a in ring.labels] == [
+                Counter({ring.labels[c]: 1}) for c in perm]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 12), theory=st.sampled_from(["su2k", "coset", "full"]))
+def test_orbit_tensor_and_generators_equal_the_all_rows_reference(k, theory):
+    s = _s_matrix(theory, k)
+    vac = fu.find_vacuum(s)
+    expected, residuals = _one_shot_verlinde(s, vac)
+    ring = _ring(theory, k)
+    assert residuals.max() < fu.INTEGRALITY_TOLERANCE
+    assert np.array_equal(ring.tensor, expected)
+    assert ring.generators == fu._generating_set(expected, vac)
 
 
 class TestMemoryBudget:

@@ -8,6 +8,7 @@ import pytest
 from parafermions import lie
 from parafermions import smatrix as sm
 from parafermions.errors import (
+    ConsistencyError,
     ContractViolationError,
     InvalidLevelError,
     InvalidRankError,
@@ -236,12 +237,24 @@ class TestSimpleCurrentExtend:
         ext = sm.simple_current_extend(self.representative_row(k), k)
         assert ext.max_abs_diff(sm.s_suk2_weylkac(k)) < 1e-10
 
+    def test_nan_entry_is_refused(self):
+        row = self.representative_row(4)
+        row[(1, 1)] = complex("nan")
+        with pytest.raises(ConsistencyError, match="nan"):
+            sm.simple_current_extend(row, 4)
+
 
 class TestSMatrixContainer:
     def test_label_lookup(self):
         s = sm.s_su2k(2)
         with pytest.raises(LabelError):
             s.index(7)
+
+    def test_equality_is_identity(self):
+        s = sm.s_su2k(2)
+        assert s == s
+        assert s != sm.s_su2k(2)  # equal entries, another matrix
+        assert s.max_abs_diff(sm.s_su2k(2)) == 0
 
     def test_reindex(self):
         s = sm.s_suk2_compact(3)
