@@ -68,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _complex_pairs(matrix: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
 
 
 def document(kind: str, k: int, basis, payload: dict) -> dict:

@@ -31,7 +31,7 @@ from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
-# Labels per block of the Verlinde sum and of each associativity slice,
+# Labels per block of the Verlinde sum and of the associativity pairs,
 # whose temporaries are O(LABEL_BLOCK n^2): 2 to 8 time alike at n = 55
 # and 105, 16 and 32 are slower.
 LABEL_BLOCK = 8
@@ -42,8 +42,6 @@ LABEL_BLOCK = 8
 # 105 and 2.1 at 231, and tests/test_fusion.py pins it below this.
 VERLINDE_BYTES_PER_CUBE = 8
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
-# Below 2^25: with max|N|^2 n < 2^53, int64 sums stay exact for n < 2^12.
-CERTIFICATE_PRIME = 2 ** 25 - 39
 
 
 def memory_budget() -> int:
@@ -123,27 +121,22 @@ class FusionRing:
 
     def check_axioms(self) -> tuple:
         """Commutativity, vacuum identity and exact associativity
-        (ab)c = a(bc) for each a in the generating set G (returned), in
-        O(n^3) memory. That covers every a: the a with vanishing
-        associator form a subspace V that holds the vacuum and each product
-        gu of its members, ((gu)x)y = g((ux)y) = g(u(xy)) = (gu)(xy), so
-        every word over G.
+        (ab)c = a(bc), in O(n^3) memory; returns the generators G, the
+        checked currents and then the non-current orbit representatives.
 
-        The simple currents are the labels J whose matrix (N_J)_cd = N_Jc^d
-        permutes the labels, c -> Jc. A current that the currents already
-        in V do not reach from the vacuum is put in V by the exact compare
-        (Jc)b = J(cb), N_Jc,b^d = N_bc^(J^-1 d), which needs no flops. A
-        current in V has, by commutativity, a vanishing associator in
-        every slot, so for b = Jr the slice of g at b follows from its
-        slice at r:
-            (gc)b = (gc)(rJ) = ((gc)r)J
-                  = (g(cr))J             [slice of g at r]
-                  = g((cr)J) = g(c(rJ)) = g(cb).
-        Each g in G that is not a current is therefore sliced only at one
-        representative r of each current orbit (and at any label no
-        representative reaches): with N commutative, the slice is
-        N_g N_r = N_r N_g for the matrices N_x, run over blocks of
-        LABEL_BLOCK representatives. Float64 sums are exact integers below
+        With N commutative, a has a vanishing associator in every slot iff
+        its matrix (N_a)_cd = N_ac^d commutes with every N_y; these a form
+        a subspace V closed under products, N_ab = N_a N_b for a in V. The
+        simple currents are the labels J whose N_J permutes the labels,
+        c -> Jc. A current that the currents already in V do not reach from
+        the vacuum is put in V by the exact compare (Jc)b = J(cb),
+        N_Jc,b^d = N_bc^(J^-1 d), which needs no flops. Every label is some
+        Jr, r a representative of a current orbit (_representatives), with
+        N_Jr = N_J N_r. A non-current representative a that passes its
+        pairs, N_a N_b = N_b N_a for every other one b, thus commutes with
+        each N_J, N_r and N_Jr, so a lies in V, and then so does every Jr.
+        The pairs run in float64 BLAS over blocks of LABEL_BLOCK
+        representatives; the sums are exact integers below
         max|N|^2 n < 2^53."""
         n = self.tensor
         dim = len(self.labels)
@@ -158,7 +151,6 @@ class FusionRing:
                 f"coefficients up to {largest} are too large for an exact "
                 "float64 associativity check"
             )
-        self.generators = _generating_set(n, self.vacuum_index)
         currents = _permutation_rows(n)
         checked, reached = [], np.arange(dim) == self.vacuum_index
         for j, perm in currents.items():
@@ -170,22 +162,22 @@ class FusionRing:
                 if not np.array_equal(n[perm[c:c + LABEL_BLOCK]],
                                       n[c:c + LABEL_BLOCK][:, :, inverse]):
                     raise ConsistencyError("fusion tensor is not associative")
-            checked.append(perm)
+            checked.append(j)
             size = 0
             while size < (size := np.count_nonzero(reached)):
-                for p in checked:
-                    reached[p[reached]] = True
-        reps = _representatives(np.array(list(currents.values())))
-        for a in self.generators:
-            if a in currents:
-                continue
+                for i in checked:
+                    reached[currents[i][reached]] = True
+        reps = [a for a in _representatives(
+            np.array(list(currents.values()))).tolist() if a not in currents]
+        for i, a in enumerate(reps):
             na = n[a].astype(np.float64)
-            for start in range(0, len(reps), LABEL_BLOCK):
+            for start in range(i + 1, len(reps), LABEL_BLOCK):
                 block = n[reps[start:start + LABEL_BLOCK]].astype(np.float64)
-                lhs = np.matmul(na, block)  # [r, c, d]: sum_e N_ac^e N_er^d
-                rhs = block.reshape(-1, dim) @ na  # [(r, c), d]: N_rc^f N_af^d
+                lhs = np.matmul(na, block)  # [b, c, d]: sum_e N_ac^e N_eb^d
+                rhs = block.reshape(-1, dim) @ na  # [(b, c), d]: N_bc^f N_af^d
                 if not np.array_equal(lhs.reshape(rhs.shape), rhs):
                     raise ConsistencyError("fusion tensor is not associative")
+        self.generators = tuple(checked + reps)
         return self.generators
 
 
@@ -211,31 +203,6 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
     covered = np.zeros(len(reps), dtype=bool)
     covered[perms[:, reps]] = True
     return np.flatnonzero(reps | ~covered)
-
-
-def _generating_set(tensor: np.ndarray, vac: int) -> tuple:
-    """Labels G, walked greedily, whose words g1(g2(...(gm vac))) span
-    Q^n: a label outside the span joins G, and the span is closed under
-    w -> w @ N_g for all of G. The span is kept mod CERTIFICATE_PRIME in
-    reduced row echelon form; rank n mod p means n integer words have a
-    nonzero determinant. A bad prime only adds to G."""
-    p, dim = CERTIFICATE_PRIME, len(tensor)
-    basis, pivots, gens = np.eye(dim, dtype=np.int64)[[vac]], [vac], []
-    for a in range(dim):
-        if a in pivots and np.count_nonzero(basis[pivots.index(a)]) == 1:
-            continue  # e_a = a vac is spanned already
-        gens.append(a)
-        rows = basis @ tensor[a] % p
-        while len(rows):  # reduce, add the new pivots, multiply the new rows
-            start, rows = len(pivots), (rows - rows[:, pivots] @ basis) % p
-            while len(rows := rows[rows.any(axis=1)]):
-                col = int(np.flatnonzero(rows[0])[0])
-                top = rows[0] * pow(int(rows[0, col]), -1, p) % p
-                rows = (rows - np.outer(rows[:, col], top)) % p
-                basis = np.vstack([(basis - np.outer(basis[:, col], top)) % p, top])
-                pivots.append(col)
-            rows = np.vstack([basis[start:] @ tensor[g] % p for g in gens])
-    return tuple(gens)
 
 
 def verlinde(s: SMatrix) -> FusionRing:

@@ -48,7 +48,7 @@ def monodromy(s: SMatrix, a, b, vac: int | None = None) -> Monodromy:
             "valid modular data"
         )
     value = s.entries[ia, ib] * s.entries[vac, vac] / denom
-    if abs(value) > 1 + DEFAULT_TOLERANCE:
+    if not abs(value) <= 1 + DEFAULT_TOLERANCE:  # a NaN fails
         raise ConsistencyError(
             f"monodromy magnitude {abs(value):g} exceeds 1 for {a!r}, {b!r}"
         )

@@ -314,7 +314,7 @@ class TestFusionDimsSectors:
         assert gens and set(gens) <= set(doc["basis"])
         assert doc["basis"][doc["vacuum_index"]] not in gens
         if which == "coset":
-            assert len(gens) == 2
+            assert gens == ["1,1"] + [f"0,{m}" for m in range(1, k // 2 + 1)]
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--k", "3")

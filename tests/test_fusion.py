@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -131,7 +132,7 @@ def _echelon(rows, p):
     return np.array(out, dtype=np.int64).reshape(-1, rows.shape[1])
 
 
-def _word_rank(tensor, vac, gens, p=fu.CERTIFICATE_PRIME):
+def _word_rank(tensor, vac, gens, p=2 ** 25 - 39):
     """Rank mod p of the words g1(g2(...(gm vac))) over `gens`: the span
     of the vacuum, multiplied by every generator until it stops growing."""
     span = np.eye(len(tensor), dtype=np.int64)[[vac]]
@@ -269,19 +270,29 @@ class TestGeneratingSet:
     def test_words_of_one_label_need_not_span(self):
         ring = _klein_four()
         assert _reference_sliced(ring.tensor)
-        assert _word_rank(ring.tensor, 0, (1,)) == 2  # {1, a} only
-        gens = ring.check_axioms()
-        assert gens == (1, 2)
-        assert _word_rank(ring.tensor, 0, gens) == 4
+        assert ring.check_axioms() == (1, 2)  # the words over a miss b
         # ab x ab = 1 + a: commutative, vacuum intact, not associative
         bumped = _modified(ring, {(3, 3, 1): 1})
         assert not _reference_sliced(bumped.tensor)
         with pytest.raises(ConsistencyError, match="associative"):
             bumped.check_axioms()
 
-    def test_su2k_is_generated_by_the_spin_half(self):
-        for k in range(1, 13):
-            assert _ring("su2k", k).check_axioms() == (1,)
+    def test_every_label_a_representative(self):
+        # Fibonacci x Fibonacci: the vacuum is the only current, so the pairs of the three other
+        # labels are the whole check
+        fib = np.zeros((2, 2, 2), dtype=np.int64)
+        fib[0, 0, 0] = fib[0, 1, 1] = fib[1, 0, 1] = 1
+        fib[1, 1, 0] = fib[1, 1, 1] = 1  # tau x tau = 1 + tau
+        tensor = np.einsum("ace,bdf->abcdef", fib, fib).reshape(4, 4, 4)
+        ring = fu.FusionRing((0, 1, 2, 3), tensor, 0)
+        assert fu._permutation_rows(tensor).keys() == {0}
+        assert _reference_associative(tensor)
+        assert ring.check_axioms() == (1, 2, 3)
+        for a, b, c in itertools.product((1, 2, 3), repeat=3):
+            bumped = _symmetric_bump(ring, a, b, c)
+            assert not _reference_associative(bumped.tensor)
+            with pytest.raises(ConsistencyError, match="associative"):
+                bumped.check_axioms()
 
 
 @settings(max_examples=30, deadline=None)
@@ -470,8 +481,8 @@ class TestBlocks:
 
 
 class TestOrbits:
-    """check_axioms slices non-current generators at orbit representatives
-    only and compares each current exactly."""
+    """check_axioms compares each current exactly and multiplies only
+    pairs of non-current orbit representatives."""
 
     @pytest.mark.parametrize("theory,k", [("coset", 5), ("coset", 6),
                                           ("full", 4), ("full", 6)])
@@ -559,7 +570,8 @@ def test_orbit_tensor_and_generators_equal_the_all_rows_reference(k, theory):
     ring = _ring(theory, k)
     assert residuals.max() < fu.INTEGRALITY_TOLERANCE
     assert np.array_equal(ring.tensor, expected)
-    assert ring.generators == fu._generating_set(expected, vac)
+    assert ring.generators == fu.FusionRing(s.labels, expected,
+                                            vac).check_axioms()
 
 
 class TestMemoryBudget:

@@ -50,6 +50,16 @@ class TestMonodromy:
         assert m.value == s.entry(a, b) * s.entry(vac, vac) / denom
         assert m.magnitude <= 1 + sm.DEFAULT_TOLERANCE
 
+    def test_nan_magnitude_rejected(self, coset3):
+        entries = coset3.entries.copy()
+        entries[1, 2] = entries[2, 1] = np.nan
+        s = sm.SMatrix(coset3.labels, entries)
+        a, b = s.labels[1], s.labels[2]
+        with pytest.raises(ConsistencyError, match="nan"):
+            it.monodromy(s, a, b)
+        with pytest.raises(ConsistencyError, match="nan"):
+            it.detection_report(s, a, [b])
+
     def test_zero_vacuum_entry_rejected(self):
         s = sm.SMatrix((0, 1), np.eye(2))
         with pytest.raises(ConsistencyError, match="vanishing"):
