@@ -26,6 +26,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -53,6 +54,10 @@ EXIT_VERIFY = 3
 # tracemalloc peak of `interfere` per curve sample, its JSON or CSV
 # document included: 221-279 bytes at 1e5 and 4e5 samples, 295 at 1e4.
 INTERFERE_BYTES_PER_SAMPLE = 384
+
+# tracemalloc peak of `smatrix` per S entry, its JSON or CSV document
+# included: 195-237 bytes at n = 300..1000, where S itself holds 16.
+SMATRIX_BYTES_PER_ENTRY = 256
 
 # Errors a consistency check raises when the data fail it: the check is
 # recorded as failed, not the command refused.
@@ -137,6 +142,8 @@ def _build_s(args) -> sm.SMatrix:
 
 def cmd_smatrix(args) -> int:
     s = _build_s(args)
+    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * s.dim ** 2,
+                      f"a document of {s.dim ** 2} S entries")
     doc = document("smatrix", args.k, s.labels, {
         "which": args.which,
         "matrix": _complex_pairs(s.entries),
@@ -181,7 +188,7 @@ def _verify_checks(k: int, tol: float, targets=None):
     def four_way():
         four = [suk2(), coset().s, co.coset_s_phase_form(k),
                 co.coset_s_via_su2k_u1(k)]
-        return max(a.max_abs_diff(b) for a in four for b in four)
+        return max(a.max_abs_diff(b) for a, b in combinations(four, 2))
 
     @cache
     def report(name):

@@ -64,11 +64,11 @@ def from_lm(lbl: LmLabel) -> CosetWeight:
 
 
 def field_identify(lbl: LmLabel) -> LmLabel:
-    """Unique representative with |m| <= l under the coset identifications.
-
-    Uses Phi^l_{m+2k} = Phi^l_m, Phi^l_{-m} = Phi^l_m and
-    Phi^l_m = Phi^{k-l}_{m-k}.
-    """
+    """A label with 0 <= m <= l <= k and l - m even, of the same dimension,
+    by Phi^l_{m+2k} = Phi^l_m = Phi^{k-l}_{m-k} and m -> -m (charge
+    conjugation: it keeps the dimension, not the field). Not unique per
+    field either: at k = 3 the field (1, 1) = (2, -2) gives both (2, 2)
+    and (1, 1)."""
     k, l, m = lbl.k, lbl.l, lbl.m
     m = ((m + k - 1) % (2 * k)) - k + 1  # reduce into (-k, k]
     m = abs(m)

@@ -23,8 +23,6 @@ from .smatrix import DEFAULT_TOLERANCE, SMatrix
 class Monodromy:
     """Expectation value of one anyon encircling another."""
 
-    bulk: object
-    probe: object
     value: complex
 
     @property
@@ -36,23 +34,24 @@ class Monodromy:
         return cmath.phase(self.value)
 
 
-def monodromy(s: SMatrix, a, b, vac: int | None = None) -> Monodromy:
-    """S_ab S_00 / (S_0a S_0b) with 0 the vacuum row, found unless given."""
-    if vac is None:
-        vac = find_vacuum(s)
-    ia, ib = s.index(a), s.index(b)
-    denom = s.entries[vac, ia] * s.entries[vac, ib]
-    if denom == 0:
+def monodromy_row(s: SMatrix, probe) -> np.ndarray:
+    """M_probe,x = S_probe,x S_00 / (S_0,probe S_0x) for all x (S_0x > 0).
+    Raises at the first x with not |M| <= 1 + DEFAULT_TOLERANCE (inf, NaN)."""
+    vac, ip = find_vacuum(s), s.index(probe)
+    row = (s.entries[ip] * s.entries[vac, vac]
+           / (s.entries[vac, ip] * s.entries[vac]))
+    bad = np.flatnonzero(~(np.abs(row) <= 1 + DEFAULT_TOLERANCE))
+    if len(bad):
         raise ConsistencyError(
-            f"vanishing vacuum entries for {a!r}, {b!r}; S matrix is not "
-            "valid modular data"
+            f"monodromy magnitude {abs(row[bad[0]]):g} exceeds 1 for "
+            f"{probe!r}, {s.labels[bad[0]]!r}"
         )
-    value = s.entries[ia, ib] * s.entries[vac, vac] / denom
-    if not abs(value) <= 1 + DEFAULT_TOLERANCE:  # a NaN fails
-        raise ConsistencyError(
-            f"monodromy magnitude {abs(value):g} exceeds 1 for {a!r}, {b!r}"
-        )
-    return Monodromy(bulk=b, probe=a, value=complex(value))
+    return row
+
+
+def monodromy(s: SMatrix, a, b) -> Monodromy:
+    """M_ab, one entry of monodromy_row(s, a)."""
+    return Monodromy(complex(monodromy_row(s, a)[s.index(b)]))
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,6 @@ class InterferencePattern:
 
     alpha_samples: tuple
     sigma_xx: tuple
-    t1: complex
-    t2: complex
     monodromy: Monodromy
 
 
@@ -80,7 +77,7 @@ def sigma_xx_curve(s: SMatrix, a, b, t1: complex, t2: complex,
     return InterferencePattern(
         alpha_samples=tuple(float(x) for x in alphas),
         sigma_xx=tuple(float(x) for x in sigma),
-        t1=complex(t1), t2=complex(t2), monodromy=mono,
+        monodromy=mono,
     )
 
 
@@ -96,17 +93,13 @@ class DetectionRow:
 
 def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
     """Monodromy magnitude (the visibility relative to a vacuum bulk, whose
-    |M| is 1) and phase for each bulk candidate; flags non-Abelian
-    whenever |M| < 1 by more than DEFAULT_TOLERANCE."""
-    vac = find_vacuum(s)
+    |M| is 1) and phase for each bulk candidate, read off the probe's
+    monodromy row; flags non-Abelian whenever |M| < 1 by more than
+    DEFAULT_TOLERANCE."""
+    row = monodromy_row(s, probe)
     rows = []
     for bulk in bulk_candidates:
-        m = monodromy(s, probe, bulk, vac)
-        rows.append(DetectionRow(
-            bulk=bulk,
-            magnitude=m.magnitude,
-            phase=m.phase,
-            non_abelian=not math.isclose(m.magnitude, 1.0,
-                                         abs_tol=DEFAULT_TOLERANCE),
-        ))
+        m = Monodromy(complex(row[s.index(bulk)]))
+        rows.append(DetectionRow(bulk, m.magnitude, m.phase, not math.isclose(
+            m.magnitude, 1.0, abs_tol=DEFAULT_TOLERANCE)))
     return tuple(rows)

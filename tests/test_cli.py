@@ -286,6 +286,24 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(json.loads(out)["curve"]) == 64
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_smatrix_over_budget_exits_2(self, capsys, monkeypatch, fmt):
+        def never(matrix):
+            raise AssertionError("document built over budget")
+        need = 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY  # coset k = 3: n = 6
+        argv = ("smatrix", "--k", "3", "--which", "coset", "--format", fmt)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_complex_pairs", never)  # refused before it
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: a document of 36 S entries")
+        assert "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "0,1" in out
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):
             raise MemoryError()

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafermions import coset as co
 from parafermions import smatrix as sm
@@ -52,6 +54,9 @@ class TestFieldIdentification:
     def test_examples(self):
         assert co.field_identify(co.LmLabel(1, 3, 3)) == co.LmLabel(2, 0, 3)
         assert co.field_identify(co.LmLabel(0, 2, 3)) == co.LmLabel(3, 1, 3)
+        # one field, (1, 1) ~ (k - 1, 1 - k), two representatives
+        assert co.field_identify(co.LmLabel(1, 1, 3)) == co.LmLabel(1, 1, 3)
+        assert co.field_identify(co.LmLabel(2, -2, 3)) == co.LmLabel(2, 2, 3)
 
     def test_fixed_points(self):
         for l in range(4):
@@ -64,6 +69,20 @@ class TestFieldIdentification:
         for weight in sm.canonical_weights(k):
             once = co.field_identify(co.to_lm(weight))
             assert co.field_identify(once) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 20), data=st.data())
+    def test_representative_and_dimension(self, k, data):
+        l = data.draw(st.integers(0, k))
+        m = data.draw(st.sampled_from(range(l % 2 - 2 * k, 2 * k + 1, 2)))
+        rep = co.field_identify(co.LmLabel(l, m, k))
+        assert rep.k == k
+        assert 0 <= rep.m <= rep.l <= k and (rep.l - rep.m) % 2 == 0
+        assert co.field_identify(rep) == rep
+        dim = co.lm_dimension(rep)
+        for image in ((l, m + 2 * k), (l, -m), (k - l, m - k)):
+            image_rep = co.field_identify(co.LmLabel(*image, k))
+            assert co.lm_dimension(image_rep) == dim
 
     def test_invalid_label(self):
         with pytest.raises(IdentificationError):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafermions import fullcft as fc
 from parafermions import fusion as fu
@@ -52,6 +54,22 @@ class TestSectors:
     def test_neutral_label(self):
         s = fc.FullSector(1, 1, 3)
         assert s.neutral == sm.CosetWeight(0, 1, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 20), data=st.data())
+    def test_pairing_rule_is_sector_arrays(self, k, data):
+        l, rho, _, _, neutral = fc.sector_arrays(k)
+        listed = dict(zip(zip(l.tolist(), rho.tolist()), neutral.tolist()))
+        a = data.draw(st.integers(-3 * (k + 2), 3 * (k + 2)))
+        b = data.draw(st.integers(-3 * k, 3 * k))
+        key = (a % (k + 2), b % k)
+        if key not in listed:
+            with pytest.raises(LabelError):
+                fc.FullSector(a, b, k)
+            return
+        sector = fc.FullSector(a, b, k)
+        assert (sector.l, sector.rho) == key
+        assert sm.canonical_weights(k).index(sector.neutral) == listed[key]
 
     def test_ordering_lexicographic(self):
         sectors = fc.enumerate_sectors(2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import interferometry as it
 from parafermions import smatrix as sm
-from parafermions.errors import ConsistencyError, SamplingError
+from parafermions.errors import ConsistencyError, SamplingError, VacuumError
 
 DELTA = (1 + math.sqrt(5)) / 2
 
@@ -61,9 +62,24 @@ class TestMonodromy:
             it.detection_report(s, a, [b])
 
     def test_zero_vacuum_entry_rejected(self):
+        # no strictly positive row: find_vacuum refuses before any quotient
         s = sm.SMatrix((0, 1), np.eye(2))
-        with pytest.raises(ConsistencyError, match="vanishing"):
-            it.monodromy(s, 0, 1, vac=0)
+        with pytest.raises(VacuumError):
+            it.monodromy(s, 0, 1)
+
+    def test_nan_anywhere_in_the_row_rejected(self, coset3):
+        probe = w(0, 1)
+        ip = coset3.index(probe)
+        for j, label in enumerate(coset3.labels):
+            entries = coset3.entries.copy()
+            entries[ip, j] = np.nan
+            s = sm.SMatrix(coset3.labels, entries)
+            other = coset3.labels[(j + 1) % coset3.dim]
+            named = f"nan .*{re.escape(repr(label))}"  # the pair with the NaN
+            with pytest.raises(ConsistencyError, match=named):
+                it.monodromy(s, probe, other)
+            with pytest.raises(ConsistencyError, match=named):
+                it.detection_report(s, probe, [other])
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_bound_and_symmetry(self, k):
@@ -147,10 +163,21 @@ class TestDetectionReport:
             calls.append(s)
             return fu.find_vacuum(s)
 
+        def never(*args):
+            raise AssertionError("monodromy called per bulk")
+
         monkeypatch.setattr(it, "find_vacuum", counting)
+        monkeypatch.setattr(it, "monodromy", never)  # rows read off one row
         rows = it.detection_report(coset3, w(0, 1), coset3.labels)
         assert len(rows) == coset3.dim
         assert len(calls) == 1 and calls[0] is coset3
-        m = it.monodromy(coset3, w(0, 1), w(1, 2), fu.find_vacuum(coset3))
-        assert m.value == pytest.approx(-1 / DELTA ** 2, abs=1e-10)
-        assert len(calls) == 1  # a given vacuum index skips the lookup
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_rows_are_monodromy_entries(self, k):
+        for s in (co.coset_s_compact(k).s, fc.full_s_product(k)):
+            for probe in s.labels:
+                rows = it.detection_report(s, probe, s.labels)
+                assert [r.bulk for r in rows] == list(s.labels)
+                for r in rows:
+                    m = it.monodromy(s, probe, r.bulk)
+                    assert (r.magnitude, r.phase) == (m.magnitude, m.phase)
