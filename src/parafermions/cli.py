@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
-import io
 import json
 import math
 import sys
@@ -59,6 +58,12 @@ INTERFERE_BYTES_PER_SAMPLE = 384
 # included: 195-237 bytes at n = 300..1000, where S itself holds 16.
 SMATRIX_BYTES_PER_ENTRY = 256
 
+# tracemalloc peak of `fusion` per n^3 labels, Verlinde and its checks
+# and the document written included: 7.1-7.6 bytes for JSON and CSV
+# alike at n = 91..231, the int8 tensor and the encoded text held once
+# as uint8 and once as str. Every ring here has N <= 1, one digit.
+FUSION_BYTES_PER_CUBE = 8
+
 # Errors a consistency check raises when the data fail it: the check is
 # recorded as failed, not the command refused.
 CHECK_FAILURES = (ConsistencyError, LatticeError, VacuumError)
@@ -86,18 +91,32 @@ def document(kind: str, k: int, basis, payload: dict) -> dict:
     }
 
 
+class _Encoded:
+    """A document value held as its JSON text, written out as it is."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def emit(doc: dict, fmt: str) -> None:
+    """Print doc as JSON, the bytes json.dumps(doc) gives, or as CSV.
+    Each value is its own write, so an encoded one is never copied into a
+    string of the whole document."""
     if fmt == "json":
-        print(json.dumps(doc, allow_nan=False))
+        pieces = []
+        for key, value in doc.items():
+            text = (value.text if isinstance(value, _Encoded)
+                    else json.dumps(value, allow_nan=False))
+            pieces += [", " if pieces else "{", json.dumps(key), ": ", text]
+        print(*pieces, "}", sep="")
     else:
-        print(to_csv(doc), end="")
+        to_csv(doc, sys.stdout)
 
 
-def to_csv(doc: dict) -> str:
-    """Flatten a document to CSV: metadata comments, then data rows with
+def to_csv(doc: dict, out) -> None:
+    """Write doc to out as CSV: metadata comments, then data rows with
     complex entries as re/im column pairs."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(out)
     for key in ("schema_version", "k", "kind"):
         writer.writerow([f"# {key}", doc[key]])
     if "matrix" in doc:
@@ -118,8 +137,52 @@ def to_csv(doc: dict) -> str:
         for key, value in doc.items():
             if key in ("schema_version", "k", "kind"):
                 continue
-            writer.writerow([key, json.dumps(value)])
-    return buf.getvalue()
+            if isinstance(value, _Encoded):
+                # as writer.writerow([key, value.text]), whose row buffer
+                # would hold the text at four bytes a character: JSON of
+                # numbers has no quote or line break, so csv quotes the
+                # text only when it has a comma, and only at its ends
+                quote = '"' if "," in value.text else ""
+                out.write(f"{key},{quote}")
+                out.write(value.text)
+                out.write(f"{quote}\r\n")
+            else:
+                writer.writerow([key, json.dumps(value)])
+
+
+def _tensor_json(tensor: np.ndarray) -> str:
+    """json.dumps(tensor.tolist()) for a non-negative integer tensor of
+    shape (planes, rows, cols), written as bytes.
+
+    Every entry gets a cell of `width` bytes, as many as the largest
+    entry has digits, and a ", " after it, so the text has fixed
+    offsets: one plane template, "[" rows "], " with each row "[" cells
+    "], ", is copied into every plane, each digit place is one strided
+    write, and the NULs that left-pad the shorter numbers are dropped at
+    the end (there are none when every entry is below 10)."""
+    planes, rows, cols = tensor.shape
+    width = len(str(int(tensor.max())))
+    row = b"[" + b", ".join([b"\0" * width] * cols) + b"], "
+    plane = b"[" + row * rows
+    plane = plane[:-2] + b"], "  # the last row closes the plane
+    buf = np.empty(1 + planes * len(plane), dtype=np.uint8)
+    buf[0] = ord("[")
+    buf[1:].reshape(planes, len(plane))[:] = np.frombuffer(plane, np.uint8)
+    buf[-2] = ord("]")  # the last plane closes the tensor: drop its " "
+    buf = buf[:-1]
+    strides = (len(plane), len(row), width + 2)
+    for i in range(width):  # the 10**(width - 1 - i) place of each entry
+        place = 10 ** (width - 1 - i)
+        digits = np.lib.stride_tricks.as_strided(
+            buf[3 + i:], tensor.shape, strides)  # "[[[" before entry 0
+        value = tensor if place == 1 else tensor // place
+        np.add(value % 10 if i else value, ord("0"), out=digits,
+               casting="unsafe")
+        if place > 1:
+            digits[tensor < place] = 0
+    if width > 1:
+        buf = buf[buf != 0]
+    return str(buf, "ascii")
 
 
 _SMATRIX_BUILDERS = {
@@ -286,12 +349,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fusion(args) -> int:
-    ring = fu.verlinde(_build_s(args))
+    s = _build_s(args)
+    fu.require_budget(FUSION_BYTES_PER_CUBE * s.dim ** 3,
+                      f"the fusion document of {s.dim} labels")
+    ring = fu.verlinde(s)
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
         "generators": [str(ring.labels[g]) for g in ring.generators],
-        "tensor": ring.tensor.tolist(),
+        "tensor": _Encoded(_tensor_json(ring.tensor)),
     })
     emit(doc, args.format)
     return EXIT_OK

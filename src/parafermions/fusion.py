@@ -103,7 +103,8 @@ class FusionRing:
     def product(self, a, b) -> Counter:
         """Multiset of fusion outcomes of a x b: a fresh Counter copied
         from row (a, b) of a table of dicts {label: count}, one per row,
-        that the first lookup builds."""
+        that the first lookup builds. The copy is a dict.update into an
+        empty Counter, which skips Counter.__init__'s Mapping path."""
         if self._rows is None:
             dim = len(self.labels)
             flat = self.tensor.reshape(dim * dim, dim)
@@ -113,11 +114,14 @@ class FusionRing:
                                      flat[rows, cols].tolist()):
                 self._rows[row][self.labels[c]] = count
         try:
-            return Counter(self._rows[self._index[a] * len(self.labels)
-                                      + self._index[b]])
+            row = self._rows[self._index[a] * len(self.labels)
+                             + self._index[b]]
         except KeyError as missing:
             raise LabelError(
                 f"label {missing.args[0]!r} not in basis") from None
+        out = Counter.__new__(Counter)
+        dict.update(out, row)
+        return out
 
     def check_axioms(self) -> tuple:
         """Commutativity, vacuum identity and exact associativity

@@ -1,10 +1,19 @@
+import argparse
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafermions import cli
 from parafermions import coset as co
@@ -304,6 +313,40 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "0,1" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):
+        def never(s):
+            raise AssertionError("fusion built over budget")
+        need = 6 ** 3 * cli.FUSION_BYTES_PER_CUBE  # coset k = 3: n = 6
+        argv = ("fusion", "--k", "3", "--which", "coset", "--format", fmt)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(fu, "verlinde", never)  # refused before Verlinde
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the fusion document of 6 labels")
+        assert "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "tensor" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("which,k,n", [("coset", 13, 91),
+                                           ("full", 16, 153)])
+    def test_fusion_peak_within_budget_constant(self, which, k, n, fmt):
+        # the whole command, its document written to a real file, stays
+        # below the bytes per n^3 that its guard charges
+        argv = ["fusion", "--k", str(k), "--which", which, "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < cli.FUSION_BYTES_PER_CUBE * n ** 3
+
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):
             raise MemoryError()
@@ -333,6 +376,18 @@ class TestFusionDimsSectors:
         assert doc["basis"][doc["vacuum_index"]] not in gens
         if which == "coset":
             assert gens == ["1,1"] + [f"0,{m}" for m in range(1, k // 2 + 1)]
+
+    @pytest.mark.parametrize("which,ks", [("su2k", range(1, 13)),
+                                          ("coset", range(2, 13)),
+                                          ("full", range(2, 13))])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fusion_document_bytes(self, capsys, which, ks, fmt):
+        # the encoded tensor gives the bytes of json.dumps on tolist()
+        for k in ks:
+            code, out, _ = run(capsys, "fusion", "--k", str(k),
+                               "--which", which, "--format", fmt)
+            assert code == 0
+            assert out == _reference_fusion_document(which, k, fmt)
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--k", "3")
@@ -365,6 +420,96 @@ class TestFusionDimsSectors:
         assert doc["count"] == 10
         assert doc["coset_primaries"] == 6
         assert doc["filling_factor"] == "3/5"
+
+
+def _reference_fusion_document(which, k, fmt):
+    """The fusion document through tolist() and json.dumps."""
+    args = argparse.Namespace(which=which, k=k)
+    ring = fu.verlinde(cli._build_s(args))
+    doc = cli.document("fusion", k, ring.labels, {
+        "which": which,
+        "vacuum_index": ring.vacuum_index,
+        "generators": [str(ring.labels[g]) for g in ring.generators],
+        "tensor": ring.tensor.tolist(),
+    })
+    if fmt == "json":
+        return json.dumps(doc) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for key, value in doc.items():
+        if key in ("schema_version", "k", "kind"):
+            writer.writerow([f"# {key}", value])
+        else:
+            writer.writerow([key, json.dumps(value)])
+    return buf.getvalue()
+
+
+class TestTensorEncoder:
+    @pytest.mark.parametrize("top", [0, 1, 9, 10, 130])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_equals_json_dumps(self, n, top):
+        rng = np.random.default_rng(n * 1000 + top)
+        for dtype in (np.min_scalar_type(top), np.int64):
+            tensor = rng.integers(0, top + 1, size=(n, n, n)).astype(dtype)
+            tensor[rng.integers(n), rng.integers(n), rng.integers(n)] = top
+            assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+
+    def test_mixed_widths(self):
+        tensor = np.arange(60).reshape(3, 4, 5) ** 3  # 1 to 6 digits
+        assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+
+    @pytest.mark.parametrize("n", [1, 2])  # n = 1 has no comma to quote
+    def test_csv_cell_as_the_writer_writes_it(self, n):
+        text = cli._tensor_json(np.ones((n, n, n), dtype=np.int8))
+        doc = cli.document("fusion", 2, ["0"] * n,
+                           {"which": "su2k", "tensor": cli._Encoded(text)})
+        got, want = io.StringIO(), io.StringIO()
+        cli.to_csv(doc, got)
+        writer = csv.writer(want)
+        for key, value in doc.items():
+            if key in ("schema_version", "k", "kind"):
+                writer.writerow([f"# {key}", value])
+            else:
+                writer.writerow([key, text if key == "tensor"
+                                 else json.dumps(value)])
+        assert got.getvalue() == want.getvalue()
+
+
+class TestLabels:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 20), data=st.data())
+    def test_coset_weight_canonical(self, k, data):
+        mu, nu = (data.draw(st.integers(0, k - 1)) for _ in range(2))
+        i, j = (data.draw(st.integers(-3, 3)) for _ in range(2))
+        label = sm.CosetWeight(mu, nu, k)
+        assert sm.CosetWeight(mu + i * k, nu + j * k, k) == label
+        assert sm.CosetWeight(nu + j * k, mu + i * k, k) == label
+        assert sm.CosetWeight(label.mu, label.nu, k) == label
+        assert 0 <= label.mu <= label.nu < k
+        assert cli._parse_label(str(label), sm.canonical_weights(k),
+                                k) == label
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 20), data=st.data())
+    def test_full_sector_canonical(self, k, data):
+        sectors = fc.enumerate_sectors(k)
+        label = data.draw(st.sampled_from(sectors))
+        i, j = (data.draw(st.integers(-3, 3)) for _ in range(2))
+        assert fc.FullSector(label.l + i * (k + 2), label.rho + j * k,
+                             k) == label
+        assert fc.FullSector(label.l, label.rho, k) == label
+        assert 0 <= label.l < k + 2 and 0 <= label.rho < k
+        assert cli._parse_label(str(label), sectors, k) == label
+
+
+def test_python_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "parafermions", "sectors", "--k", "2"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert strict_json(done.stdout)["count"] == 6
 
 
 class TestInterfereCommand:

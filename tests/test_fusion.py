@@ -469,6 +469,14 @@ class TestBlocks:
                 assert type(got) is Counter and got == expected
                 assert all(type(v) is int for v in got.values())
 
+    def test_product_reads_any_integer_entry(self):
+        ring = _ring("su2k", 4)
+        tensor = ring.tensor.copy()
+        tensor[1, 2, [0, 3, 4]] = -3, 7, 1
+        bumped = fu.FusionRing(ring.labels, tensor, ring.vacuum_index)
+        assert bumped.product(1, 2) == Counter({0: -3, 1: 1, 3: 7, 4: 1})
+        assert bumped.product(2, 1) == Counter({1: 1, 3: 1})
+
     def test_returned_counter_is_fresh(self):
         ring = _ring3()
         a = ring.labels[1]
@@ -478,6 +486,22 @@ class TestBlocks:
         first["junk"] = 1
         del first[next(iter(expected))]
         assert ring.product(a, a) == expected
+
+    def test_product_behaves_as_a_counter(self):
+        ring = fu.verlinde(co.coset_s_compact(3).s)
+        tau, vac = w(1, 2), w(0, 0)  # Fibonacci: tau x tau = 1 + tau
+        product = ring.product(tau, tau)
+        assert type(product) is Counter
+        assert product == Counter({vac: 1, tau: 1})
+        assert product[w(0, 2)] == 0  # a missing key reads 0
+        assert w(0, 2) not in product
+        total = product + ring.product(vac, tau)
+        assert type(total) is Counter and total == Counter({vac: 1, tau: 2})
+        assert total.most_common(1) == [(tau, 2)]
+        product.update([vac])  # mutating one leaves the table as it was
+        product[w(2, 2)] += 1
+        assert ring.product(tau, tau) == Counter({vac: 1, tau: 1})
+        assert ring.product(tau, tau) is not ring.product(tau, tau)
 
 
 class TestOrbits:
