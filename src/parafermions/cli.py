@@ -55,8 +55,10 @@ EXIT_VERIFY = 3
 INTERFERE_BYTES_PER_SAMPLE = 384
 
 # tracemalloc peak of `smatrix` per S entry, its JSON or CSV document
-# included: 195-237 bytes at n = 300..1000, where S itself holds 16.
-SMATRIX_BYTES_PER_ENTRY = 256
+# written to a file included: 117-160 bytes for JSON and 82-161 for CSV
+# at n = 300..1000, where S itself holds 16, the builder up to 72 more
+# (full-product) and the 16-byte keys of the entries' texts 64.
+SMATRIX_BYTES_PER_ENTRY = 192
 
 # tracemalloc peak of `fusion` per n^3 labels, Verlinde and its checks
 # and the document written included: 7.1-7.6 bytes for JSON and CSV
@@ -77,10 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _complex_pairs(matrix: np.ndarray):
-    return np.stack((matrix.real, matrix.imag), axis=-1).tolist()
-
-
 def document(kind: str, k: int, basis, payload: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -99,14 +97,19 @@ class _Encoded:
 
 
 def emit(doc: dict, fmt: str) -> None:
-    """Print doc as JSON, the bytes json.dumps(doc) gives, or as CSV.
-    Each value is its own write, so an encoded one is never copied into a
-    string of the whole document."""
+    """Print doc as JSON, the bytes json.dumps(doc) gives with a complex
+    matrix as its [re, im] pairs, or as CSV. Each value is its own write,
+    so an encoded one is never copied into a string of the whole
+    document."""
     if fmt == "json":
         pieces = []
         for key, value in doc.items():
-            text = (value.text if isinstance(value, _Encoded)
-                    else json.dumps(value, allow_nan=False))
+            if isinstance(value, _Encoded):
+                text = value.text
+            elif isinstance(value, np.ndarray):  # a complex matrix
+                text = _matrix_json(value)
+            else:
+                text = json.dumps(value, allow_nan=False)
             pieces += [", " if pieces else "{", json.dumps(key), ": ", text]
         print(*pieces, "}", sep="")
     else:
@@ -124,11 +127,14 @@ def to_csv(doc: dict, out) -> None:
         for lab in doc["basis"]:
             header += [f"{lab} re", f"{lab} im"]
         writer.writerow(header)
-        for lab, row in zip(doc["basis"], doc["matrix"]):
-            flat = [lab]
-            for re_im in row:
-                flat += map(float, re_im)
-            writer.writerow(flat)
+        # as writer.writerow([lab, re, im, ...]) with float cells: a row
+        # is the label, quoted as the writer quotes it, and the cells
+        cells = _pair_texts(doc["matrix"], repr, "{},{}")
+        n = len(doc["basis"])
+        for i, lab in enumerate(doc["basis"]):
+            quote = _csv_quote(lab)
+            row = ",".join(cells[i * n:(i + 1) * n])
+            out.write(f"{quote}{lab}{quote},{row}\r\n")
     elif "curve" in doc:
         writer.writerow(["alpha", "sigma_xx"])
         for point in doc["curve"]:
@@ -139,15 +145,49 @@ def to_csv(doc: dict, out) -> None:
                 continue
             if isinstance(value, _Encoded):
                 # as writer.writerow([key, value.text]), whose row buffer
-                # would hold the text at four bytes a character: JSON of
-                # numbers has no quote or line break, so csv quotes the
-                # text only when it has a comma, and only at its ends
-                quote = '"' if "," in value.text else ""
+                # would hold the text at four bytes a character
+                quote = _csv_quote(value.text)
                 out.write(f"{key},{quote}")
                 out.write(value.text)
                 out.write(f"{quote}\r\n")
             else:
                 writer.writerow([key, json.dumps(value)])
+
+
+def _csv_quote(text: str) -> str:
+    """The quote csv.writer puts at each end of text, for a text with no
+    quote or line break (JSON of numbers, a label): '"' when it has a
+    comma, else none."""
+    return '"' if "," in text else ""
+
+
+def _pair_texts(matrix: np.ndarray, dumps, pair: str) -> list:
+    """pair.format(re, im) for each entry of a complex matrix, in C
+    order, with re and im as dumps writes them in a list of floats.
+
+    S entries repeat (sine products times roots of unity), so each
+    distinct [re, im] is formatted once: the entries are keyed on their
+    16 bytes, never on their values, since 0.0 == -0.0 and the two keep
+    their own texts."""
+    keys = np.ascontiguousarray(matrix, np.complex128).view("V16")
+    keys = keys.ravel().tolist()
+    distinct = dict.fromkeys(keys)
+    floats = np.frombuffer(b"".join(distinct), np.float64).tolist()
+    texts = dumps(floats)[1:-1].split(", ")
+    cell = dict(zip(distinct, map(pair.format, texts[0::2], texts[1::2])))
+    return list(map(cell.__getitem__, keys))
+
+
+def _matrix_json(matrix: np.ndarray) -> str:
+    """json.dumps of the [re, im] pairs of a complex matrix, raising the
+    strict encoder's ValueError on a non-finite entry."""
+    n = matrix.shape[1]
+    cells = _pair_texts(matrix, lambda x: json.dumps(x, allow_nan=False),
+                        "[{}, {}]")
+    rows = [", ".join(cells[i:i + n]) for i in range(0, len(cells), n)]
+    rows[0] = "[[" + rows[0]  # on the end rows, not on the joined text,
+    rows[-1] += "]]"          # which would be copied twice more
+    return "], [".join(rows)
 
 
 def _tensor_json(tensor: np.ndarray) -> str:
@@ -203,13 +243,28 @@ def _build_s(args) -> sm.SMatrix:
     return _SMATRIX_BUILDERS[which](args.k)
 
 
+def _smatrix_dim(which: str, k: int) -> int:
+    """The label count of the S matrix `which` at level k, worked out
+    without building it; 1 or 0 for k < 1, which every builder refuses
+    with its own message."""
+    k = max(k, 0)
+    if which == "su2k":
+        return k + 1
+    if which == "u1":
+        return k * (k + 2)
+    if which.startswith("full"):
+        return (k + 1) * (k + 2) // 2
+    return k * (k + 1) // 2  # su(k)_2 weights, coset fields
+
+
 def cmd_smatrix(args) -> int:
+    n = _smatrix_dim(args.which, args.k)
+    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
+                      f"a document of {n ** 2} S entries")
     s = _build_s(args)
-    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * s.dim ** 2,
-                      f"a document of {s.dim ** 2} S entries")
     doc = document("smatrix", args.k, s.labels, {
         "which": args.which,
-        "matrix": _complex_pairs(s.entries),
+        "matrix": s.entries,
     })
     emit(doc, args.format)
     return EXIT_OK

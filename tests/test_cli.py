@@ -297,13 +297,13 @@ class TestResourceExit:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_smatrix_over_budget_exits_2(self, capsys, monkeypatch, fmt):
-        def never(matrix):
-            raise AssertionError("document built over budget")
+        def never(k):
+            raise AssertionError("S built over budget")
         need = 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY  # coset k = 3: n = 6
         argv = ("smatrix", "--k", "3", "--which", "coset", "--format", fmt)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_complex_pairs", never)  # refused before it
+            m.setitem(cli._SMATRIX_BUILDERS, "coset", never)  # before S
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -330,6 +330,44 @@ class TestResourceExit:
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "tensor" in out
+
+    @pytest.mark.parametrize("which", sorted(cli._SMATRIX_BUILDERS))
+    def test_smatrix_dim_before_the_build(self, which):
+        for k in range(2, 17):
+            n = cli._SMATRIX_BUILDERS[which](k).dim
+            assert cli._smatrix_dim(which, k) == n, k
+
+    @pytest.mark.parametrize("k,which,message", [
+        ("0", "su2k", "su(2)_k needs level k >= 1, got 0"),
+        ("0", "coset", "su(k)_2 needs k >= 2, got 0"),
+        ("-100000", "u1", "need k >= 1, got -100000"),
+        ("-100000", "full-product", "need k >= 2, got -100000"),
+    ])
+    def test_smatrix_invalid_k_is_the_builders_error(self, capsys, k, which,
+                                                     message):
+        # no budget refusal for a k whose label count formula is huge
+        code, out, err = run(capsys, "smatrix", "--k", k, "--which", which)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("which,k,n", [("coset", 24, 300),
+                                           ("su2k", 299, 300),
+                                           ("full-product", 23, 300)])
+    def test_smatrix_peak_within_budget_constant(self, tmp_path, which, k, n,
+                                                 fmt):
+        # the whole command, its document written to a real file, stays
+        # below the bytes per entry that its guard charges
+        argv = ["smatrix", "--k", str(k), "--which", which, "--format", fmt]
+        with open(tmp_path / "doc", "w") as sink, \
+                contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < cli.SMATRIX_BYTES_PER_ENTRY * n ** 2
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("which,k,n", [("coset", 13, 91),
@@ -473,6 +511,81 @@ class TestTensorEncoder:
                 writer.writerow([key, text if key == "tensor"
                                  else json.dumps(value)])
         assert got.getvalue() == want.getvalue()
+
+
+def _reference_smatrix_document(k, which, labels, matrix, fmt):
+    """The smatrix document through tolist(), json.dumps and csv.writer
+    rows of float cells."""
+    pairs = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
+    doc = cli.document("smatrix", k, labels,
+                       {"which": which, "matrix": pairs})
+    if fmt == "json":
+        return json.dumps(doc, allow_nan=False) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for key in ("schema_version", "k", "kind"):
+        writer.writerow([f"# {key}", doc[key]])
+    header = ["label"]
+    for lab in doc["basis"]:
+        header += [f"{lab} re", f"{lab} im"]
+    writer.writerow(header)
+    for lab, row in zip(doc["basis"], pairs):
+        writer.writerow([lab] + [float(x) for re_im in row for x in re_im])
+    return buf.getvalue()
+
+
+def _emitted(capsys, labels, matrix, fmt):
+    doc = cli.document("smatrix", 2, labels, {"which": "su2k",
+                                              "matrix": np.array(matrix)})
+    cli.emit(doc, fmt)
+    return capsys.readouterr().out
+
+
+class TestMatrixEncoder:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("which", sorted(cli._SMATRIX_BUILDERS))
+    def test_builder_documents(self, capsys, which, fmt):
+        top = 8 if which == "suk2-oracle" else 12
+        for k in range(2, top + 1):
+            s = cli._SMATRIX_BUILDERS[which](k)
+            code, out, _ = run(capsys, "smatrix", "--k", str(k),
+                               "--which", which, "--format", fmt)
+            assert code == 0
+            assert out == _reference_smatrix_document(
+                k, which, s.labels, s.entries, fmt), k
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("labels,matrix", [
+        (["0"], [[0.5 - 0.25j]]),
+        (["0"], [[complex(-0.0, -0.0)]]),
+        (["0", "0,1"], [[complex(0.0, -0.0), complex(-0.0, 0.0)],
+                        [complex(-0.0, -0.0), complex(0.0, 0.0)]]),
+        (["0,1", "1", "2,2"], [[5e-324, 1e16j, 1e-05],
+                               [-1.5e300 + 5e-324j, -0.0, 1e16],
+                               [1e-05j, complex(-1.5e300, -0.0), 1 / 3]]),
+    ])
+    def test_hand_made_matrices(self, capsys, labels, matrix, fmt):
+        # 0.0 and -0.0 are equal values with their own texts
+        expected = _reference_smatrix_document(2, "su2k", labels,
+                                               np.array(matrix), fmt)
+        assert _emitted(capsys, labels, matrix, fmt) == expected
+
+    def test_non_finite_entries(self, capsys, monkeypatch):
+        labels = ["0", "1"]
+        entries = np.array([[complex(np.nan, 0.5), 1.0],
+                            [complex(-0.0, np.inf), -np.inf]])
+        monkeypatch.setitem(cli._SMATRIX_BUILDERS, "su2k",
+                            lambda k: sm.SMatrix(labels, entries))
+        code, out, err = run(capsys, "smatrix", "--k", "1", "--which", "su2k")
+        assert code == 1 and out == ""  # strict JSON, as json.dumps
+        assert err == ("error: Out of range float values are not JSON "
+                       "compliant\n")
+        code, out, _ = run(capsys, "smatrix", "--k", "1", "--which", "su2k",
+                           "--format", "csv")
+        assert code == 0
+        assert out == _reference_smatrix_document(1, "su2k", labels, entries,
+                                                  "csv")
+        assert out.endswith("0,nan,0.5,1.0,0.0\r\n1,-0.0,inf,-inf,0.0\r\n")
 
 
 class TestLabels:
