@@ -297,15 +297,22 @@ def _verify_checks(k: int, tol: float, targets=None):
     residual < tol. A check that raises one of CHECK_FAILURES is recorded
     as failed with the error's message. Each check records its wall time
     as elapsed_s, which includes the builds of the S matrices it is the
-    first to use."""
-    su2k = _once(lambda: sm.s_su2k(k))
-    suk2 = _once(lambda: sm.s_suk2_compact(k))
-    coset = _once(lambda: co.coset_s_compact(k))
-    full = _once(lambda: fc.full_s_product(k))
+    first to use. Each S build is refused with ResourceError, before it
+    allocates, when the memory budget does not admit its n^2 entries."""
+    def build(which, builder):
+        n = _smatrix_dim(which, k)
+        fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
+                          f"the {which} S matrix of {n ** 2} entries")
+        return builder(k)
+
+    su2k = _once(lambda: build("su2k", sm.s_su2k))
+    suk2 = _once(lambda: build("suk2-compact", sm.s_suk2_compact))
+    coset = _once(lambda: build("coset", co.coset_s_compact))
+    full = _once(lambda: build("full-product", fc.full_s_product))
 
     def four_way():
-        four = [suk2(), coset().s, co.coset_s_phase_form(k),
-                co.coset_s_via_su2k_u1(k)]
+        four = [suk2(), coset().s, build("coset", co.coset_s_phase_form),
+                build("coset-lm", co.coset_s_via_su2k_u1)]
         return max(a.max_abs_diff(b) for a, b in combinations(four, 2))
 
     @cache
@@ -343,7 +350,8 @@ def _verify_checks(k: int, tol: float, targets=None):
         return 0
 
     plan = [("oracle-vs-compact",
-             lambda: sm.s_suk2_weylkac(k).max_abs_diff(suk2())),
+             lambda: build("suk2-oracle",
+                           sm.s_suk2_weylkac).max_abs_diff(suk2())),
             ("coset-four-way", four_way)]
     for name in ("su2k", "coset", "full"):
         plan += [
@@ -356,7 +364,8 @@ def _verify_checks(k: int, tol: float, targets=None):
         ("verlinde-vs-closed-su2k", verlinde_su2k),
         ("verlinde-full-integrality", verlinde_full),
         ("full-dual-construction",
-         lambda: full().max_abs_diff(fc.full_s_compact(k))),
+         lambda: full().max_abs_diff(build("full-compact",
+                                           fc.full_s_compact))),
         ("filling-factor",
          lambda: int(fc.filling_factor(fc.gram_matrix(k))
                      != Fraction(k, k + 2))),

@@ -2,8 +2,8 @@
 
 Three independent routes to the su(k)_2 matrix live here:
 
-* the Weyl-Kac sum over the Weyl group, evaluated as a determinant (the
-  oracle),
+* the Weyl-Kac sum over the Weyl group, evaluated as one 2x2
+  complementary minor per entry (the oracle),
 * the single-term closed form obtained through level-rank duality with
   su(2)_k,
 * reconstruction from the orbit representatives via simple-current phases,
@@ -143,38 +143,36 @@ def s_su2k(k: int) -> SMatrix:
 
 
 def s_suk2_weylkac(k: int) -> SMatrix:
-    """su(k)_2 S matrix by the Weyl-Kac sum, one determinant per entry.
+    """su(k)_2 S matrix by the Weyl-Kac sum, one 2x2 minor per entry.
 
-    Entry = i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) *
-            sum_w eps(w) exp(-2 pi i (Lam+rho | w(Lam'+rho)) / (k+2)),
-    with rho the Weyl vector. The lattice index k(k+2)^{k-1} is
-    det C * h^{rank} for A_{k-1} at h = k+2. In orthogonal coordinates x, y
-    of Lam+rho and Lam'+rho the Weyl group permutes the k coordinates, so
-    by the Leibniz formula the sum is det[exp(-2 pi i x_i y_j / (k+2))].
+    Entry = i^{k(k-1)/2} / sqrt(k h^{k-1}) sum_w eps(w)
+            exp(-2 pi i (Lam+rho | w(Lam'+rho)) / h), h = k + 2. W permutes
+    the orthogonal coordinates x_j = (k - j) + [j <= mu] + [j <= nu] of
+    Lam_mu + Lam_nu + rho, k of the h residues, so past the traceless phase
+    exp(2 pi i |x||y| / (k h)) the sum is the minor F[X, Y] of the DFT
+    matrix F = [zeta^{-ab}], zeta = exp(2 pi i / h). Jacobi's identity
+    (Horn & Johnson, Matrix Analysis) makes it det F (-1)^{m+m'} times
+    det(conj(F)/h)[{lo', hi'}, {lo, hi}], m = mu + nu, on the residues
+    lo = k - nu, hi = k - mu + 1 that X misses. Level-rank duality is
+    usually proved through this identity, so the oracle shares that one
+    step with s_suk2_compact but none of its phases, signs or
+    normalisation, which are what oracle-vs-compact catches.
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     h = k + 2
     labels = canonical_weights(k)
-    n = len(labels)
-
-    # Orthogonal coordinates (k - j) + [j <= mu] + [j <= nu], j = 1..k, of
-    # Lam_mu + Lam_nu + rho (Lam_0 = 0) less their mean, times k: integers.
     mu, nu = weight_arrays(labels)
-    j = np.arange(1, k + 1)
-    coords = (k - j) + (j <= mu[:, None]) + (j <= nu[:, None])
-    shifted = k * coords - coords.sum(axis=1, keepdims=True)  # (n, k)
-
-    npos = k * (k - 1) // 2
-    pref = (1j ** (npos % 4)) / math.sqrt(k * float(h) ** (k - 1))
-    denom = k * k * h  # angle = -2 pi numerator / denom
-
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        # (n, k, k): k^2 x_i y_m for every column
-        nums = shifted[i][None, :, None] * shifted[:, None, :]
-        entries[i] = pref * np.linalg.det(phase(-nums, denom))
-    return SMatrix(labels, entries)
+    lo, hi = k - nu, k - mu + 1  # the residues x misses
+    size = h * (h - 1) // 2 - lo - hi  # |x|
+    r = np.arange(h)
+    pref = (1j ** (k * (k - 1) // 2 % 4) / math.sqrt(k * h)
+            * np.linalg.det(phase(-np.outer(r, r), h) / math.sqrt(h)))
+    parity = (-1) ** (mu + nu)
+    shift = np.outer(size, size)
+    minor = (phase(k * (np.outer(lo, lo) + np.outer(hi, hi)) + shift, k * h)
+             - phase(k * (np.outer(lo, hi) + np.outer(hi, lo)) + shift, k * h))
+    return SMatrix(labels, pref * np.outer(parity, parity) * minor)
 
 
 def s_suk2_compact(k: int) -> SMatrix:

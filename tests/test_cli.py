@@ -313,6 +313,39 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "0,1" in out
 
+    @pytest.mark.parametrize("targets,which,module,builder", [
+        ("oracle", "suk2-oracle", sm, "s_suk2_weylkac"),
+        ("coset-four-way", "suk2-compact", sm, "s_suk2_compact"),
+        ("unitarity-su2k", "su2k", sm, "s_su2k"),
+        ("unitarity-full", "full-product", fc, "full_s_product"),
+    ])
+    def test_verify_over_budget_exits_2(self, capsys, monkeypatch, targets,
+                                        which, module, builder):
+        def never(k):
+            raise AssertionError("S built over budget")
+        n = cli._smatrix_dim(which, 3)
+        need = n ** 2 * cli.SMATRIX_BYTES_PER_ENTRY
+        argv = ("verify", "--k", "3", "--targets", targets)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(module, builder, never)  # refused before the build
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: the {which} S matrix of {n ** 2} "
+                              "entries") and "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and strict_json(out)["passed"]
+
+    def test_verify_without_s_needs_no_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(fu, "memory_budget", lambda: 0)
+        code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
+                           "filling")
+        assert code == 0 and strict_json(out)["passed"]
+        code, out, _ = run(capsys, "verify", "--k", "3", "--all")
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):
         def never(s):
@@ -352,6 +385,7 @@ class TestResourceExit:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("which,k,n", [("coset", 24, 300),
+                                           ("suk2-oracle", 24, 300),
                                            ("su2k", 299, 300),
                                            ("full-product", 23, 300)])
     def test_smatrix_peak_within_budget_constant(self, tmp_path, which, k, n,
@@ -545,8 +579,7 @@ class TestMatrixEncoder:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("which", sorted(cli._SMATRIX_BUILDERS))
     def test_builder_documents(self, capsys, which, fmt):
-        top = 8 if which == "suk2-oracle" else 12
-        for k in range(2, top + 1):
+        for k in range(2, 13):
             s = cli._SMATRIX_BUILDERS[which](k)
             code, out, _ = run(capsys, "smatrix", "--k", str(k),
                                "--which", which, "--format", fmt)
@@ -613,6 +646,17 @@ class TestLabels:
         assert fc.FullSector(label.l, label.rho, k) == label
         assert 0 <= label.l < k + 2 and 0 <= label.rho < k
         assert cli._parse_label(str(label), sectors, k) == label
+
+
+def test_readme_library_block_runs():
+    # the README's Library example is the one user of the top-level names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert [str(lab) for lab in namespace["paper"].labels] == [
+        "0,0", "1,1", "2,2", "0,1", "0,2", "1,2"]
 
 
 def test_python_m_runs_the_cli():

@@ -74,10 +74,17 @@ class TestWeylKacOracle:
         s = sm.s_suk2_weylkac(2)
         assert s.entry(w(0, 0, 2), w(0, 0, 2)) == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", range(2, 31))
     def test_matches_compact(self, k):
+        # the oracle-vs-compact residual of `verify`
         diff = sm.s_suk2_weylkac(k).max_abs_diff(sm.s_suk2_compact(k))
-        assert diff < 1e-10
+        assert diff <= 2e-15
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_matches_row_determinants(self, k):
+        # the 2x2 complementary minor is Jacobi's form of the k x k minor
+        assert np.max(np.abs(sm.s_suk2_weylkac(k).entries
+                             - weyl_determinant_s(k))) <= 1e-14
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_matches_weyl_sum(self, k):
@@ -85,27 +92,57 @@ class TestWeylKacOracle:
         assert np.max(np.abs(sm.s_suk2_weylkac(k).entries
                              - weyl_sum_s(k))) < 1e-12
 
+    @pytest.mark.parametrize("k", range(2, 40))
+    def test_missing_residues(self, k):
+        # the k coordinates of Lam_mu + Lam_nu + rho are distinct residues
+        # mod k + 2 and miss exactly k - nu and k - mu + 1
+        coords = epsilon_coords(k)
+        assert coords.min() >= 0 and coords.max() <= k + 1
+        for weight, x in zip(sm.canonical_weights(k), coords):
+            missing = set(range(k + 2)) - set(x.tolist())
+            assert missing == {k - weight.nu, k - weight.mu + 1}, weight
 
-def weyl_sum_s(k):
-    """su(k)_2 S matrix as the explicit k!-term Weyl-Kac sum, in the
-    canonical basis: i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) times
-    sum_w eps(w) exp(-2 pi i (Lam+rho | w(Lam'+rho)) / (k+2))."""
-    perms, signs = lie.weyl_group(k)
+
+def epsilon_coords(k):
+    """(n, k) integer orthogonal coordinates of Lam + rho for the
+    canonical weights: suffix sums of the Dynkin labels, then 0."""
     coords = []
     for weight in sm.canonical_weights(k):
         dynkin = [1] * (k - 1)  # rho
         for index in (weight.mu, weight.nu):
             if index:
                 dynkin[index - 1] += 1
-        # epsilon coordinates: suffix sums of the Dynkin labels, then 0
         coords.append(np.cumsum(dynkin[::-1])[::-1].tolist() + [0])
-    x = np.array(coords, dtype=float)
+    return np.array(coords, dtype=np.int64)
+
+
+def weyl_sum_s(k):
+    """su(k)_2 S matrix as the explicit k!-term Weyl-Kac sum, in the
+    canonical basis: i^{k(k-1)/2} / sqrt(k (k+2)^{k-1}) times
+    sum_w eps(w) exp(-2 pi i (Lam+rho | w(Lam'+rho)) / (k+2))."""
+    perms, signs = lie.weyl_group(k)
+    x = epsilon_coords(k).astype(float)
     x -= x.mean(axis=1, keepdims=True)  # traceless
     pref = 1j ** (k * (k - 1) // 2 % 4) / math.sqrt(k * (k + 2) ** (k - 1))
     # (Lam+rho | w(Lam'+rho)) for every w: (|W|, n, n)
     inner = np.einsum("ai,wbi->wab", x, x[:, perms].transpose(1, 0, 2))
     return pref * np.einsum("w,wab->ab", signs,
                             np.exp(-2j * np.pi * inner / (k + 2)))
+
+
+def weyl_determinant_s(k):
+    """The same sum by the Leibniz formula, one k x k determinant
+    det[exp(-2 pi i x_a y_b / (k+2))] per entry in traceless coordinates,
+    a row of entries at a time."""
+    h = k + 2
+    coords = epsilon_coords(k)
+    shifted = k * coords - coords.sum(axis=1, keepdims=True)  # k x, traceless
+    pref = 1j ** (k * (k - 1) // 2 % 4) / math.sqrt(k * float(h) ** (k - 1))
+    entries = np.empty((len(coords), len(coords)), dtype=complex)
+    for i, row in enumerate(shifted):
+        nums = row[None, :, None] * shifted[:, None, :]  # k^2 x_a y_b
+        entries[i] = pref * np.linalg.det(sm.phase(-nums, k * k * h))
+    return entries
 
 
 class TestCompact:
