@@ -340,10 +340,8 @@ def _verify_checks(k: int, tol: float, targets=None):
                                       fu.coset_fusion_tensor(k)))
 
     def verlinde_su2k():
-        ring = fu.verlinde(su2k())
-        return int(any({c: 1 for c in fu.fusion_su2k_closed(a, b, k)}
-                       != dict(ring.product(a, b))
-                       for a in ring.labels for b in ring.labels))
+        ring = fu.verlinde(su2k())  # basis l = 0..k
+        return int(not np.array_equal(ring.tensor, fu.su2k_fusion_tensor(k)))
 
     def verlinde_full():
         fu.verlinde(full())  # raises on failure
@@ -413,10 +411,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fusion(args) -> int:
-    s = _build_s(args)
-    fu.require_budget(FUSION_BYTES_PER_CUBE * s.dim ** 3,
-                      f"the fusion document of {s.dim} labels")
-    ring = fu.verlinde(s)
+    n = _smatrix_dim(args.which, args.k)
+    fu.require_budget(FUSION_BYTES_PER_CUBE * n ** 3,
+                      f"the fusion document of {n} labels")
+    ring = fu.verlinde(_build_s(args))
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
@@ -461,11 +459,14 @@ def _parse_label(text: str, labels, k: int):
 
 
 def cmd_interfere(args) -> int:
+    n = _smatrix_dim(args.which, args.k)
+    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2
+                      + INTERFERE_BYTES_PER_SAMPLE * args.samples,
+                      f"a curve of {args.samples} samples over an S matrix "
+                      f"of {n ** 2} entries")
     s = _build_s(args)
     bulk = _parse_label(args.bulk, s.labels, args.k)
     probe = _parse_label(args.probe, s.labels, args.k)
-    fu.require_budget(INTERFERE_BYTES_PER_SAMPLE * args.samples,
-                      f"a curve of {args.samples} samples")
     pattern = it.sigma_xx_curve(s, probe, bulk, args.t1, args.t2, args.samples)
     mono = pattern.monodromy
     doc = document("interference", args.k, [str(probe), str(bulk)], {

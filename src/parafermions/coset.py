@@ -24,13 +24,17 @@ from .errors import (
 from .smatrix import CosetWeight, SMatrix, canonical_weights
 
 
-@dataclass(frozen=True)
-class LmLabel:
-    """su(2)_k / u(1)_{2k} coset label: l twice the spin, m twice the projection."""
+class LmLabel(sm.Label):
+    """su(2)_k / u(1)_{2k} coset label, the tuple (l, m, k): l twice the
+    spin, m twice the projection. Taken as given, not canonicalized
+    (field_identify picks a representative); str is the repr."""
 
-    l: int
-    m: int
-    k: int
+    __slots__ = ()
+    _fields = ("l", "m", "k")
+    __str__ = sm.Label.__repr__
+
+    def __new__(cls, l, m, k):
+        return tuple.__new__(cls, (l, m, k))
 
 
 @dataclass(frozen=True)
@@ -56,11 +60,10 @@ def to_lm(w: CosetWeight) -> LmLabel:
 
 def from_lm(lbl: LmLabel) -> CosetWeight:
     """(l, m) -> (mu, nu) = ((m-l)/2, (m+l)/2), canonicalized mod k."""
-    if (lbl.l - lbl.m) % 2 != 0:
-        raise BranchingParityError(
-            f"(l, m) = ({lbl.l}, {lbl.m}) violates l = m mod 2"
-        )
-    return CosetWeight((lbl.m - lbl.l) // 2, (lbl.m + lbl.l) // 2, lbl.k)
+    l, m, k = lbl
+    if (l - m) % 2 != 0:
+        raise BranchingParityError(f"(l, m) = ({l}, {m}) violates l = m mod 2")
+    return CosetWeight((m - l) // 2, (m + l) // 2, k)
 
 
 def field_identify(lbl: LmLabel) -> LmLabel:

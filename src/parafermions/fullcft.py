@@ -21,36 +21,26 @@ from .errors import ConsistencyError, InvalidRankError, LabelError, LatticeError
 from .smatrix import CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index
 
 
-@dataclass(frozen=True)
-class FullSector:
-    """Read-Rezayi sector (l mod k+2, rho mod k) obeying the pairing rule."""
+class FullSector(sm.Label):
+    """Read-Rezayi sector (l mod k+2, rho mod k) obeying the pairing rule,
+    the tuple (l, rho, k)."""
 
-    l: int
-    rho: int
-    k: int
+    __slots__ = ()
+    _fields = ("l", "rho", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidRankError(f"need k >= 1, got {self.k}")
-        object.__setattr__(self, "l", self.l % (self.k + 2))
-        object.__setattr__(self, "rho", self.rho % self.k)
-        if not self.allowed():
-            raise LabelError(
-                f"(l, rho) = ({self.l}, {self.rho}) violates the Z_k pairing "
-                f"rule at k={self.k}"
-            )
-
-    def allowed(self) -> bool:
-        mu = (self.l - self.rho) % self.k
-        return mu <= self.rho
+    def __new__(cls, l, rho, k):
+        if k < 1:
+            raise InvalidRankError(f"need k >= 1, got {k}")
+        l, rho = l % (k + 2), rho % k
+        if (l - rho) % k > rho:
+            raise LabelError(f"(l, rho) = ({l}, {rho}) violates the Z_k "
+                             f"pairing rule at k={k}")
+        return tuple.__new__(cls, (l, rho, k))
 
     @property
     def neutral(self) -> CosetWeight:
         """Induced parafermion label Lam_{(l-rho) mod k} + Lam_{rho}."""
         return CosetWeight((self.l - self.rho) % self.k, self.rho, self.k)
-
-    def __str__(self):
-        return f"{self.l},{self.rho}"
 
 
 def sector_arrays(k: int):

@@ -332,22 +332,27 @@ def fusion_coset_closed(a: CosetWeight, b: CosetWeight) -> Counter:
         raise ContractViolationError("weights must share k")
     k = a.k
     m_total = (a.mu + a.nu) + (b.mu + b.nu)
-    fields = {from_lm(LmLabel(l2, m_total, k))
-              for l2 in fusion_su2k_closed(a.diff, b.diff, k)}
-    return Counter({w: 1 for w in fields})
+    return Counter({from_lm(LmLabel(l2, m_total, k))  # a set: each field once
+                    for l2 in fusion_su2k_closed(a.diff, b.diff, k)})
+
+
+def su2k_fusion_tensor(k: int) -> np.ndarray:
+    """fusion_su2k_closed for every pair at once: N[l, l', l''] over
+    l = 0..k as one int8 array of 0s and 1s, 1 where
+    |l - l'| <= l'' <= min(l + l', 2k - l - l') and l + l' + l'' is even."""
+    la, lb, lc = np.ogrid[:k + 1, :k + 1, :k + 1]
+    return ((lc >= abs(la - lb)) & (lc <= np.minimum(la + lb, 2 * k - la - lb))
+            & ((lc - la - lb) % 2 == 0)).astype(np.int8)
 
 
 def coset_fusion_tensor(k: int) -> np.ndarray:
     """fusion_coset_closed for every pair at once: the closed form
     N[a, b, c] over canonical_weights(k) as one int8 array of 0s and 1s.
-    Outcome l'' of the su(2)_k rule, with m = m_a + m_b, is the weight
-    ((m - l'')/2, (m + l'')/2) mod k."""
+    Outcome l'' of the su(2)_k rule (su2k_fusion_tensor), with
+    m = m_a + m_b, is the weight ((m - l'')/2, (m + l'')/2) mod k."""
     mu, nu = sm.weight_arrays(sm.canonical_weights(k))
     l, m = nu - mu, mu + nu
-    la, lb, lc = l[:, None, None], l[None, :, None], np.arange(k + 1)
-    a, b, out = np.nonzero((lc >= abs(la - lb))
-                           & (lc <= np.minimum(la + lb, 2 * k - la - lb))
-                           & ((lc - la - lb) % 2 == 0))
+    a, b, out = np.nonzero(su2k_fusion_tensor(k)[l[:, None], l[None, :]])
     x, y = (m[a] + m[b] - out) // 2 % k, (m[a] + m[b] + out) // 2 % k
     tensor = np.zeros((len(l),) * 3, dtype=np.int8)
     tensor[a, b, sm.canonical_index(np.minimum(x, y), np.maximum(x, y), k)] = 1

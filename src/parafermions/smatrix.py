@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,39 +40,62 @@ def phase(num, den: int):
     return np.exp(2j * np.pi * (np.arange(den) / den))[np.mod(num, den)]
 
 
-@dataclass(frozen=True)
-class CosetWeight:
-    """Label Lam_mu + Lam_nu of an su(k)_2 / diagonal-coset primary.
+class Label(tuple):
+    """Base of the label types: an immutable tuple of the fields that a
+    subclass names in _fields, k last, hashed as that plain tuple (in C)
+    but equal only to a label of its own type. A subclass canonicalizes
+    and validates in __new__, through which pickle and copy rebuild it."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(i)))
+
+    def __eq__(self, other):
+        # never NotImplemented: tuple's reflected == would compare fields
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    __ne__ = object.__ne__  # the inverse of __eq__, not tuple's !=
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __str__(self):
+        return ",".join(map(str, self[:-1]))
+
+
+class CosetWeight(Label):
+    """Label Lam_mu + Lam_nu of an su(k)_2 / diagonal-coset primary, the
+    tuple (mu, nu, k).
 
     Construction canonicalizes: indices reduced mod k (Lam_{k+s} = Lam_s),
     then sorted so mu <= nu.
     """
 
-    mu: int
-    nu: int
-    k: int
+    __slots__ = ()
+    _fields = ("mu", "nu", "k")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidRankError(f"need k >= 1, got {self.k}")
-        mu, nu = self.mu % self.k, self.nu % self.k
-        if mu > nu:
-            mu, nu = nu, mu
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
-
-    def __str__(self):
-        return f"{self.mu},{self.nu}"
+    def __new__(cls, mu, nu, k):
+        if k < 1:
+            raise InvalidRankError(f"need k >= 1, got {k}")
+        mu, nu = mu % k, nu % k
+        return tuple.__new__(cls, (mu, nu, k) if mu <= nu else (nu, mu, k))
 
     @property
     def diff(self):
-        return self.nu - self.mu
+        return self[1] - self[0]
 
 
 def canonical_weights(k: int):
-    """All k(k+1)/2 canonical coset weights, sorted by (nu - mu, mu)."""
-    ws = [CosetWeight(mu, nu, k) for mu in range(k) for nu in range(mu, k)]
-    return tuple(sorted(ws, key=lambda w: (w.diff, w.mu)))
+    """All k(k+1)/2 canonical coset weights, in order of (nu - mu, mu)."""
+    return tuple(CosetWeight(mu, mu + d, k)
+                 for d in range(k) for mu in range(k - d))
 
 
 def canonical_index(mu, nu, k: int):
@@ -83,7 +107,7 @@ def canonical_index(mu, nu, k: int):
 
 def weight_arrays(labels):
     """Integer-array views (mu, nu) of a sequence of CosetWeights."""
-    return np.array([(w.mu, w.nu) for w in labels], dtype=np.int64).T
+    return np.array(labels, dtype=np.int64).reshape(-1, 3)[:, :2].T
 
 
 @dataclass(eq=False)

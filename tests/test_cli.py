@@ -280,17 +280,21 @@ class TestResourceExit:
 
     def test_interfere_samples_over_budget_exits_2(self, capsys, monkeypatch):
         def never(*args):
-            raise AssertionError("curve sampled over budget")
-        need = 64 * cli.INTERFERE_BYTES_PER_SAMPLE
+            raise AssertionError("S built or curve sampled over budget")
+        # the curve and the coset S at k = 3 (n = 6), charged before either
+        need = (64 * cli.INTERFERE_BYTES_PER_SAMPLE
+                + 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
         argv = ("interfere", "--k", "3", "--bulk", "1,2", "--probe", "0,1",
                 "--samples", "64")
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
             m.setattr(it, "sigma_xx_curve", never)  # refused before sampling
+            m.setitem(cli._SMATRIX_BUILDERS, "coset", never)  # and before S
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: a curve of 64 samples") and "budget" in err
+        assert err.startswith("error: a curve of 64 samples over an S matrix "
+                              "of 36 entries") and "budget" in err
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(json.loads(out)["curve"]) == 64
@@ -363,6 +367,38 @@ class TestResourceExit:
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "tensor" in out
+
+    @pytest.mark.parametrize("which,n", [("coset", 6), ("su2k", 4),
+                                         ("full", 10)])
+    def test_fusion_refused_before_the_build(self, capsys, monkeypatch,
+                                             which, n):
+        def never(k):
+            raise AssertionError("S built over budget")
+        need = n ** 3 * cli.FUSION_BYTES_PER_CUBE
+        argv = ("fusion", "--k", "3", "--which", which)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_s", never)
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the fusion document of {n} labels")
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "tensor" in out
+
+    @pytest.mark.parametrize("command", ["fusion", "interfere"])
+    @pytest.mark.parametrize("k,message", [
+        ("1", "su(k)_2 needs k >= 2, got 1"),
+        ("-100000", "su(k)_2 needs k >= 2, got -100000"),
+    ])
+    def test_invalid_k_is_the_builders_error(self, capsys, command, k,
+                                             message):
+        # the guard charges nothing for a k that the builder refuses
+        labels = ("--bulk", "0,0", "--probe", "0,0")
+        code, out, err = run(capsys, command, "--k", k,
+                             *(labels if command == "interfere" else ()))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("which", sorted(cli._SMATRIX_BUILDERS))
     def test_smatrix_dim_before_the_build(self, which):

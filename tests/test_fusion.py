@@ -645,6 +645,16 @@ class TestClosedForms:
                 closed = {c: 1 for c in fu.fusion_su2k_closed(a, b, k)}
                 assert closed == dict(ring.product(a, b))
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    def test_su2k_tensor_is_the_per_pair_rule(self, k):
+        tensor = fu.su2k_fusion_tensor(k)
+        assert tensor.shape == (k + 1,) * 3 and tensor.dtype == np.int8
+        for a in range(k + 1):
+            for b in range(k + 1):
+                outcomes = set(np.flatnonzero(tensor[a, b]).tolist())
+                assert outcomes == fu.fusion_su2k_closed(a, b, k)
+        assert set(np.unique(tensor).tolist()) == {0, 1}
+
     def test_sigma2_squared(self):
         # k=3: (Lam0+Lam2) x (Lam0+Lam2) = (Lam2+Lam2) + (Lam0+Lam1)
         got = fu.fusion_coset_closed(w(0, 2), w(0, 2))
