@@ -426,6 +426,9 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    n = _smatrix_dim("coset", args.k)
+    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
+                      f"the coset S matrix of {n ** 2} entries")
     cdata = co.coset_s_compact(args.k)
     qdims = fu.quantum_dimensions(cdata.s)
     doc = document("dims", args.k, cdata.s.labels, {

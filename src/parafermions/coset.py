@@ -4,7 +4,8 @@ The coset S matrix is built four independent ways: the phase-conjugate
 form acting on the su(k)_2 matrix, the compact closed form, the identity
 with su(k)_2 itself, and the su(2)_k x u(1)_{2k} product construction on
 (l, m) labels. The acceptance suite checks all four agree entrywise.
-"""
+Conformal weights are integer numerators over 4k(k+2), one label-array
+broadcast; coset_dimension is the per-label reference."""
 
 from __future__ import annotations
 
@@ -95,6 +96,14 @@ def coset_dimension(w: CosetWeight) -> Fraction:
     return lm_dimension(field_identify(to_lm(w)))
 
 
+def dimension_numerators(mu, nu, k: int):
+    """4k(k+2) coset_dimension(Lam_mu + Lam_nu) for integer arrays 0 <= mu
+    <= nu < k: field_identify, then k l(l+2) - (k+2) m^2, as one broadcast."""
+    l, m = nu - mu, np.abs((mu + nu + k - 1) % (2 * k) - k + 1)
+    l, m = np.where(m > l, k - l, l), np.where(m > l, k - m, m)
+    return k * l * (l + 2) - (k + 2) * m * m
+
+
 def count_primaries(k: int) -> int:
     """k(k+1)/2, cross-checked against the canonical weight enumeration."""
     if k < 1:
@@ -108,7 +117,8 @@ def count_primaries(k: int) -> int:
 def coset_s_compact(k: int) -> CosetModularData:
     """Coset modular data from the closed form (identical to su(k)_2)."""
     s = sm.s_suk2_compact(k)
-    dims = {w: coset_dimension(w) for w in s.labels}
+    num = dimension_numerators(*sm.weight_arrays(s.labels), k).tolist()
+    dims = {w: Fraction(x, 4 * k * (k + 2)) for w, x in zip(s.labels, num)}
     return CosetModularData(s=s, dims=dims, central_charge=central_charge(k))
 
 

@@ -114,8 +114,8 @@ def full_s_compact(k: int) -> SMatrix:
 
 
 def full_dims(k: int) -> dict:
-    """Sector dimensions l^2/(2k(k+2)) + coset dimension, consumed only
-    through T phases.
+    """Sector dimensions (2 l^2 + coset numerator of the neutral label) /
+    (4k(k+2)), l^2/(2k(k+2)) + coset dimension, used only in T phases.
 
     The full theory extends the coset by the electron, a simple current
     of weight 3/2, so each weight is well defined only mod 1/2 along its
@@ -123,11 +123,10 @@ def full_dims(k: int) -> dict:
     per sector, while T^2 is well defined; only <S, T^2> acts."""
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
-    out = {}
-    for s in enumerate_sectors(k):
-        charged = Fraction(s.l * s.l, 2 * k * (k + 2))
-        out[s] = charged + co.coset_dimension(s.neutral)
-    return out
+    l, rho = sector_arrays(k)[:2]
+    num = 2 * l * l + co.dimension_numerators((l - rho) % k, rho, k)
+    return {s: Fraction(x, 4 * k * (k + 2))
+            for s, x in zip(enumerate_sectors(k), num.tolist())}
 
 
 def full_central_charge(k: int) -> Fraction:
@@ -139,10 +138,11 @@ class ChargeLattice:
     """Integer Gram matrix G of the (2k-1)-dimensional charge lattice and
     its charge vector Q, checked positive definite on construction.
 
-    pivots: one fraction-free (Bareiss) elimination of [G | Q] with the row
-    [Q^T | 0] appended, exact and without row exchanges. By Sylvester's
-    identity pivot m <= dim is the m-th leading principal minor of G, all
-    > 0 exactly when G is positive definite; the last is
+    pivots: the diagonal of one fraction-free (Bareiss) elimination of
+    [G | Q] with the row [Q^T | 0] appended, exact in Python ints (an
+    object array, one block update per pivot), without row exchanges. By
+    Sylvester's identity pivot m <= dim is the m-th leading principal minor
+    of G, all > 0 exactly when G is positive definite; the last is
     det G * (0 - Q^T G^{-1} Q), the Schur complement of G."""
 
     k: int
@@ -151,19 +151,17 @@ class ChargeLattice:
     pivots: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = [[*row, q] for row, q in zip(self.gram, self.charge_vector)]
-        a.append([*self.charge_vector, 0])
-        pivots = [1]
-        for c, top in enumerate(a):
-            if c < self.dim and top[c] <= 0:
+        q = self.charge_vector
+        a = np.array([[*row, x] for row, x in zip(self.gram, q)] + [[*q, 0]],
+                     dtype=object)
+        for c, top in enumerate(a.diagonal()):  # a view: read as it goes
+            if c < self.dim and top <= 0:
                 raise LatticeError(
                     f"Gram matrix not positive definite at k={self.k}: "
-                    f"leading minor {c + 1} is {top[c]}")
-            for row in a[c + 1:]:
-                row[c + 1:] = [(x * top[c] - row[c] * y) // pivots[-1]
-                               for x, y in zip(row[c + 1:], top[c + 1:])]
-            pivots.append(top[c])
-        object.__setattr__(self, "pivots", tuple(pivots[1:]))
+                    f"leading minor {c + 1} is {top}")
+            a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * top - np.outer(
+                a[c + 1:, c], a[c, c + 1:])) // (a[c - 1, c - 1] if c else 1)
+        object.__setattr__(self, "pivots", tuple(a.diagonal().tolist()))
 
     @property
     def dim(self):

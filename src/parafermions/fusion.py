@@ -379,15 +379,22 @@ def total_quantum_dimension(s: SMatrix) -> float:
 class TData:
     """Diagonal T matrix data: exact dimensions and central charge."""
 
-    dims: dict  # label -> Fraction
+    dims: dict  # label -> Fraction, or any value Fraction() accepts
     central_charge: Fraction
 
     def phase(self, label) -> complex:
         q = Fraction(self.dims[label]) - self.central_charge / 24
         return cmath.exp(2j * math.pi * float(q % 1))
 
-    def matrix(self, labels) -> np.ndarray:
-        return np.diag([self.phase(lab) for lab in labels])
+    def vector(self, labels) -> np.ndarray:
+        """Bitwise [phase(lab) for lab in labels] in one exp: each (h - c/24)
+        mod 1 exact over the lcm d of the denominators, rounded once."""
+        h = [Fraction(self.dims[lab]) for lab in labels]
+        h.append(Fraction(self.central_charge) / 24)
+        num, den = np.array([q.as_integer_ratio() for q in h], dtype=object).T
+        d = math.lcm(*set(den.tolist()))
+        r = num * (d // den)
+        return np.exp(2j * np.pi * ((r[:-1] - r[-1]) % d / d).astype(float))
 
 
 @dataclass(frozen=True)
@@ -405,15 +412,14 @@ class ModularReport:
 def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:
     """Residuals of S S^dag = I, S^2 = C, (ST)^3 = C and C^2 = I, with C
     the rounded real part of S^2. conjugation_is_permutation is
-    structural: C has entries in {-1, 0, 1}, one nonzero per row and per
-    column; how close S^2 comes to C is s2_defect."""
+    structural: |C| sums to 1 along every row and column, so the integer
+    C is a signed permutation; how close S^2 comes to C is s2_defect."""
     s2 = s.entries @ s.entries
-    snapped = np.round(s2.real).astype(np.int64)
-    is_perm = (set(np.unique(snapped)) <= {-1, 0, 1}
-               and bool(np.all(np.abs(snapped).sum(axis=0) == 1))
-               and bool(np.all(np.abs(snapped).sum(axis=1) == 1)))
-    c = snapped.astype(float)
-    st = s.entries @ t.matrix(s.labels)
+    c = np.round(s2.real)
+    size = np.abs(c)
+    is_perm = bool(np.all(size.sum(axis=0) == 1)
+                   and np.all(size.sum(axis=1) == 1))
+    st = s.entries @ np.diag(t.vector(s.labels))
     st3 = st @ st @ st
     return ModularReport(
         s2_defect=float(np.max(np.abs(s2 - c))),

@@ -93,13 +93,11 @@ class DetectionRow:
 
 def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
     """Monodromy magnitude (the visibility relative to a vacuum bulk, whose
-    |M| is 1) and phase for each bulk candidate, read off the probe's
-    monodromy row; flags non-Abelian whenever |M| < 1 by more than
-    DEFAULT_TOLERANCE."""
-    row = monodromy_row(s, probe)
-    rows = []
-    for bulk in bulk_candidates:
-        m = Monodromy(complex(row[s.index(bulk)]))
-        rows.append(DetectionRow(bulk, m.magnitude, m.phase, not math.isclose(
-            m.magnitude, 1.0, abs_tol=DEFAULT_TOLERANCE)))
-    return tuple(rows)
+    |M| is 1) and phase for each bulk candidate: abs and cmath.phase of
+    its entry in the probe's monodromy row, gathered once; flags
+    non-Abelian whenever |M| < 1 by more than DEFAULT_TOLERANCE."""
+    bulks = tuple(bulk_candidates)
+    row = monodromy_row(s, probe)[[s.index(b) for b in bulks]].tolist()
+    return tuple(DetectionRow(b, size, cmath.phase(m), not math.isclose(
+        size, 1.0, abs_tol=DEFAULT_TOLERANCE))
+        for b, m, size in zip(bulks, row, map(abs, row)))

@@ -9,8 +9,8 @@ Three independent routes to the su(k)_2 matrix live here:
 * reconstruction from the orbit representatives via simple-current phases,
   with each weight's orbit read off its labels by orbit_of.
 
-All phases and conformal dimensions are exact rationals until the final
-exp/sin evaluation in double precision.
+Every phase and conformal dimension is an exact integer over one
+denominator per matrix or theory until the final exp/sin in float64.
 """
 
 from __future__ import annotations

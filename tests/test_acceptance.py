@@ -97,7 +97,7 @@ def _modular_residuals(name, k):
     s, t = _theory_data(name, k)
     report = fu.verify_modular_relations(s, t)
     c = np.round((s.entries @ s.entries).real)
-    t2 = np.linalg.matrix_power(t.matrix(s.labels), 2)
+    t2 = np.linalg.matrix_power(np.diag(t.vector(s.labels)), 2)
     return {
         "unitarity": report.unitarity_defect,
         "C^2=1": report.c2_defect,

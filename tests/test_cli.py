@@ -317,6 +317,24 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "0,1" in out
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_dims_over_budget_exits_2(self, capsys, monkeypatch, fmt):
+        def never(k):
+            raise AssertionError("S built over budget")
+        need = 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY  # coset k = 3: n = 6
+        argv = ("dims", "--k", "3", "--format", fmt)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(co, "coset_s_compact", never)  # refused before S
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the coset S matrix of 36 entries")
+        assert "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "0,1" in out
+
     @pytest.mark.parametrize("targets,which,module,builder", [
         ("oracle", "suk2-oracle", sm, "s_suk2_weylkac"),
         ("coset-four-way", "suk2-compact", sm, "s_suk2_compact"),
@@ -386,7 +404,7 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and "tensor" in out
 
-    @pytest.mark.parametrize("command", ["fusion", "interfere"])
+    @pytest.mark.parametrize("command", ["fusion", "interfere", "dims"])
     @pytest.mark.parametrize("k,message", [
         ("1", "su(k)_2 needs k >= 2, got 1"),
         ("-100000", "su(k)_2 needs k >= 2, got -100000"),

@@ -109,6 +109,23 @@ class TestDimensions:
             assert 0 <= d <= 2
 
 
+class TestDimensionNumerators:
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_equal_coset_dimension(self, k):
+        labels = sm.canonical_weights(k)
+        num = co.dimension_numerators(*sm.weight_arrays(labels), k)
+        assert num.dtype.kind == "i"
+        got = [Fraction(x, 4 * k * (k + 2)) for x in num.tolist()]
+        assert got == [co.coset_dimension(x) for x in labels]
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_coset_s_compact_dims(self, k):
+        data = co.coset_s_compact(k)
+        assert list(data.dims) == list(data.s.labels)
+        assert data.dims == {x: co.coset_dimension(x) for x in data.s.labels}
+        assert all(type(d) is Fraction for d in data.dims.values())
+
+
 class TestCounting:
     def test_values(self):
         assert co.count_primaries(3) == 6

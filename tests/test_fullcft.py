@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafermions import coset as co
 from parafermions import fullcft as fc
 from parafermions import fusion as fu
+from parafermions import lie
 from parafermions import smatrix as sm
 from parafermions.errors import InvalidRankError, LabelError, LatticeError
 
@@ -148,7 +150,55 @@ class TestDims:
         assert dims2[fc.FullSector(2, 1, 2)] == expected
 
 
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_per_sector_formula(self, k):
+        dims = fc.full_dims(k)
+        expected = {s: Fraction(s.l * s.l, 2 * k * (k + 2))
+                    + co.coset_dimension(s.neutral)
+                    for s in fc.enumerate_sectors(k)}
+        assert list(dims) == list(expected) and dims == expected
+        assert all(type(d) is Fraction for d in dims.values())
+
+
+@st.composite
+def symmetric_systems(draw):
+    """(G, Q): a random symmetric integer G up to 8 x 8, half the time
+    B^T B + I (positive definite), and an integer Q."""
+    n = draw(st.integers(1, 8))
+    small = st.integers(-4, 4)
+    if draw(st.booleans()):
+        b = np.array(draw(st.lists(small, min_size=n * n, max_size=n * n)))
+        g = b.reshape(n, n).T @ b.reshape(n, n) + np.eye(n, dtype=int)
+    else:
+        g = np.zeros((n, n), dtype=int)
+        g[np.triu_indices(n)] = draw(st.lists(
+            small, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        g = g + np.triu(g, 1).T
+    q = draw(st.lists(small, min_size=n, max_size=n))
+    return tuple(map(tuple, g.tolist())), tuple(q)
+
+
 class TestChargeLattice:
+    @settings(max_examples=300, deadline=None)
+    @given(system=symmetric_systems())
+    def test_bareiss_pivots_are_fraction_minors(self, system):
+        gram, q = system
+        n = len(gram)
+        minors = [fraction_det([row[:m] for row in gram[:m]])
+                  for m in range(1, n + 1)]
+        bad = next((m for m in range(n) if minors[m] <= 0), None)
+        if bad is not None:
+            with pytest.raises(LatticeError) as err:
+                fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
+            assert str(err.value) == (
+                "Gram matrix not positive definite at k=5: "
+                f"leading minor {bad + 1} is {minors[bad]}")
+            return
+        cl = fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
+        qgq = sum(a * b for a, b in zip(q, lie.rational_solve(gram, q)))
+        assert cl.pivots == (*minors, -minors[-1] * qgq)
+        assert all(type(p) is int for p in cl.pivots)
+
     def test_k2(self):
         cl = fc.gram_matrix(2)
         assert cl.gram == ((3, 1, 1), (1, 2, 0), (1, 0, 2))

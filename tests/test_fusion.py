@@ -719,6 +719,61 @@ def _passes(report, tol=1e-10):
         report.unitarity_defect) < tol
 
 
+def _t_theories(k):
+    """(labels, TData) of su(2)_k, the coset and the full theory at k."""
+    su2k = sm.s_su2k(k).labels
+    yield su2k, fu.TData({l: sm.dim_su2k(l, k) for l in su2k},
+                         Fraction(3 * k, k + 2))
+    data = co.coset_s_compact(k)
+    yield data.s.labels, fu.TData(data.dims, data.central_charge)
+    yield fc.enumerate_sectors(k), fu.TData(fc.full_dims(k),
+                                            fc.full_central_charge(k))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+class TestTVector:
+    @pytest.mark.parametrize("k", range(2, 31))
+    def test_bitwise_phases(self, k):
+        for labels, t in _t_theories(k):
+            assert _bits(t.vector(labels)) == _bits(
+                [t.phase(lab) for lab in labels])
+
+    @pytest.mark.parametrize("dims,c", [
+        ({"a": 0, "b": 1, "c": -2, "d": 7}, Fraction(0)),
+        ({"a": 0, "b": 3, "c": -5}, Fraction(4, 5)),
+        ({"a": Fraction(1, 3), "b": 5, "c": Fraction(-7, 12)}, Fraction(1)),
+        ({"a": Fraction(1, 15), "b": Fraction(2, 3)}, Fraction(-26, 7)),
+        ({"a": Fraction(1, 3 ** 40), "b": Fraction(2 ** 70 + 1, 2 ** 71)},
+         Fraction(1, 10 ** 20)),
+        # anything Fraction() accepts
+        ({"a": "1/3", "b": 0.1, "c": Fraction(5, 4)}, Fraction(1, 2)),
+    ])
+    def test_hand_made_dicts(self, dims, c):
+        t = fu.TData(dims, c)
+        labels = list(dims)[::-1]
+        assert _bits(t.vector(labels)) == _bits(
+            [t.phase(lab) for lab in labels])
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.integers(-10 ** 9, 10 ** 9),
+               st.fractions(max_denominator=10 ** 6)), max_size=8),
+           c=st.fractions(max_denominator=10 ** 4))
+    def test_random_dicts(self, values, c):
+        t = fu.TData(dict(enumerate(values)), c)
+        assert _bits(t.vector(range(len(values)))) == _bits(
+            [t.phase(lab) for lab in range(len(values))])
+
+    def test_empty_and_missing_label(self):
+        t = fu.TData({"a": Fraction(1, 2)}, Fraction(1, 2))
+        assert t.vector([]).shape == (0,)
+        with pytest.raises(KeyError):
+            t.vector(["a", "b"])
+
+
 class TestModularRelations:
     @pytest.mark.parametrize("k", range(2, 7))
     def test_su2k(self, k):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -171,6 +172,22 @@ class TestDetectionReport:
         rows = it.detection_report(coset3, w(0, 1), coset3.labels)
         assert len(rows) == coset3.dim
         assert len(calls) == 1 and calls[0] is coset3
+
+    @pytest.mark.parametrize("k", range(2, 15))
+    def test_rows_bitwise_abs_and_cmath_phase(self, k):
+        for s in (co.coset_s_compact(k).s, fc.full_s_product(k)):
+            for probe in s.labels[:6]:
+                row = it.monodromy_row(s, probe)
+                bulks = s.labels[::-1]
+                rows = it.detection_report(s, probe, iter(bulks))
+                assert [r.bulk for r in rows] == list(bulks)
+                for r in rows:
+                    m = complex(row[s.index(r.bulk)])
+                    assert r.magnitude.hex() == abs(m).hex()
+                    assert r.phase.hex() == cmath.phase(m).hex()
+                    assert r.non_abelian == (not math.isclose(
+                        abs(m), 1.0, abs_tol=sm.DEFAULT_TOLERANCE))
+                assert it.detection_report(s, probe, []) == ()
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_rows_are_monodromy_entries(self, k):
