@@ -60,12 +60,6 @@ INTERFERE_BYTES_PER_SAMPLE = 384
 # (full-product) and the 16-byte keys of the entries' texts 64.
 SMATRIX_BYTES_PER_ENTRY = 192
 
-# tracemalloc peak of `fusion` per n^3 labels, Verlinde and its checks
-# and the document written included: 7.1-7.6 bytes for JSON and CSV
-# alike at n = 91..231, the int8 tensor and the encoded text held once
-# as uint8 and once as str. Every ring here has N <= 1, one digit.
-FUSION_BYTES_PER_CUBE = 8
-
 # Errors a consistency check raises when the data fail it: the check is
 # recorded as failed, not the command refused.
 CHECK_FAILURES = (ConsistencyError, LatticeError, VacuumError)
@@ -89,25 +83,17 @@ def document(kind: str, k: int, basis, payload: dict) -> dict:
     }
 
 
-class _Encoded:
-    """A document value held as its JSON text, written out as it is."""
-
-    def __init__(self, text: str):
-        self.text = text
-
-
 def emit(doc: dict, fmt: str) -> None:
     """Print doc as JSON, the bytes json.dumps(doc) gives with a complex
-    matrix as its [re, im] pairs, or as CSV. Each value is its own write,
-    so an encoded one is never copied into a string of the whole
-    document."""
+    matrix as its [re, im] pairs and an integer tensor as its entries, or
+    as CSV. Each value is its own write, so an encoded one is never
+    copied into a string of the whole document."""
     if fmt == "json":
         pieces = []
         for key, value in doc.items():
-            if isinstance(value, _Encoded):
-                text = value.text
-            elif isinstance(value, np.ndarray):  # a complex matrix
-                text = _matrix_json(value)
+            if isinstance(value, np.ndarray):
+                text = (_matrix_json(value) if value.dtype.kind == "c"
+                        else _tensor_json(value))
             else:
                 text = json.dumps(value, allow_nan=False)
             pieces += [", " if pieces else "{", json.dumps(key), ": ", text]
@@ -118,7 +104,10 @@ def emit(doc: dict, fmt: str) -> None:
 
 def to_csv(doc: dict, out) -> None:
     """Write doc to out as CSV: metadata comments, then data rows with
-    complex entries as re/im column pairs."""
+    complex entries as re/im column pairs, an integer tensor as its JSON
+    text, encoded before any row so that a refused one writes nothing."""
+    texts = {key: _tensor_json(value) for key, value in doc.items()
+             if isinstance(value, np.ndarray) and value.dtype.kind != "c"}
     writer = csv.writer(out)
     for key in ("schema_version", "k", "kind"):
         writer.writerow([f"# {key}", doc[key]])
@@ -143,13 +132,11 @@ def to_csv(doc: dict, out) -> None:
         for key, value in doc.items():
             if key in ("schema_version", "k", "kind"):
                 continue
-            if isinstance(value, _Encoded):
-                # as writer.writerow([key, value.text]), whose row buffer
-                # would hold the text at four bytes a character
-                quote = _csv_quote(value.text)
-                out.write(f"{key},{quote}")
-                out.write(value.text)
-                out.write(f"{quote}\r\n")
+            if key in texts:
+                # as writer.writerow([key, text]), whose row buffer would
+                # hold the text at four bytes a character
+                quote = _csv_quote(texts[key])
+                out.writelines([f"{key},{quote}", texts[key], f"{quote}\r\n"])
             else:
                 writer.writerow([key, json.dumps(value)])
 
@@ -191,38 +178,25 @@ def _matrix_json(matrix: np.ndarray) -> str:
 
 
 def _tensor_json(tensor: np.ndarray) -> str:
-    """json.dumps(tensor.tolist()) for a non-negative integer tensor of
-    shape (planes, rows, cols), written as bytes.
-
-    Every entry gets a cell of `width` bytes, as many as the largest
-    entry has digits, and a ", " after it, so the text has fixed
-    offsets: one plane template, "[" rows "], " with each row "[" cells
-    "], ", is copied into every plane, each digit place is one strided
-    write, and the NULs that left-pad the shorter numbers are dropped at
-    the end (there are none when every entry is below 10)."""
+    """json.dumps(tensor.tolist()) for an integer tensor of shape
+    (planes, rows, cols), written as bytes. Every ring here is
+    multiplicity-free, so each entry is one digit at a fixed offset: one
+    plane template of zeros is copied into every plane, and one strided
+    add writes the digits. Raises ConsistencyError, before writing
+    anything, on an entry outside 0..9."""
+    if tensor.min() < 0 or tensor.max() > 9:
+        raise ConsistencyError("a fusion document entry outside 0..9")
     planes, rows, cols = tensor.shape
-    width = len(str(int(tensor.max())))
-    row = b"[" + b", ".join([b"\0" * width] * cols) + b"], "
-    plane = b"[" + row * rows
-    plane = plane[:-2] + b"], "  # the last row closes the plane
+    row = b"[" + b", ".join([b"0"] * cols) + b"]"
+    plane = b"[" + b", ".join([row] * rows) + b"], "
     buf = np.empty(1 + planes * len(plane), dtype=np.uint8)
     buf[0] = ord("[")
     buf[1:].reshape(planes, len(plane))[:] = np.frombuffer(plane, np.uint8)
     buf[-2] = ord("]")  # the last plane closes the tensor: drop its " "
-    buf = buf[:-1]
-    strides = (len(plane), len(row), width + 2)
-    for i in range(width):  # the 10**(width - 1 - i) place of each entry
-        place = 10 ** (width - 1 - i)
-        digits = np.lib.stride_tricks.as_strided(
-            buf[3 + i:], tensor.shape, strides)  # "[[[" before entry 0
-        value = tensor if place == 1 else tensor // place
-        np.add(value % 10 if i else value, ord("0"), out=digits,
-               casting="unsafe")
-        if place > 1:
-            digits[tensor < place] = 0
-    if width > 1:
-        buf = buf[buf != 0]
-    return str(buf, "ascii")
+    digits = np.lib.stride_tricks.as_strided(
+        buf[3:], tensor.shape, (len(plane), len(row) + 2, 3))  # after "[[["
+    np.add(digits, tensor, out=digits, casting="unsafe")
+    return str(buf[:-1], "ascii")
 
 
 _SMATRIX_BUILDERS = {
@@ -370,7 +344,7 @@ def _verify_checks(k: int, tol: float, targets=None):
     ]
     if targets:
         plan = [(n, f) for n, f in plan
-                if any(t in n for t in targets)]
+                if any(t and t in n for t in targets)]
     checks = []
     for name, run in plan:
         start = time.perf_counter()
@@ -412,14 +386,14 @@ def cmd_verify(args) -> int:
 
 def cmd_fusion(args) -> int:
     n = _smatrix_dim(args.which, args.k)
-    fu.require_budget(FUSION_BYTES_PER_CUBE * n ** 3,
+    fu.require_budget(fu.VERLINDE_BYTES_PER_CUBE * n ** 3,
                       f"the fusion document of {n} labels")
     ring = fu.verlinde(_build_s(args))
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
         "generators": [str(ring.labels[g]) for g in ring.generators],
-        "tensor": _Encoded(_tensor_json(ring.tensor)),
+        "tensor": ring.tensor,
     })
     emit(doc, args.format)
     return EXIT_OK
@@ -507,6 +481,7 @@ def _tolerance_arg(text: str) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="parafermions",
                      description="Modular data of Z_k parafermion "

@@ -36,10 +36,10 @@ INTEGRALITY_TOLERANCE = 1e-8
 # and 105, 16 and 32 are slower.
 LABEL_BLOCK = 8
 # Bytes per n^3 budgeted for `verlinde` including `check_axioms`: the
-# tensor at one byte an entry (int8 holds every ring here), the bool of
-# the commutativity check and O(LABEL_BLOCK n^2) temporaries, with no
-# float64 copy; the tracemalloc peak measures 5.4 n^3 at n = 55, 3.6 at
-# 105 and 2.1 at 231, and tests/test_fusion.py pins it below this.
+# int8 tensor, the bool of the commutativity check and O(LABEL_BLOCK n^2)
+# temporaries, with no float64 copy (tracemalloc peak 5.4 n^3 at n = 55,
+# 2.1 at 231). The `fusion` command charges it too: its peak with the
+# document written is 7.0-7.4 n^3 at n = 91..231. Tests pin both below.
 VERLINDE_BYTES_PER_CUBE = 8
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -250,6 +251,16 @@ class TestVerifyCommand:
                          "--targets", "no-such-check")
         assert code == 1
 
+    def test_empty_target_matches_no_check(self, capsys):
+        code, out, err = run(capsys, "verify", "--k", "3", "--targets", "")
+        assert code == 1 and out == ""
+        assert err == "no checks match targets ['']\n"
+        code, out, _ = run(capsys, "verify", "--k", "3", "--targets", "",
+                           "oracle")
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == [
+            "oracle-vs-compact"]
+
     def test_raising_check_is_a_failed_check(self, capsys, monkeypatch):
         # a construction that raises a ConsistencyError fails its check
         # with the message; the other checks still run
@@ -372,7 +383,7 @@ class TestResourceExit:
     def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):
         def never(s):
             raise AssertionError("fusion built over budget")
-        need = 6 ** 3 * cli.FUSION_BYTES_PER_CUBE  # coset k = 3: n = 6
+        need = 6 ** 3 * fu.VERLINDE_BYTES_PER_CUBE  # coset k = 3: n = 6
         argv = ("fusion", "--k", "3", "--which", "coset", "--format", fmt)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -392,7 +403,7 @@ class TestResourceExit:
                                              which, n):
         def never(k):
             raise AssertionError("S built over budget")
-        need = n ** 3 * cli.FUSION_BYTES_PER_CUBE
+        need = n ** 3 * fu.VERLINDE_BYTES_PER_CUBE
         argv = ("fusion", "--k", "3", "--which", which)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -471,7 +482,7 @@ class TestResourceExit:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < cli.FUSION_BYTES_PER_CUBE * n ** 3
+        assert peak < fu.VERLINDE_BYTES_PER_CUBE * n ** 3
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):
@@ -574,21 +585,40 @@ class TestTensorEncoder:
     @pytest.mark.parametrize("top", [0, 1, 9, 10, 130])
     @pytest.mark.parametrize("n", range(1, 6))
     def test_equals_json_dumps(self, n, top):
+        # one digit an entry: 0..9 is encoded, 10 and above refused
         rng = np.random.default_rng(n * 1000 + top)
         for dtype in (np.min_scalar_type(top), np.int64):
             tensor = rng.integers(0, top + 1, size=(n, n, n)).astype(dtype)
             tensor[rng.integers(n), rng.integers(n), rng.integers(n)] = top
-            assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+            if top <= 9:
+                assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+            else:
+                with pytest.raises(ConsistencyError, match="outside 0..9"):
+                    cli._tensor_json(tensor)
 
     def test_mixed_widths(self):
         tensor = np.arange(60).reshape(3, 4, 5) ** 3  # 1 to 6 digits
-        assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+        with pytest.raises(ConsistencyError, match="outside 0..9"):
+            cli._tensor_json(tensor)
+        with pytest.raises(ConsistencyError, match="outside 0..9"):
+            cli._tensor_json(-np.ones((2, 2, 2), dtype=np.int8))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refused_tensor_writes_nothing(self, capsys, monkeypatch, fmt):
+        ring = fu.verlinde(sm.s_su2k(2))
+        ring.tensor[0, 0, 0] = 10
+        monkeypatch.setattr(fu, "verlinde", lambda s: ring)
+        code, out, err = run(capsys, "fusion", "--k", "2", "--which", "su2k",
+                             "--format", fmt)
+        assert code == 1 and out == ""
+        assert err == "error: a fusion document entry outside 0..9\n"
 
     @pytest.mark.parametrize("n", [1, 2])  # n = 1 has no comma to quote
     def test_csv_cell_as_the_writer_writes_it(self, n):
-        text = cli._tensor_json(np.ones((n, n, n), dtype=np.int8))
+        tensor = np.ones((n, n, n), dtype=np.int8)
+        text = json.dumps(tensor.tolist())
         doc = cli.document("fusion", 2, ["0"] * n,
-                           {"which": "su2k", "tensor": cli._Encoded(text)})
+                           {"which": "su2k", "tensor": tensor})
         got, want = io.StringIO(), io.StringIO()
         cli.to_csv(doc, got)
         writer = csv.writer(want)
@@ -713,14 +743,24 @@ def test_readme_library_block_runs():
         "0,0", "1,1", "2,2", "0,1", "0,2", "1,2"]
 
 
-def test_python_m_runs_the_cli():
+def test_python_m_runs_the_cli(capsys):
+    # -W error: pytest's filterwarnings does not reach a subprocess
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run(
-        [sys.executable, "-m", "parafermions", "sectors", "--k", "2"],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert strict_json(done.stdout)["count"] == 6
+    for argv in (["sectors", "--k", "2"],
+                 ["fusion", "--k", "3", "--format", "csv"],
+                 ["verify", "--k", "3", "--targets", "oracle"]):
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "parafermions", *argv],
+            capture_output=True, env=env, timeout=60)
+        out, err = done.stdout.decode(), done.stderr.decode()
+        assert (done.returncode, err) == (0, ""), argv
+        if argv[0] == "verify":
+            assert [c["name"] for c in strict_json(out)["checks"]] == [
+                "oracle-vs-compact"]
+        else:
+            assert out == run(capsys, *argv)[1]
+    assert strict_json(run(capsys, "sectors", "--k", "2")[1])["count"] == 6
 
 
 class TestInterfereCommand:
@@ -770,6 +810,34 @@ class TestInterfereCommand:
 
 
 class TestUsage:
+    def test_cached_parser_is_a_fresh_parser(self, capsys):
+        # the parser is built once; every call reads as with a new one
+        argvs = [["smatrix", "--k", "3"],
+                 ["verify", "--k", "3", "--targets", "oracle"],
+                 ["smatrix", "--k", "3", "--which", "su2k", "--format", "csv"],
+                 ["fusion", "--k", "3"]]
+
+        def outcomes(fresh):
+            got = []
+            for argv in argvs:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                out, err = capsys.readouterr()
+                got.append((code, re.sub(r'"elapsed_s": [^,}]+', "", out),
+                            err))
+            return got
+
+        cli.build_parser.cache_clear()
+        cached = outcomes(fresh=False)
+        assert cli.build_parser.cache_info().hits == len(argvs) - 1
+        assert cached == outcomes(fresh=True)
+        assert [c for c, _, _ in cached] == [1, 0, 0, 0]
+        assert "required: --which" in cached[0][2]
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
