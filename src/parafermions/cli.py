@@ -182,8 +182,9 @@ def _tensor_json(tensor: np.ndarray) -> str:
     (planes, rows, cols), written as bytes. Every ring here is
     multiplicity-free, so each entry is one digit at a fixed offset: one
     plane template of zeros is copied into every plane, and one strided
-    add writes the digits. Raises ConsistencyError, before writing
-    anything, on an entry outside 0..9."""
+    add writes the digits, through a uint8 view of a one-byte tensor with
+    no cast. Raises ConsistencyError, before writing anything, on an entry
+    outside 0..9."""
     if tensor.min() < 0 or tensor.max() > 9:
         raise ConsistencyError("a fusion document entry outside 0..9")
     planes, rows, cols = tensor.shape
@@ -195,7 +196,8 @@ def _tensor_json(tensor: np.ndarray) -> str:
     buf[-2] = ord("]")  # the last plane closes the tensor: drop its " "
     digits = np.lib.stride_tricks.as_strided(
         buf[3:], tensor.shape, (len(plane), len(row) + 2, 3))  # after "[[["
-    np.add(digits, tensor, out=digits, casting="unsafe")
+    small = tensor if tensor.itemsize == 1 else tensor.astype(np.uint8)
+    np.add(digits, small.view(np.uint8), out=digits)
     return str(buf[:-1], "ascii")
 
 

@@ -31,13 +31,13 @@ from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
-# Labels per block of the Verlinde sum and of the associativity pairs,
+# Labels per block of the current compares and the associativity pairs,
 # whose temporaries are O(LABEL_BLOCK n^2): 2 to 8 time alike at n = 55
 # and 105, 16 and 32 are slower.
 LABEL_BLOCK = 8
 # Bytes per n^3 budgeted for `verlinde` including `check_axioms`: the
 # int8 tensor, the bool of the commutativity check and O(LABEL_BLOCK n^2)
-# temporaries, with no float64 copy (tracemalloc peak 5.4 n^3 at n = 55,
+# temporaries, with no float64 copy (tracemalloc peak 3.5 n^3 at n = 55,
 # 2.1 at 231). The `fusion` command charges it too: its peak with the
 # document written is 7.0-7.4 n^3 at n = 91..231. Tests pin both below.
 VERLINDE_BYTES_PER_CUBE = 8
@@ -132,16 +132,16 @@ class FusionRing:
         its matrix (N_a)_cd = N_ac^d commutes with every N_y; these a form
         a subspace V closed under products, N_ab = N_a N_b for a in V. The
         simple currents are the labels J whose N_J permutes the labels,
-        c -> Jc. A current that the currents already in V do not reach from
-        the vacuum is put in V by the exact compare (Jc)b = J(cb),
-        N_Jc,b^d = N_bc^(J^-1 d), which needs no flops. Every label is some
-        Jr, r a representative of a current orbit (_representatives), with
-        N_Jr = N_J N_r. A non-current representative a that passes its
-        pairs, N_a N_b = N_b N_a for every other one b, thus commutes with
-        each N_J, N_r and N_Jr, so a lies in V, and then so does every Jr.
-        The pairs run in float64 BLAS over blocks of LABEL_BLOCK
-        representatives; the sums are exact integers below
-        max|N|^2 n < 2^53."""
+        c -> Jc (_permutation_rows). A current that no word in the checked
+        ones reaches from the vacuum (_words) is put in V by the exact
+        compare N_Jc,b^d = N_bc^(J^-1 d), (Jc)b = J(cb), with no flops.
+        Every label is some Jr, r a representative of a current orbit
+        (_representatives), with N_Jr = N_J N_r. A non-current
+        representative a that passes its pairs, N_a N_b = N_b N_a for
+        every other one b, thus commutes with each N_J, N_r and N_Jr, so a
+        lies in V, and then so does every Jr. The pairs run in float64
+        BLAS over blocks of LABEL_BLOCK representatives, exact integers
+        below max|N|^2 n < 2^53."""
         n = self.tensor
         dim = len(self.labels)
         if np.any(n != np.swapaxes(n, 0, 1)):
@@ -156,21 +156,18 @@ class FusionRing:
                 "float64 associativity check"
             )
         currents = _permutation_rows(n)
-        checked, reached = [], np.arange(dim) == self.vacuum_index
+        checked, reached = [], {self.vacuum_index}
         for j, perm in currents.items():
-            if reached[j]:  # a word over the checked currents
+            if j in reached:  # a word over the checked currents
                 continue
-            inverse = np.empty_like(perm)
-            inverse[perm] = np.arange(dim)
+            inverse = np.argsort(perm)
             for c in range(0, dim, LABEL_BLOCK):
                 if not np.array_equal(n[perm[c:c + LABEL_BLOCK]],
                                       n[c:c + LABEL_BLOCK][:, :, inverse]):
                     raise ConsistencyError("fusion tensor is not associative")
             checked.append(j)
-            size = 0
-            while size < (size := np.count_nonzero(reached)):
-                for i in checked:
-                    reached[currents[i][reached]] = True
+            reached = _words(self.vacuum_index, dim,
+                             [(currents[i], 0) for i in checked])
         reps = [a for a in _representatives(
             np.array(list(currents.values()))).tolist() if a not in currents]
         for i, a in enumerate(reps):
@@ -187,16 +184,26 @@ class FusionRing:
 
 def _permutation_rows(tensor: np.ndarray) -> dict:
     """{x: pi} for the labels x whose matrix (N_x)_cd = N_xc^d is the
-    permutation matrix of c -> pi[c]: the simple currents. Only labels
-    whose coefficients sum to n are candidates."""
+    permutation matrix of c -> pi[c]: the simple currents. The candidates,
+    the labels whose coefficients sum to n, are checked in one pass."""
     dim = len(tensor)
-    eye, out = np.eye(dim, dtype=tensor.dtype), {}
-    for x in np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim):
-        perm = np.nonzero(tensor[x])[1]
-        if (len(perm) == dim and np.array_equal(tensor[x], eye[perm])
-                and np.all(tensor[x].sum(axis=0) == 1)):
-            out[int(x)] = perm
-    return out
+    cand = np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim)
+    rows = tensor[cand]  # permutation matrices: >= 0, unit row/column sums
+    ok = ((rows.min(axis=(1, 2)) >= 0) & np.all(rows.sum(axis=1) == 1, axis=1)
+          & np.all(rows.sum(axis=2) == 1, axis=1))
+    return dict(zip(cand[ok].tolist(), rows[ok].argmax(axis=2)))
+
+
+def _words(vac: int, n: int, gens: list) -> dict:
+    """{W vac: (W, d)} for the shortest words W over `gens`, (permutation,
+    defect) pairs, breadth-first: W composed exactly, d its letters' sum."""
+    words, queue = {vac: (np.arange(n), 0.0)}, [vac]
+    for x in queue:
+        for pg, dg in gens:
+            if (y := int(pg[x])) not in words:
+                words[y] = pg[words[x][0]], dg + words[x][1]
+                queue.append(y)
+    return words
 
 
 def _representatives(perms: np.ndarray) -> np.ndarray:
@@ -204,22 +211,20 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
     the identity among them), plus any label that no permutation takes
     one of those to: every label is one permutation away from one."""
     reps = perms.min(axis=0) == np.arange(perms.shape[1])
-    covered = np.zeros(len(reps), dtype=bool)
-    covered[perms[:, reps]] = True
+    covered = np.isin(np.arange(len(reps)), perms[:, reps])
     return np.flatnonzero(reps | ~covered)
 
 
 def verlinde(s: SMatrix) -> FusionRing:
-    """N_ab^c = sum_x S_ax S_bx conj(S_cx) / S_vac,x, rounded to integers.
+    """N_ab^c = sum_x S_ax S_bx conj(S_cx) / S_vac,x, rounded to integers,
+    summed on pairs of simple-current orbit representatives, then checked.
 
     Raises ResourceError before allocating when the O(n^3) working set
     (fusion tensor and axiom check included) exceeds `memory_budget()`."""
     require_budget(VERLINDE_BYTES_PER_CUBE * s.dim ** 3,
                    f"Verlinde fusion of {s.dim} labels")
     vac = find_vacuum(s)
-    ring = FusionRing(labels=s.labels,
-                      tensor=_verlinde_tensor(s, vac),
-                      vacuum_index=vac)
+    ring = FusionRing(s.labels, _verlinde_tensor(s, vac), vac)
     ring.check_axioms()
     return ring
 
@@ -229,65 +234,56 @@ def _simple_currents(s: SMatrix, vac: int):
     S_0J = S_00 when S is symmetric, in any order of the columns x), the
     permutation a -> Ja each one induces, and its covariance defect.
 
-    Ja is the row of S nearest phi_J S_a, phi_J(x) = S_Jx / S_0x, on a
-    fixed generic projection of the rows; the defect is the larger of
-    max|S_Ja - phi_J S_a| and max|conj(phi_J) S_Ja - S_a|. The loop holds
-    O(n^2) memory. Returns (currents, perms of shape (m, n), defects)."""
+    In index order, a current that no word in the generators so far
+    reaches from the vacuum is a generator: Ja is the row of S nearest
+    phi_J S_a, phi_J(x) = S_Jx / S_0x, on a fixed generic projection of
+    the rows, and its defect is the larger of max|S_Ja - phi_J S_a| and
+    max|conj(phi_J) S_Ja - S_a|. Any other current is its shortest word
+    (_words), whose summed defect bounds both sides for phi the product
+    of its letters' phases (triangle inequality; |phi| = 1 to
+    DEFAULT_TOLERANCE). Returns (currents, perms of shape (m, n), defects)."""
     e, n = s.entries, s.dim
     currents = np.flatnonzero(np.abs(np.abs(e) - np.abs(e[vac])).max(axis=1)
-                              < sm.DEFAULT_TOLERANCE)
+                              < sm.DEFAULT_TOLERANCE).tolist()
     probe = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n) ** 2)  # Weyl phases
     prints = e @ probe
-    perms = np.empty((len(currents), n), dtype=np.intp)
-    defects = np.empty(len(currents))
-    image, diff = np.empty_like(e), np.empty_like(e)
-    for i, j in enumerate(currents):
+    found, words = {}, _words(vac, n, [])
+    for j in currents:
+        if j in words:
+            continue
         phi = e[j] / e[vac]
-        perms[i] = np.abs(prints - (e @ (phi * probe))[:, None]).argmin(axis=1)
-        np.take(e, perms[i], axis=0, out=image)
-        np.subtract(image, np.multiply(e, phi, out=diff), out=diff)
-        defects[i] = np.abs(diff).max()
-        np.subtract(np.multiply(image, phi.conj(), out=diff), e, out=diff)
-        defects[i] = np.maximum(defects[i], np.abs(diff).max())
-    return currents, perms, defects
+        perm = np.abs(prints - (e @ (phi * probe))[:, None]).argmin(axis=1)
+        image = e[perm]
+        found[j] = perm, np.maximum(np.abs(image - e * phi).max(),
+                                    np.abs(image * phi.conj() - e).max())
+        words = _words(vac, n, list(found.values()))
+    perms, defects = zip(*(found.get(j) or words[j] for j in currents))
+    return np.array(currents), np.array(perms), np.array(defects)
 
 
 def _verlinde_tensor(s: SMatrix, vac: int):
-    """The Verlinde sum on simple-current orbits, stored in the smallest
-    integer dtype that holds max N.
+    """The Verlinde sum on pairs of simple-current orbit representatives,
+    stored in the smallest integer dtype that holds max N.
 
-    Only one representative a per orbit of the currents (_simple_currents)
-    runs the sum, one block of LABEL_BLOCK labels at a time as a
-    (block n, n) x (n, n) BLAS product; each other row is a gather
-    N_Ja,b^c = N_a,b^(J^-1 c), one per current. With S_Ja = phi_J S_a +
-    eps_a and conj(phi_J) S_Jc = S_c + eps'_c, both within the defect
-    delta_J, the Verlinde sum at (Ja, b, Jc) moves from the one at
-    (a, b, c) by
-        sum_x (S_bx / S_0x)(eps_ax conj(S_Jc,x) + S_ax conj(eps'_cx))
-        <= 2 delta_J max|S| max_b sum_x |S_bx / S_0x|,
-    the current's bound. The representative residual (sqrt of the largest
-    (re - round)^2 + im^2) must stay below INTEGRALITY_TOLERANCE, alone
-    and then plus each bound; a NaN fails both. A current that does not
-    permute the rows has an infinite bound. Non-integer is reported
-    before negative."""
+    The sum runs on the R^2 pairs (a, b) of representatives of the
+    currents (_simple_currents) as one (R^2, n) x (n, n) BLAS product.
+    One slot-2 gather per current K fills the planes of the a,
+    N_a,Kb^c = N_a,b^(K^-1 c), and one row gather per current J every
+    other plane, N_Ja,y^c = N_a,Jy^c. As S_Ja = phi_J S_a to delta_J, each
+    move shifts the sum by at most the current's bound 2 delta_J max|S|
+    max_b sum_x |S_bx / S_0x| (README, Fusion). The pair residual (sqrt
+    of the largest (re - round)^2 + im^2) must stay below
+    INTEGRALITY_TOLERANCE, alone and plus twice the largest bound; a NaN
+    fails both. A current that does not permute the rows has an infinite
+    bound. Non-integer is reported before negative."""
     e, n = s.entries, s.dim
     currents, perms, defects = _simple_currents(s, vac)
     reps = _representatives(perms)
     weighted = e / e[vac]  # divide inside the x-sum
-    conj_t = e.conj().T
-    rows = np.empty((len(reps), n, n))
-    worst = 0.0
-    for start in range(0, len(reps), LABEL_BLOCK):
-        block = e[reps[start:start + LABEL_BLOCK]]
-        raw = (block[:, None, :] * weighted[None]).reshape(-1, n) @ conj_t
-        rounded = np.round(raw.real)
-        dev = raw.real - rounded
-        dev *= dev
-        dev += np.square(raw.imag, out=raw.imag)
-        worst = np.maximum(worst, dev.max())  # a NaN stays
-        rows[start:start + LABEL_BLOCK] = rounded.reshape(-1, n, n)
-    residual = float(np.sqrt(worst))
-    if not residual < INTEGRALITY_TOLERANCE:
+    raw = (e[reps][:, None] * weighted[reps]).reshape(-1, n) @ e.conj().T
+    rows = np.round(raw.real)
+    residual = float(np.sqrt(np.max((raw.real - rows) ** 2 + raw.imag ** 2)))
+    if not residual < INTEGRALITY_TOLERANCE:  # a NaN fails
         raise NonIntegerFusionError(
             f"Verlinde residual {residual:g} >= {INTEGRALITY_TOLERANCE:g}"
         )
@@ -296,18 +292,22 @@ def _verlinde_tensor(s: SMatrix, vac: int):
     weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
     bounds = np.where(np.all(inverses >= 0, axis=1), defects * weight, np.inf)
     j = int(np.argmax(bounds))  # the first NaN, if any
-    if not residual + bounds[j] < INTEGRALITY_TOLERANCE:
+    if not residual + 2 * bounds[j] < INTEGRALITY_TOLERANCE:
         raise NonIntegerFusionError(
             f"S is not covariant under the simple current "
             f"{s.labels[currents[j]]}: Verlinde residual {residual:g} plus "
-            f"bound {bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}"
+            f"bound {2 * bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}"
         )
     if rows.min() < 0:
         raise NegativeFusionError("negative Verlinde coefficient")
-    rows = rows.astype(np.min_scalar_type(-1 - int(rows.max())))
+    rows = rows.reshape(len(reps), len(reps), n).astype(
+        np.min_scalar_type(-1 - int(rows.max())))
+    planes = np.empty((len(reps), n, n), dtype=rows.dtype)
+    for perm, inverse in zip(perms, inverses):  # N_a,Kb^c = N_a,b^(K^-1 c)
+        planes[:, perm[reps]] = rows[:, :, inverse]
     tensor = np.empty((n, n, n), dtype=rows.dtype)
-    for perm, inverse in zip(perms, inverses):
-        tensor[perm[reps]] = rows[:, :, inverse]
+    for perm in perms:  # N_Ja,y^c = N_a,Jy^c
+        tensor[perm[reps]] = planes[:, perm]
     return tensor
 
 

@@ -119,6 +119,26 @@ def _reference_sliced(n, slices=None):
     return True
 
 
+def _reference_permutation_rows(tensor):
+    """The per-candidate loop the batched current scan replaced."""
+    dim = len(tensor)
+    eye, out = np.eye(dim, dtype=tensor.dtype), {}
+    for x in np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim):
+        perm = np.nonzero(tensor[x])[1]
+        if (len(perm) == dim and np.array_equal(tensor[x], eye[perm])
+                and np.all(tensor[x].sum(axis=0) == 1)):
+            out[int(x)] = perm
+    return out
+
+
+def _same_scan(tensor):
+    """Whether the batched current scan equals the per-candidate loop."""
+    got, expected = fu._permutation_rows(tensor), _reference_permutation_rows(
+        tensor)
+    return list(got) == list(expected) and all(
+        np.array_equal(got[j], expected[j]) for j in got)
+
+
 def _echelon(rows, p):
     """Nonzero rows of a row echelon form of `rows` mod p, column by column."""
     rows, out = rows % p, []
@@ -308,27 +328,121 @@ def test_generators_span_and_pass_the_reference(k, theory):
 def _one_shot_verlinde(s, vac):
     """The all-rows Verlinde sum, the reference for the orbit one: one
     (n^2, n) x (n, n) product, rounded, and the np.hypot integrality
-    residual of each row a."""
+    residual of each pair (a, b)."""
     n = s.dim
     weighted = s.entries / s.entries[vac]
     raw = ((s.entries[:, None, :] * weighted[None]).reshape(n * n, n)
            @ s.entries.conj().T).reshape(n, n, n)
     rounded = np.round(raw.real)
-    residuals = np.max(np.hypot(raw.real - rounded, raw.imag), axis=(1, 2))
+    residuals = np.max(np.hypot(raw.real - rounded, raw.imag), axis=2)
     return rounded.astype(np.int64), residuals
 
 
 def _representatives(s, vac):
-    """The labels whose rows the orbit Verlinde sum computes."""
+    """The labels whose pairs the orbit Verlinde sum computes."""
     return fu._representatives(fu._simple_currents(s, vac)[1])
 
 
+def _reference_simple_currents(s, vac):
+    """The per-current search the generator-built currents replaced: for
+    every current J, the row of S nearest phi_J S_a on the Weyl-phase
+    projection, and the direct defect, the larger of
+    max|S_Ja - phi_J S_a| and max|conj(phi_J) S_Ja - S_a|."""
+    e, n = s.entries, s.dim
+    currents = np.flatnonzero(np.abs(np.abs(e) - np.abs(e[vac])).max(axis=1)
+                              < sm.DEFAULT_TOLERANCE)
+    probe = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n) ** 2)
+    prints = e @ probe
+    perms = np.empty((len(currents), n), dtype=np.intp)
+    defects = np.empty(len(currents))
+    for i, j in enumerate(currents):
+        phi = e[j] / e[vac]
+        perms[i] = np.abs(prints - (e @ (phi * probe))[:, None]).argmin(axis=1)
+        defects[i] = max(np.abs(e[perms[i]] - e * phi).max(),
+                         np.abs(e[perms[i]] * phi.conj() - e).max())
+    return currents, perms, defects
+
+
+def _reference_words(currents, perms, vac):
+    """(generators, {label: word}): a current is a generator when no word
+    in the earlier generators reaches it from the vacuum; a word is a
+    tuple of generator positions in `currents`, outermost letter first,
+    found level by level from the vacuum over the generators in order."""
+    gens, words = [], {vac: ()}
+    for i, j in enumerate(currents.tolist()):
+        if j in words:
+            continue
+        gens.append(i)
+        words, level = {vac: ()}, [vac]
+        while level:
+            below = []
+            for x in level:
+                for g in gens:
+                    y = int(perms[g][x])
+                    if y not in words:
+                        words[y] = (g,) + words[x]
+                        below.append(y)
+            level = below
+    return gens, words
+
+
+def _word_sum(direct, word):
+    """The word's letters' direct defects, summed from the innermost out."""
+    return functools.reduce(lambda acc, g: direct[g] + acc, word[::-1], 0.0)
+
+
 def _covariance_bound(s, vac):
-    """2 delta max|S| max_b sum_x |S_bx / S_0x| for the worst current."""
-    _, _, defects = fu._simple_currents(s, vac)
+    """The two-slot word bound: twice 2 delta max|S| max_b sum_x
+    |S_bx / S_0x| for the worst current, whose delta is its word's sum of
+    direct defects (a generator's own defect, 0 for the vacuum)."""
+    currents, perms, direct = _reference_simple_currents(s, vac)
+    _, words = _reference_words(currents, perms, vac)
+    delta = max(_word_sum(direct, words[j]) for j in currents.tolist())
     e = s.entries
-    return defects.max() * 2 * np.abs(e).max() * np.abs(e / e[vac]).sum(
+    return 2 * delta * 2 * np.abs(e).max() * np.abs(e / e[vac]).sum(
         axis=1).max()
+
+
+def _check_generator_built(s, vac):
+    """The generator-built currents against the per-current reference;
+    returns the reference words."""
+    currents, perms, defects = fu._simple_currents(s, vac)
+    expected, ref_perms, direct = _reference_simple_currents(s, vac)
+    assert np.array_equal(currents, expected)
+    assert np.array_equal(perms, ref_perms)
+    gens, words = _reference_words(currents, perms, vac)
+    for i, j in enumerate(currents.tolist()):
+        if i in gens:
+            assert defects[i] == direct[i]
+        elif j == vac:
+            # the empty word: phi = 1 exactly, where the reference's
+            # S_0 / S_0 may round in the last bit
+            assert defects[i] == 0 and np.array_equal(perms[i],
+                                                      np.arange(s.dim))
+        else:
+            assert defects[i] == _word_sum(direct, words[j])
+            assert defects[i] >= direct[i]
+    return words
+
+
+@pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+@pytest.mark.parametrize("k", range(2, 21))
+def test_generator_built_currents(theory, k):
+    s = _s_matrix(theory, k)
+    _check_generator_built(s, fu.find_vacuum(s))
+
+
+@pytest.mark.parametrize("theory,k,seed", [("coset", 5, 0), ("coset", 8, 1),
+                                           ("full", 4, 4), ("full", 6, 2)])
+def test_generator_built_currents_under_noise(theory, k, seed):
+    # 1e-11 noise, below DEFAULT_TOLERANCE, so the currents stay currents;
+    # the summed bounds must still cover each current's direct defect
+    s = _s_matrix(theory, k)
+    vac = fu.find_vacuum(s)
+    noise = np.random.default_rng(seed).standard_normal((2, s.dim, s.dim))
+    noisy = sm.SMatrix(s.labels, s.entries + 1e-11 * (noise[0] + 1j * noise[1]))
+    words = _check_generator_built(noisy, vac)
+    assert max(map(len, words.values())) >= 2
 
 
 def _group_ring(m):
@@ -344,8 +458,8 @@ class TestBlocks:
     @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
     @pytest.mark.parametrize("k", range(2, 11))
     def test_tensor_equals_one_shot(self, theory, k):
-        # n = 3..11 (su2k), 3..55 (coset) and 6..66 (full): below one
-        # block of 8, at it, and past it by a partial block
+        # n = 3..11 (su2k), 3..55 (coset) and 6..66 (full): 2 to 6
+        # representatives, so 4 to 36 pairs, and 1 to 2 generators
         s = _s_matrix(theory, k)
         vac = fu.find_vacuum(s)
         expected, _ = _one_shot_verlinde(s, vac)
@@ -365,13 +479,15 @@ class TestBlocks:
         entries[vac] = s.entries[vac]  # keep the vacuum row's divisor
         bumped = sm.SMatrix(s.labels, entries)
         _, residuals = _one_shot_verlinde(bumped, vac)
+        reps = _representatives(bumped, vac)
         bound = _covariance_bound(bumped, vac)
-        total = residuals[_representatives(bumped, vac)].max() + bound
-        assert len(_representatives(bumped, vac)) < s.dim
+        total = residuals[np.ix_(reps, reps)].max() + bound
+        assert len(reps) < s.dim
         assert bound > 1e-12 and residuals.min() > 1e-12
-        assert residuals.max() <= total  # the bound covers every row
-        # passing just above the representative hypot residual plus the
-        # bound and failing just below pins what the check compares
+        assert residuals.max() <= total  # the bound covers every pair
+        # passing just above the representative-pair hypot residual plus
+        # the two-slot bound and failing just below pins what the check
+        # compares
         monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 + 1e-12))
         fu._verlinde_tensor(bumped, vac)
         monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 - 1e-12))
@@ -396,8 +512,9 @@ class TestBlocks:
         assert currents.tolist() == [0, 10]
         assert perms.tolist() == [list(range(11)), list(range(10, -1, -1))]
         assert defects.max() < 1e-14
-        # coset k = 5, noise off the vacuum row: each defect is the larger
-        # of its two sides, and for some current the conjugate side is
+        # coset k = 5 with noise: psi_1 generates the Z_5 of currents, its
+        # defect is the larger of its two sides, here the conjugate one,
+        # and psi_m = psi_1^m carries the sum of m of them
         s = co.coset_s_compact(5).s
         noise = np.random.default_rng(0).standard_normal((2, 15, 15)) * 1e-11
         e = s.entries + noise[0] + 1j * noise[1]
@@ -405,12 +522,13 @@ class TestBlocks:
             sm.SMatrix(s.labels, e), 0)
         assert currents.tolist() == [0, 1, 2, 3, 4]  # (m, m) sort first
         assert np.array_equal(perms, fu._simple_currents(s, 0)[1])
-        sides = [(np.abs(e[p] - e[j] / e[0] * e).max(),
-                  np.abs(e[p] * (e[j] / e[0]).conj() - e).max())
-                 for j, p in zip(currents, perms)]
-        assert defects == pytest.approx([max(pair) for pair in sides],
-                                        rel=1e-12)
-        assert any(conj > direct for direct, conj in sides)
+        direct, conj = (np.abs(e[perms[1]] - e[1] / e[0] * e).max(),
+                        np.abs(e[perms[1]] * (e[1] / e[0]).conj() - e).max())
+        assert conj > direct
+        d = defects[1]
+        assert d == pytest.approx(max(direct, conj), rel=1e-12)
+        assert defects.tolist() == [0, d, d + d, d + (d + d),
+                                    d + (d + (d + d))]
 
     @pytest.mark.parametrize("theory,k", [("su2k", 4), ("coset", 6),
                                           ("full", 5)])
@@ -596,6 +714,59 @@ def test_orbit_tensor_and_generators_equal_the_all_rows_reference(k, theory):
     assert np.array_equal(ring.tensor, expected)
     assert ring.generators == fu.FusionRing(s.labels, expected,
                                             vac).check_axioms()
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 12), theory=st.sampled_from(["su2k", "coset", "full"]),
+       data=st.data())
+def test_certificate_on_random_symmetric_bumps(k, theory, data):
+    # the orbit certificate (current compares, representative pairs) gives
+    # the all-slices verdict, the n^4 reference computed one slice at a time
+    ring = _ring(theory, k)
+    assert _same_scan(ring.tensor)
+    others = st.sampled_from(_others(ring, len(ring.labels)))
+    a, b = data.draw(others), data.draw(others)
+    c = data.draw(st.integers(0, len(ring.labels) - 1))
+    bumped = _symmetric_bump(ring, a, b, c)
+    assert _same_scan(bumped.tensor)
+    try:
+        bumped.check_axioms()
+        passed = True
+    except ConsistencyError:
+        passed = False
+    assert passed == _reference_sliced(bumped.tensor)
+
+
+@st.composite
+def _near_permutations(draw):
+    """An (n, n, n) int8 tensor whose every matrix N_x is a permutation
+    matrix plus a move: one unit from one entry to another, which keeps
+    the coefficient sum n (each label stays a candidate), or +-1 around a
+    rectangle, which keeps every row and column sum. Either may leave a
+    2, a -1, a row of two 1s beside an empty one, another permutation or
+    nothing changed."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    tensor = np.zeros((n, n, n), dtype=np.int8)
+    for x in range(n):
+        tensor[x, np.arange(n), draw(st.permutations(range(n)))] = 1
+        (r, c), (r2, c2) = draw(st.tuples(index, index)), draw(
+            st.tuples(index, index))
+        shift = draw(st.sampled_from([0, 1, -1]))
+        tensor[x, r, c] += shift
+        if draw(st.booleans()):  # a rectangle
+            tensor[x, r2, c2] += shift
+            tensor[x, r, c2] -= shift
+            tensor[x, r2, c] -= shift
+        else:
+            tensor[x, r2, c2] -= shift
+    return tensor
+
+
+@settings(max_examples=200, deadline=None)
+@given(_near_permutations())
+def test_current_scan_on_near_permutations(tensor):
+    assert _same_scan(tensor)
 
 
 class TestMemoryBudget:
