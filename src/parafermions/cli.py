@@ -213,12 +213,6 @@ _SMATRIX_BUILDERS = {
 }
 
 
-def _build_s(args) -> sm.SMatrix:
-    """The S matrix that args.which names; `full` is `full-product`."""
-    which = "full-product" if args.which == "full" else args.which
-    return _SMATRIX_BUILDERS[which](args.k)
-
-
 def _smatrix_dim(which: str, k: int) -> int:
     """The label count of the S matrix `which` at level k, worked out
     without building it; 1 or 0 for k < 1, which every builder refuses
@@ -233,11 +227,20 @@ def _smatrix_dim(which: str, k: int) -> int:
     return k * (k + 1) // 2  # su(k)_2 weights, coset fields
 
 
+def _build(which: str, k: int, build=None, extra: int = 0, what=None):
+    """build(k), or the S matrix `which` names at level k (`full` is
+    `full-product`), once the memory budget admits SMATRIX_BYTES_PER_ENTRY
+    per S entry plus extra bytes; else ResourceError naming `what`, by
+    default the S matrix, before anything is allocated."""
+    which = "full-product" if which == "full" else which
+    n = _smatrix_dim(which, k)
+    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2 + extra,
+                      what or f"the {which} S matrix of {n ** 2} entries")
+    return (build or _SMATRIX_BUILDERS[which])(k)
+
+
 def cmd_smatrix(args) -> int:
-    n = _smatrix_dim(args.which, args.k)
-    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
-                      f"a document of {n ** 2} S entries")
-    s = _build_s(args)
+    s = _build(args.which, args.k)
     doc = document("smatrix", args.k, s.labels, {
         "which": args.which,
         "matrix": s.entries,
@@ -246,50 +249,39 @@ def cmd_smatrix(args) -> int:
     return EXIT_OK
 
 
-def _once(build):
-    """build() run at most once: later calls return its result or raise
-    again the CHECK_FAILURES error it raised."""
-    @cache
-    def attempt():
-        try:
-            return build(), None
-        except CHECK_FAILURES as exc:
-            return None, exc
-
-    def get():
-        value, exc = attempt()
-        if exc is not None:
-            raise exc
-        return value
-    return get
-
-
 def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
     never run. tol decides pass or fail here and nowhere else: builds
-    hold their self-checks to the module constants. Each S matrix is built
-    at most once per call, also when its build raises. A check returns
+    hold their self-checks to the module constants. Each S matrix is
+    built through _build at most once per call, also when its build
+    raises; su(k)_2 is the coset's, coset_s_compact(k).s. A check returns
     its residual, or (residual, passed) when passing takes more than
     residual < tol. A check that raises one of CHECK_FAILURES is recorded
     as failed with the error's message. Each check records its wall time
     as elapsed_s, which includes the builds of the S matrices it is the
-    first to use. Each S build is refused with ResourceError, before it
-    allocates, when the memory budget does not admit its n^2 entries."""
-    def build(which, builder):
-        n = _smatrix_dim(which, k)
-        fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
-                          f"the {which} S matrix of {n ** 2} entries")
-        return builder(k)
+    first to use."""
+    built = {}  # builder: its result, or the error it raised
 
-    su2k = _once(lambda: build("su2k", sm.s_su2k))
-    suk2 = _once(lambda: build("suk2-compact", sm.s_suk2_compact))
-    coset = _once(lambda: build("coset", co.coset_s_compact))
-    full = _once(lambda: build("full-product", fc.full_s_product))
+    def build(which, builder):
+        if builder not in built:
+            try:
+                built[builder] = _build(which, k, builder)
+            except CHECK_FAILURES as exc:
+                built[builder] = exc
+        if isinstance(built[builder], CHECK_FAILURES):
+            raise built[builder]
+        return built[builder]
+
+    # each builder is read from its module at call time, never bound at
+    # import, so a wrapper installed on the module is the one that runs
+    su2k = lambda: build("su2k", sm.s_su2k)
+    coset = lambda: build("coset", co.coset_s_compact)
+    full = lambda: build("full-product", fc.full_s_product)
 
     def four_way():
-        four = [suk2(), coset().s, build("coset", co.coset_s_phase_form),
-                build("coset-lm", co.coset_s_via_su2k_u1)]
-        return max(a.max_abs_diff(b) for a, b in combinations(four, 2))
+        three = [coset().s, build("coset", co.coset_s_phase_form),
+                 build("coset-lm", co.coset_s_via_su2k_u1)]
+        return max(a.max_abs_diff(b) for a, b in combinations(three, 2))
 
     @cache
     def report(name):
@@ -325,7 +317,7 @@ def _verify_checks(k: int, tol: float, targets=None):
 
     plan = [("oracle-vs-compact",
              lambda: build("suk2-oracle",
-                           sm.s_suk2_weylkac).max_abs_diff(suk2())),
+                           sm.s_suk2_weylkac).max_abs_diff(coset().s)),
             ("coset-four-way", four_way)]
     for name in ("su2k", "coset", "full"):
         plan += [
@@ -388,9 +380,9 @@ def cmd_verify(args) -> int:
 
 def cmd_fusion(args) -> int:
     n = _smatrix_dim(args.which, args.k)
-    fu.require_budget(fu.VERLINDE_BYTES_PER_CUBE * n ** 3,
-                      f"the fusion document of {n} labels")
-    ring = fu.verlinde(_build_s(args))
+    ring = fu.verlinde(_build(args.which, args.k,
+                              extra=fu.VERLINDE_BYTES_PER_CUBE * n ** 3,
+                              what=f"the fusion document of {n} labels"))
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
@@ -402,10 +394,7 @@ def cmd_fusion(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    n = _smatrix_dim("coset", args.k)
-    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2,
-                      f"the coset S matrix of {n ** 2} entries")
-    cdata = co.coset_s_compact(args.k)
+    cdata = _build("coset", args.k, co.coset_s_compact)
     qdims = fu.quantum_dimensions(cdata.s)
     doc = document("dims", args.k, cdata.s.labels, {
         "central_charge": str(cdata.central_charge),
@@ -439,11 +428,10 @@ def _parse_label(text: str, labels, k: int):
 
 def cmd_interfere(args) -> int:
     n = _smatrix_dim(args.which, args.k)
-    fu.require_budget(SMATRIX_BYTES_PER_ENTRY * n ** 2
-                      + INTERFERE_BYTES_PER_SAMPLE * args.samples,
-                      f"a curve of {args.samples} samples over an S matrix "
-                      f"of {n ** 2} entries")
-    s = _build_s(args)
+    s = _build(args.which, args.k,
+               extra=INTERFERE_BYTES_PER_SAMPLE * args.samples,
+               what=f"a curve of {args.samples} samples over an S matrix "
+                    f"of {n ** 2} entries")
     bulk = _parse_label(args.bulk, s.labels, args.k)
     probe = _parse_label(args.probe, s.labels, args.k)
     pattern = it.sigma_xx_curve(s, probe, bulk, args.t1, args.t2, args.samples)

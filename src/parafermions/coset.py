@@ -1,9 +1,12 @@
 """The Z_k parafermion diagonal coset (su(k)_1 + su(k)_1) / su(k)_2.
 
-The coset S matrix is built four independent ways: the phase-conjugate
-form acting on the su(k)_2 matrix, the compact closed form, the identity
-with su(k)_2 itself, and the su(2)_k x u(1)_{2k} product construction on
-(l, m) labels. The acceptance suite checks all four agree entrywise.
+The coset S matrix is built three independent ways: the compact closed
+form, which is su(k)_2's compact matrix itself (coset_s_compact(k).s is
+s_suk2_compact(k)), the phase-conjugate form acting on the su(k)_2
+matrix, and the su(2)_k x u(1)_{2k} product construction on (l, m)
+labels. `verify`'s `coset-four-way` check compares the three entrywise:
+its fourth way, su(k)_2 itself, is the compact form. The acceptance
+suite builds all four.
 Conformal weights are integer numerators over 4k(k+2), one label-array
 broadcast; coset_dimension is the per-label reference."""
 

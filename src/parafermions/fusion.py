@@ -419,7 +419,7 @@ def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:
     size = np.abs(c)
     is_perm = bool(np.all(size.sum(axis=0) == 1)
                    and np.all(size.sum(axis=1) == 1))
-    st = s.entries @ np.diag(t.vector(s.labels))
+    st = s.entries * t.vector(s.labels)  # S diag(T), scaling columns
     st3 = st @ st @ st
     return ModularReport(
         s2_defect=float(np.max(np.abs(s2 - c))),

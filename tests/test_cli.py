@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import csv
 import io
@@ -121,7 +120,13 @@ class TestVerifyCommand:
         assert "--weyl-cap" in capsys.readouterr().err
 
     def test_each_matrix_built_once(self, capsys, monkeypatch):
-        calls = {"full": 0, "coset": 0}
+        # every builder is read from its module when verify runs, so a
+        # wrapper installed after import counts each of its calls
+        builders = [(sm, "s_su2k"), (sm, "s_suk2_weylkac"),
+                    (sm, "s_suk2_compact"), (co, "coset_s_compact"),
+                    (co, "coset_s_phase_form"), (co, "coset_s_via_su2k_u1"),
+                    (fc, "full_s_product"), (fc, "full_s_compact")]
+        calls = dict.fromkeys((name for _, name in builders), 0)
 
         def counted(name, build):
             def wrapper(*args, **kwargs):
@@ -129,14 +134,16 @@ class TestVerifyCommand:
                 return build(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(fc, "full_s_product",
-                            counted("full", fc.full_s_product))
-        monkeypatch.setattr(co, "coset_s_compact",
-                            counted("coset", co.coset_s_compact))
+        for module, name in builders:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
         code, _, _ = run(capsys, "verify", "--k", "6", "--all")
         assert code == 3
-        # full_s_product builds its neutral factor from s_suk2_compact
-        assert calls == {"full": 1, "coset": 1}
+        # s_suk2_compact is the coset's S and runs inside coset_s_compact,
+        # coset_s_phase_form and full_s_product; s_su2k runs once for
+        # verify and once inside coset_s_via_su2k_u1
+        assert calls == {**dict.fromkeys(calls, 1),
+                         "s_suk2_compact": 3, "s_su2k": 2}
 
     def test_checks_carry_elapsed_s(self, capsys, monkeypatch):
         oracle = sm.s_suk2_weylkac
@@ -206,9 +213,10 @@ class TestVerifyCommand:
         assert len(full_checks) == 5
         assert all(c["passed"] is False and c["residual"] is None
                    and "not unitary" in c["error"] for c in full_checks)
-        # one call each through the cache; s_suk2_compact also runs inside
-        # coset_s_compact and coset_s_phase_form
-        assert calls == {"full": 1, "coset": 1, "suk2": 3}
+        # one call each through the cache; s_suk2_compact runs only inside
+        # coset_s_compact and coset_s_phase_form, since verify reads
+        # su(k)_2 as the coset's S
+        assert calls == {"full": 1, "coset": 1, "suk2": 2}
 
     @pytest.mark.usefixtures("zero_cartan_corner")
     def test_lattice_error_is_a_failed_check(self, capsys):
@@ -322,7 +330,7 @@ class TestResourceExit:
             code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: a document of 36 S entries")
+        assert err.startswith("error: the coset S matrix of 36 entries")
         assert "budget" in err
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         code, out, _ = run(capsys, *argv)
@@ -348,7 +356,7 @@ class TestResourceExit:
 
     @pytest.mark.parametrize("targets,which,module,builder", [
         ("oracle", "suk2-oracle", sm, "s_suk2_weylkac"),
-        ("coset-four-way", "suk2-compact", sm, "s_suk2_compact"),
+        ("coset-four-way", "coset", co, "coset_s_compact"),
         ("unitarity-su2k", "su2k", sm, "s_su2k"),
         ("unitarity-full", "full-product", fc, "full_s_product"),
     ])
@@ -383,7 +391,9 @@ class TestResourceExit:
     def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):
         def never(s):
             raise AssertionError("fusion built over budget")
-        need = 6 ** 3 * fu.VERLINDE_BYTES_PER_CUBE  # coset k = 3: n = 6
+        # coset k = 3: n = 6; the tensor and S, charged once before either
+        need = (6 ** 3 * fu.VERLINDE_BYTES_PER_CUBE
+                + 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
         argv = ("fusion", "--k", "3", "--which", "coset", "--format", fmt)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -403,11 +413,13 @@ class TestResourceExit:
                                              which, n):
         def never(k):
             raise AssertionError("S built over budget")
-        need = n ** 3 * fu.VERLINDE_BYTES_PER_CUBE
+        need = (n ** 3 * fu.VERLINDE_BYTES_PER_CUBE
+                + n ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
         argv = ("fusion", "--k", "3", "--which", which)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
-            m.setattr(cli, "_build_s", never)
+            for key in cli._SMATRIX_BUILDERS:
+                m.setitem(cli._SMATRIX_BUILDERS, key, never)
             code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith(f"error: the fusion document of {n} labels")
@@ -561,8 +573,7 @@ class TestFusionDimsSectors:
 
 def _reference_fusion_document(which, k, fmt):
     """The fusion document through tolist() and json.dumps."""
-    args = argparse.Namespace(which=which, k=k)
-    ring = fu.verlinde(cli._build_s(args))
+    ring = fu.verlinde(cli._build(which, k))
     doc = cli.document("fusion", k, ring.labels, {
         "which": which,
         "vacuum_index": ring.vacuum_index,

@@ -230,12 +230,17 @@ class TestCheckAxioms:
             bumped.check_axioms()
 
     def test_rejects_coefficients_beyond_exact_float(self):
-        # vacuum 0 acts as the identity; x x x = 2^27 0 + 2^27 x breaks
-        # the float64 exactness bound max|N|^2 n < 2^53
-        tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [2 ** 27, 2 ** 27]]])
-        ring = fu.FusionRing((0, 1), tensor, 0)
-        with pytest.raises(ConsistencyError, match="exact"):
-            ring.check_axioms()
+        # vacuum 0 acts as the identity; x x = a 0 + a x keeps the float64
+        # exactness bound max|N|^2 n < 2^53 for a up to 2^26 - 1 alone
+        def ring(a):
+            tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [a, a]]])
+            return fu.FusionRing((0, 1), tensor, 0)
+
+        assert ring(2 ** 26 - 1).check_axioms() == (1,)
+        for a in (2 ** 26, 2 ** 27):
+            with pytest.raises(ConsistencyError,
+                               match="too large for an exact float64"):
+                ring(a).check_axioms()
 
     @pytest.mark.parametrize("theory", ["coset", "full"])
     @pytest.mark.parametrize("k", range(2, 7))
