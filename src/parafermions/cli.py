@@ -60,6 +60,11 @@ INTERFERE_BYTES_PER_SAMPLE = 384
 # (full-product) and the 16-byte keys of the entries' texts 64.
 SMATRIX_BYTES_PER_ENTRY = 192
 
+# tracemalloc peak of `fusion` per n^3, its JSON or CSV document included:
+# 7.1-7.4 at n = 91..231 (the int8 tensor, then the text as uint8 and as
+# str).
+FUSION_BYTES_PER_CUBE = 8
+
 # Errors a consistency check raises when the data fail it: the check is
 # recorded as failed, not the command refused.
 CHECK_FAILURES = (ConsistencyError, LatticeError, VacuumError)
@@ -201,15 +206,17 @@ def _tensor_json(tensor: np.ndarray) -> str:
     return str(buf[:-1], "ascii")
 
 
+# each builder is read from its module at call time, never bound at
+# import, so a wrapper installed on the module is the one that runs
 _SMATRIX_BUILDERS = {
-    "su2k": sm.s_su2k,
-    "suk2-oracle": sm.s_suk2_weylkac,
-    "suk2-compact": sm.s_suk2_compact,
+    "su2k": lambda k: sm.s_su2k(k),
+    "suk2-oracle": lambda k: sm.s_suk2_weylkac(k),
+    "suk2-compact": lambda k: sm.s_suk2_compact(k),
     "coset": lambda k: co.coset_s_compact(k).s,
-    "coset-lm": co.coset_s_via_su2k_u1,
-    "u1": fc.s_u1,
-    "full-product": fc.full_s_product,
-    "full-compact": fc.full_s_compact,
+    "coset-lm": lambda k: co.coset_s_via_su2k_u1(k),
+    "u1": lambda k: fc.s_u1(k),
+    "full-product": lambda k: fc.full_s_product(k),
+    "full-compact": lambda k: fc.full_s_compact(k),
 }
 
 
@@ -272,8 +279,7 @@ def _verify_checks(k: int, tol: float, targets=None):
             raise built[builder]
         return built[builder]
 
-    # each builder is read from its module at call time, never bound at
-    # import, so a wrapper installed on the module is the one that runs
+    # read from the modules at call time, as _SMATRIX_BUILDERS does
     su2k = lambda: build("su2k", sm.s_su2k)
     coset = lambda: build("coset", co.coset_s_compact)
     full = lambda: build("full-product", fc.full_s_product)
@@ -381,7 +387,7 @@ def cmd_verify(args) -> int:
 def cmd_fusion(args) -> int:
     n = _smatrix_dim(args.which, args.k)
     ring = fu.verlinde(_build(args.which, args.k,
-                              extra=fu.VERLINDE_BYTES_PER_CUBE * n ** 3,
+                              extra=FUSION_BYTES_PER_CUBE * n ** 3,
                               what=f"the fusion document of {n} labels"))
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,

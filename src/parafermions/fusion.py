@@ -1,10 +1,7 @@
-"""Fusion rings and modular-group verification.
-
-Fusion coefficients come from three independent sources: the Verlinde
-formula applied to any unitary S matrix, the su(2)_k truncated
-Clebsch-Gordan closed form, and the diagonal-coset closed form. The
-acceptance suite pins all three against each other.
-"""
+"""Fusion rings, stored as simple-current blocks, and modular-group
+verification. Fusion coefficients come from three independent sources,
+pinned against each other by the acceptance suite: the Verlinde formula on
+any unitary S matrix and the su(2)_k and diagonal-coset closed forms."""
 
 from __future__ import annotations
 
@@ -12,7 +9,7 @@ import cmath
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -31,16 +28,11 @@ from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
-# Labels per block of the current compares and the associativity pairs,
-# whose temporaries are O(LABEL_BLOCK n^2): 2 to 8 time alike at n = 55
-# and 105, 16 and 32 are slower.
-LABEL_BLOCK = 8
-# Bytes per n^3 budgeted for `verlinde` including `check_axioms`: the
-# int8 tensor, the bool of the commutativity check and O(LABEL_BLOCK n^2)
-# temporaries, with no float64 copy (tracemalloc peak 3.5 n^3 at n = 55,
-# 2.1 at 231). The `fusion` command charges it too: its peak with the
-# document written is 7.0-7.4 n^3 at n = 91..231. Tests pin both below.
-VERLINDE_BYTES_PER_CUBE = 8
+# Bytes `verlinde` budgets, its check included, per S entry (tracemalloc
+# peak 60-67 n^2 at n = 55..496) and per (R, R, n) block entry (37-39 for
+# su(2)_k at k = 60 and 150), plus one per plane entry. Tests pin both.
+VERLINDE_BYTES_PER_SQUARE = 96
+VERLINDE_BYTES_PER_BLOCK_ENTRY = 64
 EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
 
 
@@ -56,40 +48,47 @@ def require_budget(need: int, what: str) -> None:
     if need > budget:
         raise ResourceError(
             f"{what} needs about {need / 2 ** 20:.0f} MiB, over the budget "
-            f"of {budget / 2 ** 20:.0f} MiB (half of physical memory)"
-        )
+            f"of {budget / 2 ** 20:.0f} MiB (half of physical memory)")
 
 
 def find_vacuum(s: SMatrix) -> int:
-    """Index of the unique row that is entrywise real and strictly positive.
-
-    Only the imaginary parts are held to DEFAULT_TOLERANCE: the vacuum
-    entries 1/D shrink with k, and every other row of a unitary S is
-    orthogonal to the positive vacuum row, so it has an entry with
-    negative real part."""
+    """Index of the unique row that is entrywise real and strictly
+    positive. Only imaginary parts are held to DEFAULT_TOLERANCE: the
+    vacuum entries 1/D shrink with k, and every other row of a unitary S,
+    orthogonal to the positive vacuum row, has a negative real part."""
     imag = np.max(np.abs(s.entries.imag), axis=1)
     rows = np.flatnonzero((imag < sm.DEFAULT_TOLERANCE)
                           & (np.min(s.entries.real, axis=1) > 0))
     if len(rows) != 1:
         raise VacuumError(
-            f"expected exactly one real-positive row, found {len(rows)}"
-        )
+            f"expected exactly one real-positive row, found {len(rows)}")
     return int(rows[0])
 
 
-@dataclass
 class FusionRing:
-    """N[a][b][c] tensor over an ordered label basis."""
+    """A fusion ring stored as its simple-current block: the permutations
+    a -> Ja of the currents J (`perms`, m x n), one representative r per
+    orbit (`reps`, the vacuum among them) and the integer block N_(r r')^c
+    (`block`, R x R x n); N_(Jr, Kr')^c = N_(r r')^((JK)^-1 c). A dense
+    tensor is the block of the trivial group."""
 
-    labels: tuple
-    tensor: np.ndarray  # integer, shape (n, n, n)
-    vacuum_index: int
-    generators: tuple = field(init=False, default=())  # set by check_axioms
-    _index: dict = field(init=False, repr=False)
-    _rows: list = field(init=False, repr=False, default=None)
+    def __init__(self, labels, tensor, vacuum_index):
+        self._store(labels, vacuum_index, np.arange(len(labels))[None],
+                    np.asarray(tensor))
 
-    def __post_init__(self):
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+    @classmethod
+    def _from_block(cls, labels, vacuum_index, perms, block):
+        ring = cls.__new__(cls)
+        ring._store(labels, vacuum_index, perms, block)
+        return ring
+
+    def _store(self, labels, vacuum_index, perms, block):
+        self.labels, self.vacuum_index = labels, vacuum_index
+        self.perms, self.block = perms, block
+        self.reps = _representatives(perms, vacuum_index)
+        self.generators = ()  # set by check_axioms
+        self._index = {lab: i for i, lab in enumerate(labels)}
+        self._tensor = self._planes = self._row_of = self._rows = None
 
     def index(self, label) -> int:
         try:
@@ -97,25 +96,57 @@ class FusionRing:
         except KeyError:
             raise LabelError(f"label {label!r} not in basis") from None
 
+    def planes(self) -> np.ndarray:
+        """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once."""
+        if self._planes is None:
+            n = len(self.labels)
+            self._planes = np.empty((len(self.reps), n, n), self.block.dtype)
+            for perm, inverse in zip(self.perms, np.argsort(self.perms)):
+                self._planes[:, perm[self.reps]] = self.block[:, :, inverse]
+        return self._planes
+
+    def _lookup(self) -> tuple:
+        """The plane rows and, at a n + b, the row (r, Jb) of a = Jr."""
+        n, reps = len(self.labels), self.reps
+        if self._row_of is None:
+            at, via = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+            at[self.perms[:, reps]] = np.arange(len(reps))
+            via[self.perms[:, reps]] = np.arange(len(self.perms))[:, None]
+            self._row_of = (at[:, None] * n + self.perms[via]).ravel().tolist()
+        return self.planes().reshape(-1, n), self._row_of
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The dense N[a][b][c], N_(Jr, y) = N_(r, Jy), expanded on first
+        access once the budget admits its n^3 entries."""
+        if self._tensor is None:
+            n = len(self.labels)
+            require_budget(self.block.itemsize * n ** 3,
+                           f"the fusion tensor of {n} labels")
+            self._tensor = np.empty((n, n, n), dtype=self.block.dtype)
+            for perm in self.perms:
+                self._tensor[perm[self.reps]] = self.planes()[:, perm]
+        return self._tensor
+
     def coefficient(self, a, b, c) -> int:
-        return int(self.tensor[self.index(a), self.index(b), self.index(c)])
+        rows, row_of = self._lookup()
+        return int(rows[row_of[self.index(a) * len(self.labels)
+                               + self.index(b)], self.index(c)])
 
     def product(self, a, b) -> Counter:
-        """Multiset of fusion outcomes of a x b: a fresh Counter copied
-        from row (a, b) of a table of dicts {label: count}, one per row,
-        that the first lookup builds. The copy is a dict.update into an
-        empty Counter, which skips Counter.__init__'s Mapping path."""
+        """Multiset of outcomes of a x b: a fresh Counter, dict.update'd
+        (no Counter.__init__ Mapping path) from plane row (r, Jb), a = Jr,
+        of a table of dicts {label: count} the first lookup builds."""
         if self._rows is None:
-            dim = len(self.labels)
-            flat = self.tensor.reshape(dim * dim, dim)
+            flat = self._lookup()[0]
             rows, cols = np.nonzero(flat)
-            self._rows = [{} for _ in range(dim * dim)]
+            self._rows = [{} for _ in range(len(flat))]
             for row, c, count in zip(rows.tolist(), cols.tolist(),
                                      flat[rows, cols].tolist()):
                 self._rows[row][self.labels[c]] = count
         try:
-            row = self._rows[self._index[a] * len(self.labels)
-                             + self._index[b]]
+            row = self._rows[self._row_of[self._index[a] * len(self.labels)
+                                          + self._index[b]]]
         except KeyError as missing:
             raise LabelError(
                 f"label {missing.args[0]!r} not in basis") from None
@@ -124,74 +155,54 @@ class FusionRing:
         return out
 
     def check_axioms(self) -> tuple:
-        """Commutativity, vacuum identity and exact associativity
-        (ab)c = a(bc), in O(n^3) memory; returns the generators G, the
-        checked currents and then the non-current orbit representatives.
-
-        With N commutative, a has a vanishing associator in every slot iff
-        its matrix (N_a)_cd = N_ac^d commutes with every N_y; these a form
-        a subspace V closed under products, N_ab = N_a N_b for a in V. The
-        simple currents are the labels J whose N_J permutes the labels,
-        c -> Jc (_permutation_rows). A current that no word in the checked
-        ones reaches from the vacuum (_words) is put in V by the exact
-        compare N_Jc,b^d = N_bc^(J^-1 d), (Jc)b = J(cb), with no flops.
-        Every label is some Jr, r a representative of a current orbit
-        (_representatives), with N_Jr = N_J N_r. A non-current
-        representative a that passes its pairs, N_a N_b = N_b N_a for
-        every other one b, thus commutes with each N_J, N_r and N_Jr, so a
-        lies in V, and then so does every Jr. The pairs run in float64
-        BLAS over blocks of LABEL_BLOCK representatives, exact integers
-        below max|N|^2 n < 2^53."""
-        n = self.tensor
-        dim = len(self.labels)
-        if np.any(n != np.swapaxes(n, 0, 1)):
+        """Commutativity, vacuum identity and exact associativity of the
+        ring the block defines, with no n^3 array (README, Associativity):
+        a commutative group of permutations, P_J P_K = P_JK with
+        JK = P_J[K]; block rows invariant under both labels' stabilizers;
+        a symmetric block; a delta vacuum row; N_a N_b = N_b N_a for each
+        pair of non-current representatives, in float64, exact below
+        max|N|^2 n < 2^53. Returns the generators G: the generating
+        currents, then the non-current representatives."""
+        perms, block, reps = self.perms, self.block, self.reps
+        n, vac = len(self.labels), self.vacuum_index
+        slot = np.full(n, -1)  # J -> its row of perms
+        slot[perms[:, vac]] = np.arange(len(perms))
+        composed = perms[:, perms]  # [J, K]: the permutation of JK
+        if np.any(np.sort(perms) != np.arange(n)) or np.any(
+                composed != composed.swapaxes(0, 1)):
+            raise ConsistencyError("the simple currents do not commute")
+        words = slot[composed[:, :, vac]]
+        if words.min() < 0 or np.any(perms[words] != composed):
+            raise ConsistencyError("the simple currents are not closed")
+        if np.any(block != block.swapaxes(0, 1)):
             raise ConsistencyError("fusion tensor is not commutative")
-        vac = n[self.vacuum_index]
-        if np.any(vac != np.eye(dim, dtype=n.dtype)):
+        if np.any(block[np.searchsorted(reps, vac)]
+                  != (reps[:, None] == np.arange(n))):
             raise ConsistencyError("vacuum does not act as the identity")
-        largest = max(int(n.max()), -int(n.min()))
-        if largest ** 2 * dim >= EXACT_FLOAT_INT:
-            raise ConsistencyError(
-                f"coefficients up to {largest} are too large for an exact "
-                "float64 associativity check"
-            )
-        currents = _permutation_rows(n)
-        checked, reached = [], {self.vacuum_index}
-        for j, perm in currents.items():
-            if j in reached:  # a word over the checked currents
-                continue
-            inverse = np.argsort(perm)
-            for c in range(0, dim, LABEL_BLOCK):
-                if not np.array_equal(n[perm[c:c + LABEL_BLOCK]],
-                                      n[c:c + LABEL_BLOCK][:, :, inverse]):
+        fixes = (perms[:, reps] == reps) & (perms[:, [vac]] != vac)
+        for j, i in zip(*np.nonzero(fixes)):  # J != 1 fixes r_i
+            if np.any(block[i][:, perms[j]] != block[i]):
+                raise ConsistencyError(f"block of {self.labels[reps[i]]} not "
+                                       "invariant under its stabilizer")
+        largest = max(int(block.max()), -int(block.min()))
+        if largest ** 2 * n >= EXACT_FLOAT_INT:
+            raise ConsistencyError(f"coefficients up to {largest} are too "
+                                   "large for an exact float64 check")
+        pairs, planes = np.flatnonzero(reps != vac), self.planes()
+        for x, i in enumerate(pairs):
+            na = planes[i].astype(np.float64)
+            for j in pairs[x + 1:]:
+                nb = planes[j].astype(np.float64)
+                if not np.array_equal(na @ nb, nb @ na):
                     raise ConsistencyError("fusion tensor is not associative")
-            checked.append(j)
-            reached = _words(self.vacuum_index, dim,
-                             [(currents[i], 0) for i in checked])
-        reps = [a for a in _representatives(
-            np.array(list(currents.values()))).tolist() if a not in currents]
-        for i, a in enumerate(reps):
-            na = n[a].astype(np.float64)
-            for start in range(i + 1, len(reps), LABEL_BLOCK):
-                block = n[reps[start:start + LABEL_BLOCK]].astype(np.float64)
-                lhs = np.matmul(na, block)  # [b, c, d]: sum_e N_ac^e N_eb^d
-                rhs = block.reshape(-1, dim) @ na  # [(b, c), d]: N_bc^f N_af^d
-                if not np.array_equal(lhs.reshape(rhs.shape), rhs):
-                    raise ConsistencyError("fusion tensor is not associative")
-        self.generators = tuple(checked + reps)
+        checked, reached = [], {vac}
+        for j in np.flatnonzero(slot >= 0).tolist():
+            if j not in reached:  # not a word over the generators so far
+                checked.append(j)
+                reached = _words(vac, n, [(perms[slot[g]], 0)
+                                          for g in checked])
+        self.generators = tuple(checked + reps[pairs].tolist())
         return self.generators
-
-
-def _permutation_rows(tensor: np.ndarray) -> dict:
-    """{x: pi} for the labels x whose matrix (N_x)_cd = N_xc^d is the
-    permutation matrix of c -> pi[c]: the simple currents. The candidates,
-    the labels whose coefficients sum to n, are checked in one pass."""
-    dim = len(tensor)
-    cand = np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim)
-    rows = tensor[cand]  # permutation matrices: >= 0, unit row/column sums
-    ok = ((rows.min(axis=(1, 2)) >= 0) & np.all(rows.sum(axis=1) == 1, axis=1)
-          & np.all(rows.sum(axis=2) == 1, axis=1))
-    return dict(zip(cand[ok].tolist(), rows[ok].argmax(axis=2)))
 
 
 def _words(vac: int, n: int, gens: list) -> dict:
@@ -206,42 +217,38 @@ def _words(vac: int, n: int, gens: list) -> dict:
     return words
 
 
-def _representatives(perms: np.ndarray) -> np.ndarray:
-    """The least label of each orbit of the permutations `perms` (rows,
-    the identity among them), plus any label that no permutation takes
-    one of those to: every label is one permutation away from one."""
+def _representatives(perms: np.ndarray, vac: int) -> np.ndarray:
+    """One label per orbit of the permutation rows `perms` (the identity
+    among them), the vacuum for its own and else the least, plus any label
+    no permutation takes one of those to: each label is one away."""
     reps = perms.min(axis=0) == np.arange(perms.shape[1])
+    reps[perms[:, vac]] = False
+    reps[vac] = True
     covered = np.isin(np.arange(len(reps)), perms[:, reps])
     return np.flatnonzero(reps | ~covered)
 
 
 def verlinde(s: SMatrix) -> FusionRing:
     """N_ab^c = sum_x S_ax S_bx conj(S_cx) / S_vac,x, rounded to integers,
-    summed on pairs of simple-current orbit representatives, then checked.
-
-    Raises ResourceError before allocating when the O(n^3) working set
-    (fusion tensor and axiom check included) exceeds `memory_budget()`."""
-    require_budget(VERLINDE_BYTES_PER_CUBE * s.dim ** 3,
-                   f"Verlinde fusion of {s.dim} labels")
+    summed on pairs of simple-current orbit representatives, stored as
+    that block and checked. Raises ResourceError, before the sum
+    allocates, when its working set exceeds `memory_budget()`."""
     vac = find_vacuum(s)
-    ring = FusionRing(s.labels, _verlinde_tensor(s, vac), vac)
+    ring = FusionRing._from_block(s.labels, vac, *_verlinde_block(s, vac))
     ring.check_axioms()
     return ring
 
 
 def _simple_currents(s: SMatrix, vac: int):
-    """The labels J with |S_Jx| = S_0x for every x (to DEFAULT_TOLERANCE;
-    S_0J = S_00 when S is symmetric, in any order of the columns x), the
-    permutation a -> Ja each one induces, and its covariance defect.
-
+    """The labels J with |S_Jx| = S_0x for every x (to DEFAULT_TOLERANCE,
+    in any order of the columns x), the permutation a -> Ja of each and
+    its covariance defect: (currents, perms of shape (m, n), defects).
     In index order, a current that no word in the generators so far
     reaches from the vacuum is a generator: Ja is the row of S nearest
     phi_J S_a, phi_J(x) = S_Jx / S_0x, on a fixed generic projection of
-    the rows, and its defect is the larger of max|S_Ja - phi_J S_a| and
-    max|conj(phi_J) S_Ja - S_a|. Any other current is its shortest word
-    (_words), whose summed defect bounds both sides for phi the product
-    of its letters' phases (triangle inequality; |phi| = 1 to
-    DEFAULT_TOLERANCE). Returns (currents, perms of shape (m, n), defects)."""
+    the rows; its defect is max(max|S_Ja - phi_J S_a|, max|conj(phi_J) S_Ja
+    - S_a|). Any other current is its shortest word (_words), whose summed
+    defect bounds both (triangle inequality, |phi| = 1 to tolerance)."""
     e, n = s.entries, s.dim
     currents = np.flatnonzero(np.abs(np.abs(e) - np.abs(e[vac])).max(axis=1)
                               < sm.DEFAULT_TOLERANCE).tolist()
@@ -261,54 +268,43 @@ def _simple_currents(s: SMatrix, vac: int):
     return np.array(currents), np.array(perms), np.array(defects)
 
 
-def _verlinde_tensor(s: SMatrix, vac: int):
-    """The Verlinde sum on pairs of simple-current orbit representatives,
-    stored in the smallest integer dtype that holds max N.
-
-    The sum runs on the R^2 pairs (a, b) of representatives of the
-    currents (_simple_currents) as one (R^2, n) x (n, n) BLAS product.
-    One slot-2 gather per current K fills the planes of the a,
-    N_a,Kb^c = N_a,b^(K^-1 c), and one row gather per current J every
-    other plane, N_Ja,y^c = N_a,Jy^c. As S_Ja = phi_J S_a to delta_J, each
-    move shifts the sum by at most the current's bound 2 delta_J max|S|
-    max_b sum_x |S_bx / S_0x| (README, Fusion). The pair residual (sqrt
-    of the largest (re - round)^2 + im^2) must stay below
-    INTEGRALITY_TOLERANCE, alone and plus twice the largest bound; a NaN
-    fails both. A current that does not permute the rows has an infinite
-    bound. Non-integer is reported before negative."""
+def _verlinde_block(s: SMatrix, vac: int):
+    """(perms, block): the currents' permutations (_simple_currents) and
+    the Verlinde sum on the R^2 pairs of their orbit representatives as one
+    (R^2, n) x (n, n) BLAS product, (R, R, n) in the smallest integer dtype
+    that holds max N, once the budget admits it. Covariance defines every
+    other coefficient, two moves of at most the current's bound
+    2 delta_J max|S| max_b sum_x |S_bx / S_0x| each (README, Fusion): the
+    pair residual (sqrt of the largest (re - round)^2 + im^2) must stay
+    below INTEGRALITY_TOLERANCE alone and plus twice the largest bound; a
+    NaN fails both. A current that does not permute the rows has an
+    infinite bound. Non-integer is reported before negative."""
     e, n = s.entries, s.dim
     currents, perms, defects = _simple_currents(s, vac)
-    reps = _representatives(perms)
+    reps = _representatives(perms, vac)
+    require_budget((VERLINDE_BYTES_PER_SQUARE + len(reps)) * n ** 2
+                   + VERLINDE_BYTES_PER_BLOCK_ENTRY * len(reps) ** 2 * n,
+                   f"Verlinde fusion of {n} labels")
     weighted = e / e[vac]  # divide inside the x-sum
     raw = (e[reps][:, None] * weighted[reps]).reshape(-1, n) @ e.conj().T
     rows = np.round(raw.real)
     residual = float(np.sqrt(np.max((raw.real - rows) ** 2 + raw.imag ** 2)))
     if not residual < INTEGRALITY_TOLERANCE:  # a NaN fails
-        raise NonIntegerFusionError(
-            f"Verlinde residual {residual:g} >= {INTEGRALITY_TOLERANCE:g}"
-        )
-    inverses = np.full_like(perms, -1)
-    inverses[np.arange(len(perms))[:, None], perms] = np.arange(n)
+        raise NonIntegerFusionError(f"Verlinde residual {residual:g} >= "
+                                    f"{INTEGRALITY_TOLERANCE:g}")
     weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
-    bounds = np.where(np.all(inverses >= 0, axis=1), defects * weight, np.inf)
+    bounds = np.where(np.all(np.sort(perms) == np.arange(n), axis=1),
+                      defects * weight, np.inf)
     j = int(np.argmax(bounds))  # the first NaN, if any
     if not residual + 2 * bounds[j] < INTEGRALITY_TOLERANCE:
         raise NonIntegerFusionError(
             f"S is not covariant under the simple current "
             f"{s.labels[currents[j]]}: Verlinde residual {residual:g} plus "
-            f"bound {2 * bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}"
-        )
+            f"bound {2 * bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}")
     if rows.min() < 0:
         raise NegativeFusionError("negative Verlinde coefficient")
-    rows = rows.reshape(len(reps), len(reps), n).astype(
+    return perms, rows.reshape(len(reps), len(reps), n).astype(
         np.min_scalar_type(-1 - int(rows.max())))
-    planes = np.empty((len(reps), n, n), dtype=rows.dtype)
-    for perm, inverse in zip(perms, inverses):  # N_a,Kb^c = N_a,b^(K^-1 c)
-        planes[:, perm[reps]] = rows[:, :, inverse]
-    tensor = np.empty((n, n, n), dtype=rows.dtype)
-    for perm in perms:  # N_Ja,y^c = N_a,Jy^c
-        tensor[perm[reps]] = planes[:, perm]
-    return tensor
 
 
 def fusion_su2k_closed(l: int, l2: int, k: int) -> set:
@@ -319,15 +315,10 @@ def fusion_su2k_closed(l: int, l2: int, k: int) -> set:
 
 
 def fusion_coset_closed(a: CosetWeight, b: CosetWeight) -> Counter:
-    """Closed-form coset fusion of Lam_mu+Lam_nu with Lam_mu'+Lam_nu'.
-
-    Routed through the su(2)_k / u(1)_{2k} correspondence: the l = nu - mu
-    labels fuse by the truncated su(2)_k rule, the m = mu + nu labels add,
-    and each outcome maps back through the inverse correspondence with
-    mod-k canonicalization. Distinct su(2)_k channels can land on the same
-    canonical weight; each field enters the product once (all coset fusion
-    multiplicities are 0 or 1).
-    """
+    """Closed-form coset fusion of Lam_mu+Lam_nu with Lam_mu'+Lam_nu'
+    through su(2)_k / u(1)_{2k}: the l = nu - mu labels fuse by the
+    truncated su(2)_k rule, the m = mu + nu labels add, and each outcome
+    maps back mod k; a field enters once (multiplicities are 0 or 1)."""
     if a.k != b.k:
         raise ContractViolationError("weights must share k")
     k = a.k
@@ -348,14 +339,23 @@ def su2k_fusion_tensor(k: int) -> np.ndarray:
 def coset_fusion_tensor(k: int) -> np.ndarray:
     """fusion_coset_closed for every pair at once: the closed form
     N[a, b, c] over canonical_weights(k) as one int8 array of 0s and 1s.
-    Outcome l'' of the su(2)_k rule (su2k_fusion_tensor), with
-    m = m_a + m_b, is the weight ((m - l'')/2, (m + l'')/2) mod k."""
-    mu, nu = sm.weight_arrays(sm.canonical_weights(k))
-    l, m = nu - mu, mu + nu
-    a, b, out = np.nonzero(su2k_fusion_tensor(k)[l[:, None], l[None, :]])
-    x, y = (m[a] + m[b] - out) // 2 % k, (m[a] + m[b] + out) // 2 % k
-    tensor = np.zeros((len(l),) * 3, dtype=np.int8)
-    tensor[a, b, sm.canonical_index(np.minimum(x, y), np.maximum(x, y), k)] = 1
+    Outcome l'' = |l_a - l_b| + 2t of the su(2)_k rule (while l'' <=
+    min(l_a + l_b, 2k - l_a - l_b)) is the weight (x, x + l'') mod k with
+    x = (m_a + m_b - l'')/2 mod k: one int32 pass over the pairs per t."""
+    mu, nu = sm.weight_arrays(sm.canonical_weights(k)).astype(np.int32)
+    l, m, n = nu - mu, mu + nu, len(mu)
+    x, out = np.ogrid[:k, :2 * k + 1]
+    y = (x + out) % k
+    index = sm.canonical_index(np.minimum(x, y), np.maximum(x, y), k)
+    low, high = np.abs(l[:, None] - l), np.minimum(l[:, None] + l,
+                                                   2 * k - l[:, None] - l)
+    base = (m[:, None] + m - low) // 2  # x at t = 0
+    pair = np.arange(n * n, dtype=np.int32).reshape(n, n)
+    tensor = np.zeros((n, n, n), dtype=np.int8)
+    for t in range(k // 2 + 1):
+        hit = low + 2 * t <= high
+        tensor.reshape(n * n, n)[pair[hit], index[(base[hit] - t) % k,
+                                                  low[hit] + 2 * t]] = 1
     return tensor
 
 

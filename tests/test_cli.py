@@ -145,6 +145,23 @@ class TestVerifyCommand:
         assert calls == {**dict.fromkeys(calls, 1),
                          "s_suk2_compact": 3, "s_su2k": 2}
 
+    @pytest.mark.parametrize("argv,module,name", [
+        (("fusion", "--k", "3", "--which", "full"), fc, "full_s_product"),
+        (("smatrix", "--k", "3", "--which", "su2k"), sm, "s_su2k")],
+        ids=["fusion-full", "smatrix-su2k"])
+    def test_commands_read_builders_at_call_time(self, capsys, monkeypatch,
+                                                 argv, module, name):
+        # a wrapper installed on the module after import is the one that
+        # runs, as for verify
+        calls, build = [], getattr(module, name)
+
+        def wrapper(k):
+            calls.append(k)
+            return build(k)
+        monkeypatch.setattr(module, name, wrapper)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and calls == [3]
+
     def test_checks_carry_elapsed_s(self, capsys, monkeypatch):
         oracle = sm.s_suk2_weylkac
 
@@ -392,7 +409,7 @@ class TestResourceExit:
         def never(s):
             raise AssertionError("fusion built over budget")
         # coset k = 3: n = 6; the tensor and S, charged once before either
-        need = (6 ** 3 * fu.VERLINDE_BYTES_PER_CUBE
+        need = (6 ** 3 * cli.FUSION_BYTES_PER_CUBE
                 + 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
         argv = ("fusion", "--k", "3", "--which", "coset", "--format", fmt)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
@@ -413,7 +430,7 @@ class TestResourceExit:
                                              which, n):
         def never(k):
             raise AssertionError("S built over budget")
-        need = (n ** 3 * fu.VERLINDE_BYTES_PER_CUBE
+        need = (n ** 3 * cli.FUSION_BYTES_PER_CUBE
                 + n ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
         argv = ("fusion", "--k", "3", "--which", which)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
@@ -494,7 +511,7 @@ class TestResourceExit:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < fu.VERLINDE_BYTES_PER_CUBE * n ** 3
+        assert peak < cli.FUSION_BYTES_PER_CUBE * n ** 3
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):

@@ -119,6 +119,20 @@ def _reference_sliced(n, slices=None):
     return True
 
 
+def _permutation_rows(tensor):
+    """{x: pi} for the labels x whose matrix (N_x)_cd = N_xc^d is the
+    permutation matrix of c -> pi[c]: the simple currents, read from the
+    tensor. The candidates, the labels whose coefficients sum to n, are
+    checked in one pass. The reference for the permutations that
+    _simple_currents reads from S."""
+    dim = len(tensor)
+    cand = np.flatnonzero(tensor.reshape(dim, -1).sum(axis=1) == dim)
+    rows = tensor[cand]  # permutation matrices: >= 0, unit row/column sums
+    ok = ((rows.min(axis=(1, 2)) >= 0) & np.all(rows.sum(axis=1) == 1, axis=1)
+          & np.all(rows.sum(axis=2) == 1, axis=1))
+    return dict(zip(cand[ok].tolist(), rows[ok].argmax(axis=2)))
+
+
 def _reference_permutation_rows(tensor):
     """The per-candidate loop the batched current scan replaced."""
     dim = len(tensor)
@@ -133,7 +147,7 @@ def _reference_permutation_rows(tensor):
 
 def _same_scan(tensor):
     """Whether the batched current scan equals the per-candidate loop."""
-    got, expected = fu._permutation_rows(tensor), _reference_permutation_rows(
+    got, expected = _permutation_rows(tensor), _reference_permutation_rows(
         tensor)
     return list(got) == list(expected) and all(
         np.array_equal(got[j], expected[j]) for j in got)
@@ -293,11 +307,20 @@ class TestGeneratingSet:
             bumped.check_axioms()
 
     def test_words_of_one_label_need_not_span(self):
-        ring = _klein_four()
-        assert _reference_sliced(ring.tensor)
-        assert ring.check_axioms() == (1, 2)  # the words over a miss b
+        dense = _klein_four()
+        assert _reference_sliced(dense.tensor)
+        # the dense form is the trivial group's: every label but the
+        # vacuum is a representative
+        assert dense.check_axioms() == (1, 2, 3)
+        # with its translations x -> x ^ g the vacuum represents the one
+        # orbit, and the words over a miss b
+        perms = np.array([[x ^ g for x in range(4)] for g in range(4)])
+        ring = fu.FusionRing._from_block(dense.labels, 0, perms,
+                                         dense.tensor[:1, :1])
+        assert ring.check_axioms() == (1, 2)
+        assert np.array_equal(ring.tensor, dense.tensor)
         # ab x ab = 1 + a: commutative, vacuum intact, not associative
-        bumped = _modified(ring, {(3, 3, 1): 1})
+        bumped = _modified(dense, {(3, 3, 1): 1})
         assert not _reference_sliced(bumped.tensor)
         with pytest.raises(ConsistencyError, match="associative"):
             bumped.check_axioms()
@@ -310,7 +333,7 @@ class TestGeneratingSet:
         fib[1, 1, 0] = fib[1, 1, 1] = 1  # tau x tau = 1 + tau
         tensor = np.einsum("ace,bdf->abcdef", fib, fib).reshape(4, 4, 4)
         ring = fu.FusionRing((0, 1, 2, 3), tensor, 0)
-        assert fu._permutation_rows(tensor).keys() == {0}
+        assert _permutation_rows(tensor).keys() == {0}
         assert _reference_associative(tensor)
         assert ring.check_axioms() == (1, 2, 3)
         for a, b, c in itertools.product((1, 2, 3), repeat=3):
@@ -345,7 +368,7 @@ def _one_shot_verlinde(s, vac):
 
 def _representatives(s, vac):
     """The labels whose pairs the orbit Verlinde sum computes."""
-    return fu._representatives(fu._simple_currents(s, vac)[1])
+    return fu._representatives(fu._simple_currents(s, vac)[1], vac)
 
 
 def _reference_simple_currents(s, vac):
@@ -461,16 +484,19 @@ def _group_ring(m):
 
 class TestBlocks:
     @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
-    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("k", range(2, 17))
     def test_tensor_equals_one_shot(self, theory, k):
-        # n = 3..11 (su2k), 3..55 (coset) and 6..66 (full): 2 to 6
-        # representatives, so 4 to 36 pairs, and 1 to 2 generators
+        # n = 3..17 (su2k), 3..136 (coset) and 6..153 (full): 2 to 9
+        # representatives, so 4 to 81 pairs, and 1 to 2 generators; the
+        # tensor is expanded from the block
         s = _s_matrix(theory, k)
         vac = fu.find_vacuum(s)
         expected, _ = _one_shot_verlinde(s, vac)
-        got = fu._verlinde_tensor(s, vac)
-        assert got.dtype == np.int8  # the smallest that holds max N
-        assert np.array_equal(got, expected)
+        ring = fu.verlinde(s)
+        assert ring.block.shape == (len(ring.reps),) * 2 + (s.dim,)
+        assert ring.block.dtype == np.int8  # the smallest that holds max N
+        assert ring.tensor.dtype == np.int8
+        assert np.array_equal(ring.tensor, expected)
 
     @pytest.mark.parametrize("theory,k", [("su2k", 10), ("coset", 5),
                                           ("full", 4)])
@@ -494,10 +520,10 @@ class TestBlocks:
         # the two-slot bound and failing just below pins what the check
         # compares
         monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 + 1e-12))
-        fu._verlinde_tensor(bumped, vac)
+        fu._verlinde_block(bumped, vac)
         monkeypatch.setattr(fu, "INTEGRALITY_TOLERANCE", total * (1 - 1e-12))
         with pytest.raises(NonIntegerFusionError, match="covariant"):
-            fu._verlinde_tensor(bumped, vac)
+            fu._verlinde_block(bumped, vac)
 
     def test_non_integer_reported_before_negative(self):
         s = sm.s_su2k(10)  # the current 10 maps l to 10 - l
@@ -506,10 +532,10 @@ class TestBlocks:
         _, residuals = _one_shot_verlinde(sm.SMatrix(s.labels, entries), 0)
         assert residuals.max() < 1e-10
         with pytest.raises(NegativeFusionError):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
+            fu._verlinde_block(sm.SMatrix(s.labels, entries), 0)
         entries[10, 5] += 0.01  # row 10 sits in the last block
         with pytest.raises(NonIntegerFusionError):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
+            fu._verlinde_block(sm.SMatrix(s.labels, entries), 0)
 
     def test_simple_currents(self):
         s = sm.s_su2k(10)
@@ -564,15 +590,16 @@ class TestBlocks:
         entries = s.entries.copy()
         entries[10, 5] = np.nan  # row 10 sits in the last block
         with pytest.raises(NonIntegerFusionError, match="nan"):
-            fu._verlinde_tensor(sm.SMatrix(s.labels, entries), 0)
+            fu._verlinde_block(sm.SMatrix(s.labels, entries), 0)
 
-    def test_bump_in_last_partial_block_rejected(self):
-        m = fu.LABEL_BLOCK + 3  # blocks of b: [0, B) and [B, B + 3)
+    def test_bump_seen_by_one_pair_rejected(self):
+        m = 11  # the pairs of label 1 end with the pair (1, m - 1)
         ring = _group_ring(m)
-        assert ring.check_axioms() == (1,)
+        # dense, so every label but the vacuum is a representative
+        assert ring.check_axioms() == tuple(range(1, m))
         assert _reference_sliced(ring.tensor)
         # (m-1)(m-1) gains the outcome 2; only the matrix N_{m-1} changes,
-        # so only the last block's slice sees N_1 N_{m-1} != N_{m-1} N_1
+        # so only its pairs see N_1 N_{m-1} != N_{m-1} N_1
         bumped = _modified(ring, {(m - 1, m - 1, 2): 1})
         assert not _reference_sliced(bumped.tensor)
         with pytest.raises(ConsistencyError, match="associative"):
@@ -635,8 +662,8 @@ class TestOrbits:
                                           ("full", 4), ("full", 6)])
     def test_symmetric_bump_at_non_representative_is_caught(self, theory, k):
         ring = _ring(theory, k)
-        currents = fu._permutation_rows(ring.tensor)
-        reps = fu._representatives(np.array(list(currents.values())))
+        currents = _permutation_rows(ring.tensor)
+        reps = ring.reps
         g = next(a for a in ring.check_axioms() if a not in currents)
         b = next(b for b in range(len(ring.labels))
                  if b not in reps and b not in currents and b != g)
@@ -651,7 +678,7 @@ class TestOrbits:
     def test_bump_in_a_current_row_is_caught(self, theory, k):
         ring = _ring(theory, k)
         vac = ring.vacuum_index
-        j, perm = next((j, p) for j, p in fu._permutation_rows(
+        j, perm = next((j, p) for j, p in _permutation_rows(
             ring.tensor).items() if j != vac)
         c1, c2 = [c for c in range(len(ring.labels)) if c not in (vac, j)][:2]
         # +1 on N_J,c1^c2: the row of J no longer permutes the labels
@@ -664,7 +691,7 @@ class TestOrbits:
             [perm[c1], perm[c2]]]
         swapped = _modified(ring, {(j, c1): e2, (c1, j): e2,
                                    (j, c2): e1, (c2, j): e1})
-        assert j in fu._permutation_rows(swapped.tensor)
+        assert j in _permutation_rows(swapped.tensor)
         assert not _reference_sliced(swapped.tensor)
         with pytest.raises(ConsistencyError, match="associative"):
             swapped.check_axioms()
@@ -676,7 +703,7 @@ class TestOrbits:
         # +1 on every image of N_xy^z under pairs of currents keeps each
         # current's compare exact, so only the representative slices see it
         ring = _ring(theory, k)
-        currents = fu._permutation_rows(ring.tensor)
+        currents = _permutation_rows(ring.tensor)
         others = [a for a in range(len(ring.labels)) if a not in currents]
         x, y, z = (others[i] for i in xyz)
         bumped = ring.tensor.copy()
@@ -685,7 +712,7 @@ class TestOrbits:
                 bumped[p[x], q[y], p[q[z]]] += 1
                 bumped[q[y], p[x], p[q[z]]] += 1
         bumped = fu.FusionRing(ring.labels, bumped, ring.vacuum_index)
-        assert fu._permutation_rows(bumped.tensor).keys() == currents.keys()
+        assert _permutation_rows(bumped.tensor).keys() == currents.keys()
         assert not _reference_sliced(bumped.tensor)
         with pytest.raises(ConsistencyError, match="associative"):
             bumped.check_axioms()
@@ -694,18 +721,33 @@ class TestOrbits:
         # {1, (0 1), (1 2)} is no group: the least label of each "orbit"
         # misses 2, which no permutation takes 0 to, so 2 is sliced too
         perms = np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])
-        reps = fu._representatives(perms)
+        reps = fu._representatives(perms, 0)
         assert set(reps.tolist()) == {0, 2}
         assert set(perms[:, reps].ravel().tolist()) == {0, 1, 2}
 
     def test_currents_are_the_permutation_rows(self):
         ring = _ring("coset", 5)
-        currents = fu._permutation_rows(ring.tensor)
+        currents = _permutation_rows(ring.tensor)
         assert {ring.labels[j] for j in currents} == {
             w(m, m, k=5) for m in range(5)}  # psi_m = Lam_m + Lam_m
         for j, perm in currents.items():
             assert [ring.product(ring.labels[j], a) for a in ring.labels] == [
                 Counter({ring.labels[c]: 1}) for c in perm]
+
+
+def _reference_generators(tensor, vac):
+    """The generators as the dense check read them from the tensor: the
+    currents (_permutation_rows) that no word in the earlier ones reaches
+    from the vacuum, then the non-current orbit representatives."""
+    currents = _permutation_rows(tensor)
+    checked, reached = [], {vac}
+    for j in currents:
+        if j not in reached:
+            checked.append(j)
+            reached = fu._words(vac, len(tensor),
+                                [(currents[g], 0) for g in checked])
+    reps = fu._representatives(np.array(list(currents.values())), vac)
+    return tuple(checked + [a for a in reps.tolist() if a not in currents])
 
 
 @settings(max_examples=30, deadline=None)
@@ -717,8 +759,21 @@ def test_orbit_tensor_and_generators_equal_the_all_rows_reference(k, theory):
     ring = _ring(theory, k)
     assert residuals.max() < fu.INTEGRALITY_TOLERANCE
     assert np.array_equal(ring.tensor, expected)
-    assert ring.generators == fu.FusionRing(s.labels, expected,
-                                            vac).check_axioms()
+    assert ring.generators == _reference_generators(expected, vac)
+
+
+@pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+@pytest.mark.parametrize("k", range(2, 17))
+def test_simple_currents_are_the_permutation_rows(theory, k):
+    # the permutations read from S are those the tensor's current rows
+    # apply, which test_tensor_equals_one_shot pins to the all-rows sum
+    ring = _ring(theory, k)
+    rows = _permutation_rows(ring.tensor)
+    currents, perms, _ = fu._simple_currents(_s_matrix(theory, k),
+                                             ring.vacuum_index)
+    assert currents.tolist() == list(rows)
+    assert np.array_equal(perms, np.array(list(rows.values())))
+    assert np.array_equal(ring.perms, perms)
 
 
 @settings(max_examples=30, deadline=None)
@@ -740,6 +795,118 @@ def test_certificate_on_random_symmetric_bumps(k, theory, data):
     except ConsistencyError:
         passed = False
     assert passed == _reference_sliced(bumped.tensor)
+
+
+def _block_bump(ring, i, j, c):
+    """A copy of `ring` with N_(r_i r_j)^c and N_(r_j r_i)^c of its block
+    raised by one: every image under the currents moves with them."""
+    block = ring.block.copy()
+    block[i, j, c] += 1
+    block[j, i, c] = block[i, j, c]
+    return fu.FusionRing._from_block(ring.labels, ring.vacuum_index,
+                                     ring.perms, block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 12), theory=st.sampled_from(["su2k", "coset", "full"]),
+       data=st.data())
+def test_certificate_on_random_block_bumps(k, theory, data):
+    # the compressed check on a bumped block: a pass means the expanded
+    # tensor is a commutative ring with the vacuum as identity that passes
+    # the all-slices n^4 reference, and a refused pair means it fails it
+    ring = _ring(theory, k)
+    reps = st.integers(0, len(ring.reps) - 1)
+    i, j = data.draw(reps), data.draw(reps)
+    c = data.draw(st.integers(0, len(ring.labels) - 1))
+    bumped = _block_bump(ring, i, j, c)
+    tensor = bumped.tensor
+    try:
+        bumped.check_axioms()
+    except ConsistencyError as exc:
+        if "associative" in str(exc):
+            assert not _reference_sliced(tensor)
+    else:
+        assert np.array_equal(tensor, tensor.swapaxes(0, 1))
+        assert np.array_equal(tensor[ring.vacuum_index],
+                              np.eye(len(ring.labels)))
+        assert _reference_sliced(tensor)
+
+
+class TestBlockCheck:
+    """Each part of the compressed check refuses a ring that only it sees;
+    the expanded tensor shows the defect."""
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 2), ("coset", 4)])
+    def test_block_not_invariant_under_a_stabilizer(self, theory, k):
+        # the current k of su(2)_2 fixes 1, its one non-current
+        # representative, so there are no pairs; psi_2 fixes (0,2), label
+        # 7, at coset k = 4
+        ring = _ring(theory, k)
+        vac, perms, reps = ring.vacuum_index, ring.perms, ring.reps
+        (j, i), = [(j, i) for j, i in zip(*np.nonzero(perms[:, reps] == reps))
+                   if perms[j, vac] != vac]
+        c = next(c for c in range(len(ring.labels)) if perms[j, c] != c)
+        bumped = _block_bump(ring, i, i, c)
+        assert not _reference_sliced(bumped.tensor)
+        with pytest.raises(ConsistencyError, match="invariant under its "
+                                                   "stabilizer"):
+            bumped.check_axioms()
+
+    def test_block_not_symmetric(self):
+        # su(2)_2: N_(1 0) gains 0 and 2, invariant under the current, and
+        # N_(0 1) does not
+        ring = _ring("su2k", 2)
+        block = ring.block.copy()
+        block[1, 0, [0, 2]] += 1
+        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block)
+        assert not np.array_equal(bumped.tensor,
+                                  bumped.tensor.swapaxes(0, 1))
+        with pytest.raises(ConsistencyError, match="not commutative"):
+            bumped.check_axioms()
+
+    def test_vacuum_row_not_delta(self):
+        ring = _ring("su2k", 2)
+        block = ring.block.copy()
+        block[[0, 1], [1, 0]] += np.array([1, 0, 1], dtype=block.dtype)
+        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block)
+        assert not np.array_equal(bumped.tensor[0], np.eye(3))
+        with pytest.raises(ConsistencyError, match="vacuum"):
+            bumped.check_axioms()
+
+    def test_currents_that_do_not_commute(self):
+        # S_3 acting on itself from the left is a group with one orbit,
+        # but the ring it defines from N_(vac vac) = vac is the group ring
+        # of S_3, which is not commutative
+        group = list(itertools.permutations(range(3)))
+        perms = np.array([[group.index(tuple(g[x] for x in h))
+                           for h in group] for g in group])
+        block = np.eye(6, dtype=np.int8)[None, :1]
+        ring = fu.FusionRing._from_block(tuple(range(6)), 0, perms, block)
+        assert not np.array_equal(ring.tensor, ring.tensor.swapaxes(0, 1))
+        with pytest.raises(ConsistencyError, match="do not commute"):
+            ring.check_axioms()
+
+    def test_currents_that_do_not_permute(self):
+        # x -> 1, 1, 2 composes to itself, and 1 x 1 = 2 in the block
+        perms = np.array([[0, 1, 2], [1, 1, 2]])
+        block = np.zeros((2, 2, 3), dtype=np.int8)  # representatives 0, 2
+        block[0, 0, 0] = block[0, 1, 2] = block[1, 0, 2] = block[1, 1, 0] = 1
+        ring = fu.FusionRing._from_block((0, 1, 2), 0, perms, block)
+        assert ring.reps.tolist() == [0, 2]
+        with pytest.raises(ConsistencyError, match="do not commute"):
+            ring.check_axioms()
+
+    def test_currents_that_are_not_closed(self):
+        # Z_4 with the shift by one alone: 1 x 1 = 2 is no current. With
+        # 2 x 2 = 2 in the block, (1 x 1) x 2 = 2 but 1 x (1 x 2) = 0
+        perms = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+        block = np.zeros((2, 2, 4), dtype=np.int8)  # representatives 0, 2
+        block[0, 0, 0] = block[0, 1, 2] = block[1, 0, 2] = block[1, 1, 2] = 1
+        ring = fu.FusionRing._from_block((0, 1, 2, 3), 0, perms, block)
+        assert ring.reps.tolist() == [0, 2]
+        assert not _reference_associative(ring.tensor)
+        with pytest.raises(ConsistencyError, match="not closed"):
+            ring.check_axioms()
 
 
 @st.composite
@@ -774,28 +941,57 @@ def test_current_scan_on_near_permutations(tensor):
     assert _same_scan(tensor)
 
 
+def _verlinde_need(n, r):
+    """The bytes the guard of verlinde charges for n labels and r orbit
+    representatives: per S entry, per block entry and per plane entry."""
+    return ((fu.VERLINDE_BYTES_PER_SQUARE + r) * n ** 2
+            + fu.VERLINDE_BYTES_PER_BLOCK_ENTRY * r ** 2 * n)
+
+
+def _verlinde_peak(s):
+    """(ring, tracemalloc peak of verlinde(s), check_axioms included)."""
+    tracemalloc.start()
+    try:
+        ring = fu.verlinde(s)
+        return ring, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBudget:
-    @pytest.mark.parametrize("theory,k", [("coset", 10), ("full", 13)])
+    @pytest.mark.parametrize("theory,k", [
+        ("coset", 10), ("full", 13), ("su2k", 10), ("su2k", 60),
+        ("coset", 5), ("full", 4), ("coset", 24)])
     def test_peak_within_budget_constant(self, theory, k):
-        # n = 55 and 105: the tracemalloc peak of verlinde(), check_axioms
-        # included, stays below the bytes per n^3 its guard charges
+        # n = 11..300, R = 3..31: the peak stays below what the guard
+        # charges for the block, its planes and the S-sized temporaries
         s = _s_matrix(theory, k)
-        tracemalloc.start()
-        try:
-            fu.verlinde(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < fu.VERLINDE_BYTES_PER_CUBE * s.dim ** 3
+        ring, peak = _verlinde_peak(s)
+        assert peak < _verlinde_need(s.dim, len(ring.reps))
+
+    def test_no_cube_sized_array(self):
+        # the full theory at k = 30, n = 496: no n^3 array is allocated
+        s = fc.full_s_product(30)
+        ring, peak = _verlinde_peak(s)
+        assert ring._tensor is None
+        assert peak <= 0.5 * s.dim ** 3
 
     def test_guard_raises_before_allocating(self, monkeypatch):
         s = co.coset_s_compact(4).s
-        need = fu.VERLINDE_BYTES_PER_CUBE * s.dim ** 3
+        need = _verlinde_need(s.dim, 3)  # (0,0), (0,1) and (0,2)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with pytest.raises(ResourceError, match="budget"):
             fu.verlinde(s)
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         fu.verlinde(s)
+
+    def test_tensor_charged_on_first_access(self, monkeypatch):
+        ring = fu.verlinde(co.coset_s_compact(4).s)  # n = 10, int8
+        monkeypatch.setattr(fu, "memory_budget", lambda: 10 ** 3 - 1)
+        with pytest.raises(ResourceError, match="fusion tensor of 10 labels"):
+            ring.tensor
+        monkeypatch.setattr(fu, "memory_budget", lambda: 10 ** 3)
+        assert ring.tensor is ring.tensor  # expanded once
 
 
 class TestClosedForms:
@@ -843,7 +1039,7 @@ class TestClosedForms:
             expected = sm.CosetWeight(weight.mu + 1, weight.nu + 1, k)
             assert fu.fusion_coset_closed(j, weight) == Counter({expected: 1})
 
-    @pytest.mark.parametrize("k", range(2, 9))
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_coset_tensor_is_the_per_pair_rule(self, k):
         labels = sm.canonical_weights(k)
         index = {lab: i for i, lab in enumerate(labels)}
@@ -853,6 +1049,18 @@ class TestClosedForms:
                 for c, mult in fu.fusion_coset_closed(a, b).items():
                     expected[i, j, index[c]] = mult
         assert np.array_equal(fu.coset_fusion_tensor(k), expected)
+
+    @pytest.mark.parametrize("k", [20, 30])
+    def test_coset_tensor_peak(self, k):
+        # one pass per outcome step over the pairs: the tracemalloc peak
+        # stays within a quarter of the int8 result above it
+        tracemalloc.start()
+        try:
+            tensor = fu.coset_fusion_tensor(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tensor.dtype == np.int8 and peak <= 1.25 * tensor.nbytes
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_coset_matches_verlinde(self, k):

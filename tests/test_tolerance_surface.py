@@ -36,7 +36,7 @@ def test_builders_take_k_alone(build):
 def test_other_signatures():
     assert _parameters(sm.simple_current_extend) == ["representative_row", "k"]
     assert _parameters(fu.verlinde) == ["s"]
-    assert _parameters(fu._verlinde_tensor) == ["s", "vac"]
+    assert _parameters(fu._verlinde_block) == ["s", "vac"]
 
 
 def test_smatrix_is_labels_and_entries():
