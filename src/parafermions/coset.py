@@ -19,12 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import smatrix as sm
-from .errors import (
-    BranchingParityError,
-    ConsistencyError,
-    IdentificationError,
-    InvalidRankError,
-)
+from .errors import ConsistencyError, InvalidRankError, LabelError
 from .smatrix import CosetWeight, SMatrix, canonical_weights
 
 
@@ -66,7 +61,7 @@ def from_lm(lbl: LmLabel) -> CosetWeight:
     """(l, m) -> (mu, nu) = ((m-l)/2, (m+l)/2), canonicalized mod k."""
     l, m, k = lbl
     if (l - m) % 2 != 0:
-        raise BranchingParityError(f"(l, m) = ({l}, {m}) violates l = m mod 2")
+        raise LabelError(f"(l, m) = ({l}, {m}) violates l = m mod 2")
     return CosetWeight((m - l) // 2, (m + l) // 2, k)
 
 
@@ -82,7 +77,7 @@ def field_identify(lbl: LmLabel) -> LmLabel:
     if m > l:
         l, m = k - l, k - m
     if not (0 <= m <= l <= k) or (l - m) % 2 != 0:
-        raise IdentificationError(
+        raise LabelError(
             f"no valid representative for (l, m) = ({lbl.l}, {lbl.m}) at k={k}"
         )
     return LmLabel(l=l, m=m, k=k)

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per handling.
+The CLI exits 1 on the three ValueErrors and on ConsistencyError, and 2
+on ResourceError; `verify` records a ConsistencyError as a failed check."""
 
 
 class ParafermionError(Exception):
@@ -6,56 +8,25 @@ class ParafermionError(Exception):
 
 
 class InvalidRankError(ParafermionError, ValueError):
-    """Algebra rank parameter k out of range (need k >= 2)."""
+    """Rank or level parameter k out of range."""
 
 
-class InvalidLevelError(ParafermionError, ValueError):
-    """Level parameter out of range."""
+class LabelError(ParafermionError, ValueError):
+    """Sector/representation label out of range or malformed, including an
+    (l, m) pair off the l = m mod 2 branching rule or with no field
+    identification representative."""
 
 
-class ShapeError(ParafermionError, ValueError):
-    """Vector/matrix dimension mismatch."""
+class ContractViolationError(ParafermionError, ValueError):
+    """An argument violates a documented precondition: a dimension
+    mismatch, a singular matrix, too few samples."""
 
 
 class ResourceError(ParafermionError):
     """A computation would exceed the memory budget."""
 
 
-class LabelError(ParafermionError, ValueError):
-    """Sector/representation label out of range or malformed."""
-
-
-class ContractViolationError(ParafermionError, ValueError):
-    """An argument violates a documented precondition."""
-
-
-class BranchingParityError(LabelError):
-    """(l, m) pair violates the l = m mod 2 branching rule."""
-
-
-class IdentificationError(LabelError):
-    """Field identification cannot reach a valid representative."""
-
-
 class ConsistencyError(ParafermionError):
-    """Two constructions that must agree do not."""
-
-
-class VacuumError(ParafermionError):
-    """Vacuum row of an S matrix missing, ambiguous, or misidentified."""
-
-
-class NonIntegerFusionError(ConsistencyError):
-    """Verlinde sums do not round to integers within tolerance."""
-
-
-class NegativeFusionError(ConsistencyError):
-    """Verlinde produced a negative integer coefficient."""
-
-
-class LatticeError(ParafermionError):
-    """Charge-lattice construction failed a structural check."""
-
-
-class SamplingError(ParafermionError, ValueError):
-    """Interference curve requested with too few samples."""
+    """Data fail one of the paper's relations: two constructions that must
+    agree do not, Verlinde sums that are not non-negative integers, a
+    missing or wrong vacuum row, a charge lattice that fails its checks."""

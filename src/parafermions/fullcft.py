@@ -17,7 +17,7 @@ import numpy as np
 from . import coset as co
 from . import lie
 from . import smatrix as sm
-from .errors import ConsistencyError, InvalidRankError, LabelError, LatticeError
+from .errors import ConsistencyError, InvalidRankError, LabelError
 from .smatrix import CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index
 
 
@@ -156,7 +156,7 @@ class ChargeLattice:
                      dtype=object)
         for c, top in enumerate(a.diagonal()):  # a view: read as it goes
             if c < self.dim and top <= 0:
-                raise LatticeError(
+                raise ConsistencyError(
                     f"Gram matrix not positive definite at k={self.k}: "
                     f"leading minor {c + 1} is {top}")
             a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * top - np.outer(
@@ -188,7 +188,7 @@ def filling_factor(cl: ChargeLattice) -> Fraction:
     elimination; must equal k/(k+2)."""
     nu = Fraction(-cl.pivots[-1], cl.pivots[-2])
     if nu != Fraction(cl.k, cl.k + 2):
-        raise LatticeError(
+        raise ConsistencyError(
             f"filling factor {nu} != {cl.k}/{cl.k + 2} at k={cl.k}"
         )
     return nu

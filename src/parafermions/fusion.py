@@ -15,15 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .coset import LmLabel, from_lm
-from .errors import (
-    ConsistencyError,
-    ContractViolationError,
-    LabelError,
-    NegativeFusionError,
-    NonIntegerFusionError,
-    ResourceError,
-    VacuumError,
-)
+from .errors import (ConsistencyError, ContractViolationError, LabelError,
+                     ResourceError)
 from . import smatrix as sm
 from .smatrix import CosetWeight, SMatrix
 
@@ -60,7 +53,7 @@ def find_vacuum(s: SMatrix) -> int:
     rows = np.flatnonzero((imag < sm.DEFAULT_TOLERANCE)
                           & (np.min(s.entries.real, axis=1) > 0))
     if len(rows) != 1:
-        raise VacuumError(
+        raise ConsistencyError(
             f"expected exactly one real-positive row, found {len(rows)}")
     return int(rows[0])
 
@@ -290,19 +283,19 @@ def _verlinde_block(s: SMatrix, vac: int):
     rows = np.round(raw.real)
     residual = float(np.sqrt(np.max((raw.real - rows) ** 2 + raw.imag ** 2)))
     if not residual < INTEGRALITY_TOLERANCE:  # a NaN fails
-        raise NonIntegerFusionError(f"Verlinde residual {residual:g} >= "
-                                    f"{INTEGRALITY_TOLERANCE:g}")
+        raise ConsistencyError(f"Verlinde residual {residual:g} >= "
+                               f"{INTEGRALITY_TOLERANCE:g}")
     weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
     bounds = np.where(np.all(np.sort(perms) == np.arange(n), axis=1),
                       defects * weight, np.inf)
     j = int(np.argmax(bounds))  # the first NaN, if any
     if not residual + 2 * bounds[j] < INTEGRALITY_TOLERANCE:
-        raise NonIntegerFusionError(
+        raise ConsistencyError(
             f"S is not covariant under the simple current "
             f"{s.labels[currents[j]]}: Verlinde residual {residual:g} plus "
             f"bound {2 * bounds[j]:g} >= {INTEGRALITY_TOLERANCE:g}")
     if rows.min() < 0:
-        raise NegativeFusionError("negative Verlinde coefficient")
+        raise ConsistencyError("negative Verlinde coefficient")
     return perms, rows.reshape(len(reps), len(reps), n).astype(
         np.min_scalar_type(-1 - int(rows.max())))
 
@@ -366,7 +359,8 @@ def quantum_dimensions(s: SMatrix) -> dict:
     dims = {lab: float(row[i] / row[vac]) for i, lab in enumerate(s.labels)}
     bad = [lab for lab, d in dims.items() if d < 1 - sm.DEFAULT_TOLERANCE]
     if bad:
-        raise VacuumError(f"quantum dimensions below 1 for {bad}; wrong vacuum?")
+        raise ConsistencyError(
+            f"quantum dimensions below 1 for {bad}; wrong vacuum?")
     return dims
 
 

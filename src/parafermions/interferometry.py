@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, SamplingError
+from .errors import ConsistencyError, ContractViolationError
 from .fusion import find_vacuum
 from .smatrix import DEFAULT_TOLERANCE, SMatrix
 
@@ -68,7 +68,8 @@ def sigma_xx_curve(s: SMatrix, a, b, t1: complex, t2: complex,
     """sigma_xx(alpha) = |t1|^2 + |t2|^2 + 2 Re(t1* t2 e^{i alpha} M_ab),
     sampled uniformly on [0, 2 pi)."""
     if n_samples < 2:
-        raise SamplingError(f"need at least 2 samples, got {n_samples}")
+        raise ContractViolationError(
+            f"need at least 2 samples, got {n_samples}")
     mono = monodromy(s, a, b)
     alphas = 2 * np.pi * np.arange(n_samples) / n_samples
     base = abs(t1) ** 2 + abs(t2) ** 2

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidRankError, ShapeError
+from .errors import ContractViolationError, InvalidRankError
 
 
 def rational_inverse(matrix):
@@ -30,7 +30,7 @@ def rational_inverse(matrix):
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
-            raise ShapeError("matrix is singular")
+            raise ContractViolationError("matrix is singular")
         if pivot != col:
             aug[col], aug[pivot] = aug[pivot], aug[col]
             det = -det

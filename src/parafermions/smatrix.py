@@ -22,13 +22,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    ContractViolationError,
-    InvalidLevelError,
-    InvalidRankError,
-    LabelError,
-)
+from .errors import (ConsistencyError, ContractViolationError,
+                     InvalidRankError, LabelError)
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -158,7 +153,7 @@ class SMatrix:
 def s_su2k(k: int) -> SMatrix:
     """su(2)_k S matrix: sqrt(2/(k+2)) sin(pi (l+1)(l'+1)/(k+2))."""
     if k < 1:
-        raise InvalidLevelError(f"su(2)_k needs level k >= 1, got {k}")
+        raise InvalidRankError(f"su(2)_k needs level k >= 1, got {k}")
     h = k + 2
     pref = math.sqrt(2.0 / h)
     m = np.arange(1, k + 2)

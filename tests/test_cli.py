@@ -21,7 +21,8 @@ from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import interferometry as it
 from parafermions import smatrix as sm
-from parafermions.errors import ConsistencyError
+from parafermions.errors import (ConsistencyError, ContractViolationError,
+                                 InvalidRankError, LabelError, ResourceError)
 
 
 def strict_json(text):
@@ -396,6 +397,56 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and strict_json(out)["passed"]
 
+    def test_verify_closed_fusion_over_budget_exits_2(self, capsys,
+                                                      monkeypatch):
+        def never(*args):
+            raise AssertionError("fusion tensor built over budget")
+        # coset k = 10 (n = 55): the compare's charge is the largest one
+        need = 55 ** 3 * cli.CLOSED_FUSION_BYTES_PER_CUBE
+        argv = ("verify", "--k", "10", "--targets", "verlinde-vs-closed-coset")
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(fu, "verlinde", never)  # refused before the ring
+            m.setattr(fu, "coset_fusion_tensor", never)  # and closed form
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the closed-form fusion compare of 55 "
+                              "labels") and "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and strict_json(out)["passed"]
+
+    def test_verify_charges_both_closed_fusion_compares(self, capsys,
+                                                        monkeypatch):
+        charged = []
+        require = fu.require_budget
+
+        def recorded(need, what):
+            charged.append((need, what))
+            require(need, what)
+        monkeypatch.setattr(fu, "require_budget", recorded)
+        code, _, _ = run(capsys, "verify", "--k", "3", "--targets",
+                         "verlinde-vs-closed")
+        assert code == 0
+        for n in (6, 4):  # the coset and su(2)_3
+            assert (cli.CLOSED_FUSION_BYTES_PER_CUBE * n ** 3,
+                    f"the closed-form fusion compare of {n} labels") in charged
+
+    @pytest.mark.parametrize("k,n", [(13, 91), (16, 136)])
+    def test_verify_closed_fusion_peak_within_budget_constant(self, k, n):
+        # the whole check, the coset S and the ring's build included, stays
+        # below the bytes per n^3 that the compare's guard charges
+        argv = ["verify", "--k", str(k), "--targets",
+                "verlinde-vs-closed-coset"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < cli.CLOSED_FUSION_BYTES_PER_CUBE * n ** 3
+
     def test_verify_without_s_needs_no_budget(self, capsys, monkeypatch):
         monkeypatch.setattr(fu, "memory_budget", lambda: 0)
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
@@ -520,6 +571,81 @@ class TestResourceExit:
         code, _, err = run(capsys, "fusion", "--k", "3")
         assert code == 2
         assert "out of memory" in err
+
+
+def _raises_then_exits(capsys, argv, cls, code, err):
+    """args.func raises exactly cls, and cli.main turns it into code with
+    nothing on stdout and err on stderr."""
+    args = cli.build_parser().parse_args(list(argv))
+    with pytest.raises(cls) as raised:
+        args.func(args)
+    assert type(raised.value) is cls
+    assert run(capsys, *argv) == (code, "", err)
+
+
+class TestExitCodeMap:
+    """One case per kept error class: the three ValueErrors exit 1,
+    ResourceError and MemoryError 2, ConsistencyError 1, and 3 inside
+    verify, where it is a failed check."""
+
+    @pytest.fixture
+    def scaled_coset(self, monkeypatch):
+        build = co.coset_s_compact
+
+        def scaled(k):  # 1.01 S: every Verlinde coefficient times 1.0201
+            c = build(k)
+            return co.CosetModularData(
+                s=sm.SMatrix(c.s.labels, 1.01 * c.s.entries), dims=c.dims,
+                central_charge=c.central_charge)
+        monkeypatch.setattr(co, "coset_s_compact", scaled)
+
+    def test_invalid_rank(self, capsys):
+        _raises_then_exits(capsys, ("smatrix", "--k", "1", "--which", "coset"),
+                           InvalidRankError, 1,
+                           "error: su(k)_2 needs k >= 2, got 1\n")
+
+    def test_label(self, capsys):
+        _raises_then_exits(
+            capsys, ("interfere", "--k", "3", "--bulk", "9,9", "--probe",
+                     "0,1"), LabelError, 1,
+            "error: label '9,9' not valid for k=3; valid: 0,0, 1,1, 2,2, "
+            "0,1, 1,2, 0,2\n")
+
+    def test_contract_violation(self, capsys):
+        _raises_then_exits(
+            capsys, ("interfere", "--k", "3", "--bulk", "0,0", "--probe",
+                     "0,0", "--samples", "1"), ContractViolationError, 1,
+            "error: need at least 2 samples, got 1\n")
+
+    def test_resource(self, capsys, monkeypatch):
+        monkeypatch.setattr(fu, "memory_budget", lambda: 0)
+        _raises_then_exits(
+            capsys, ("fusion", "--k", "3"), ResourceError, 2,
+            "error: the fusion document of 6 labels needs about 0 MiB, over "
+            "the budget of 0 MiB (half of physical memory)\n")
+
+    def test_memory_error(self, capsys, monkeypatch):
+        def exhausted(s):
+            raise MemoryError()
+        monkeypatch.setattr(fu, "verlinde", exhausted)
+        _raises_then_exits(capsys, ("fusion", "--k", "3"), MemoryError, 2,
+                           "error: out of memory\n")
+
+    @pytest.mark.usefixtures("scaled_coset")
+    def test_consistency(self, capsys):
+        _raises_then_exits(capsys, ("fusion", "--k", "3"), ConsistencyError,
+                           1, "error: Verlinde residual 0.0201 >= 1e-08\n")
+
+    @pytest.mark.usefixtures("scaled_coset")
+    def test_consistency_in_verify_is_a_failed_check(self, capsys):
+        name = "verlinde-vs-closed-coset"
+        code, out, err = run(capsys, "verify", "--k", "3", "--targets", name)
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert (check["passed"], check["residual"], check["error"]) == (
+            False, None, "Verlinde residual 0.0201 >= 1e-08")
+        assert err == (f"failing checks: {name}\n"
+                       f"{name}: Verlinde residual 0.0201 >= 1e-08\n")
 
 
 class TestFusionDimsSectors:

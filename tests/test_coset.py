@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 
 from parafermions import coset as co
 from parafermions import smatrix as sm
-from parafermions.errors import (
-    BranchingParityError,
-    ConsistencyError,
-    IdentificationError,
-)
+from parafermions.errors import ConsistencyError, LabelError
 
 
 def w(mu, nu, k=3):
@@ -34,7 +30,7 @@ class TestLmCorrespondence:
     def test_from_lm(self):
         assert co.from_lm(co.LmLabel(1, 1, 3)) == w(0, 1)
         assert co.from_lm(co.LmLabel(0, 0, 3)) == w(0, 0)
-        with pytest.raises(BranchingParityError):
+        with pytest.raises(LabelError, match="violates l = m mod 2"):
             co.from_lm(co.LmLabel(1, 2, 3))
 
     @pytest.mark.parametrize("k", range(2, 9))
@@ -85,7 +81,7 @@ class TestFieldIdentification:
             assert co.lm_dimension(image_rep) == dim
 
     def test_invalid_label(self):
-        with pytest.raises(IdentificationError):
+        with pytest.raises(LabelError, match="no valid representative"):
             co.field_identify(co.LmLabel(5, 1, 3))
 
 

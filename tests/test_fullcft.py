@@ -11,7 +11,7 @@ from parafermions import fullcft as fc
 from parafermions import fusion as fu
 from parafermions import lie
 from parafermions import smatrix as sm
-from parafermions.errors import InvalidRankError, LabelError, LatticeError
+from parafermions.errors import ConsistencyError, InvalidRankError, LabelError
 
 
 def fraction_det(rows):
@@ -188,7 +188,7 @@ class TestChargeLattice:
                   for m in range(1, n + 1)]
         bad = next((m for m in range(n) if minors[m] <= 0), None)
         if bad is not None:
-            with pytest.raises(LatticeError) as err:
+            with pytest.raises(ConsistencyError) as err:
                 fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
             assert str(err.value) == (
                 "Gram matrix not positive definite at k=5: "
@@ -233,13 +233,13 @@ class TestChargeLattice:
         assert cl.pivots[-1] == -minors[-1] * Fraction(k, k + 2)
 
     def test_zero_corner_names_first_failing_minor(self):
-        with pytest.raises(LatticeError, match="leading minor 1 is 0"):
+        with pytest.raises(ConsistencyError, match="leading minor 1 is 0"):
             fc.ChargeLattice(k=2, gram=((0, 1, 1), (1, 2, 0), (1, 0, 2)),
                              charge_vector=(1, 0, 0))
 
     @pytest.mark.usefixtures("zero_cartan_corner")
     def test_zero_cartan_corner_rejected(self):
-        with pytest.raises(LatticeError, match="leading minor 2 is -1"):
+        with pytest.raises(ConsistencyError, match="leading minor 2 is -1"):
             fc.gram_matrix(4)
 
     def test_symmetric(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from parafermions import lie
-from parafermions.errors import InvalidRankError, ShapeError
+from parafermions.errors import ContractViolationError, InvalidRankError
 
 
 def from_orthogonal(coords):
@@ -63,7 +63,7 @@ def test_cartan_rejects_small_k():
 
 
 def test_rational_inverse_rejects_singular():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ContractViolationError, match="matrix is singular"):
         lie.rational_inverse([[1, 2], [2, 4]])
 
 

@@ -7,13 +7,8 @@ import pytest
 
 from parafermions import lie
 from parafermions import smatrix as sm
-from parafermions.errors import (
-    ConsistencyError,
-    ContractViolationError,
-    InvalidLevelError,
-    InvalidRankError,
-    LabelError,
-)
+from parafermions.errors import (ConsistencyError, ContractViolationError,
+                                 InvalidRankError, LabelError)
 
 DELTA = (1 + math.sqrt(5)) / 2
 DTOT = math.sqrt(3 * (DELTA + 2))
@@ -56,7 +51,8 @@ class TestSu2k:
         assert np.max(np.abs(s.entries - s.entries.T)) < 1e-12
 
     def test_rejects_k0(self):
-        with pytest.raises(InvalidLevelError):
+        with pytest.raises(InvalidRankError,
+                           match="needs level k >= 1, got 0"):
             sm.s_su2k(0)
 
 
