@@ -64,6 +64,15 @@ FUSION_BYTES_PER_CUBE = 8
 # closed form and np.array_equal's bool array held at once.
 CLOSED_FUSION_BYTES_PER_CUBE = 4
 
+# tracemalloc peak of the charge lattice's Bareiss pass (gram_matrix and
+# filling_factor) per entry of its 2k x 2k object array: 48-67 bytes at
+# k = 10..300.
+LATTICE_BYTES_PER_ENTRY = 80
+
+# tracemalloc peak of `sectors` per sector, its JSON or CSV document
+# included and the lattice excluded: 295-359 bytes at k = 50..300.
+SECTORS_BYTES_PER_SECTOR = 384
+
 
 class _Parser(argparse.ArgumentParser):
     # usage errors must exit 1, not argparse's default 2
@@ -229,6 +238,12 @@ def _smatrix_dim(which: str, k: int) -> int:
     return k * (k + 1) // 2  # su(k)_2 weights, coset fields
 
 
+def _lattice_need(k: int) -> int:
+    """Bytes the charge lattice of level k holds at its peak, worked out
+    without building it; small for k < 1, which gram_matrix refuses."""
+    return LATTICE_BYTES_PER_ENTRY * (2 * max(k, 0)) ** 2
+
+
 def _build(which: str, k: int, build=None, extra: int = 0, what=None):
     """build(k), or the S matrix `which` names at level k (`full` is
     `full-product`), once the memory budget admits SMATRIX_BYTES_PER_ENTRY
@@ -323,6 +338,11 @@ def _verify_checks(k: int, tol: float, targets=None):
         fu.verlinde(full())  # raises on failure
         return 0
 
+    def filling():
+        fu.require_budget(_lattice_need(k),
+                          f"the charge lattice of rank {2 * k - 1}")
+        return int(fc.filling_factor(fc.gram_matrix(k)) != Fraction(k, k + 2))
+
     plan = [("oracle-vs-compact",
              lambda: build("suk2-oracle",
                            sm.s_suk2_weylkac).max_abs_diff(coset().s)),
@@ -340,9 +360,7 @@ def _verify_checks(k: int, tol: float, targets=None):
         ("full-dual-construction",
          lambda: full().max_abs_diff(build("full-compact",
                                            fc.full_s_compact))),
-        ("filling-factor",
-         lambda: int(fc.filling_factor(fc.gram_matrix(k))
-                     != Fraction(k, k + 2))),
+        ("filling-factor", filling),
     ]
     if targets:
         plan = [(n, f) for n, f in plan
@@ -415,6 +433,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_sectors(args) -> int:
+    n = _smatrix_dim("full", args.k)  # one sector per full-theory label
+    fu.require_budget(SECTORS_BYTES_PER_SECTOR * n + _lattice_need(args.k),
+                      f"the sectors document of {n} sectors")
     sectors = fc.enumerate_sectors(args.k)
     doc = document("sectors", args.k, sectors, {
         "count": len(sectors),

@@ -49,9 +49,9 @@ def find_vacuum(s: SMatrix) -> int:
     positive. Only imaginary parts are held to DEFAULT_TOLERANCE: the
     vacuum entries 1/D shrink with k, and every other row of a unitary S,
     orthogonal to the positive vacuum row, has a negative real part."""
-    imag = np.max(np.abs(s.entries.imag), axis=1)
+    imag = np.abs(s.entries.imag).max(axis=1)
     rows = np.flatnonzero((imag < sm.DEFAULT_TOLERANCE)
-                          & (np.min(s.entries.real, axis=1) > 0))
+                          & (s.entries.real.min(axis=1) > 0))
     if len(rows) != 1:
         raise ConsistencyError(
             f"expected exactly one real-positive row, found {len(rows)}")
@@ -66,22 +66,18 @@ class FusionRing:
     tensor is the block of the trivial group."""
 
     def __init__(self, labels, tensor, vacuum_index):
-        self._store(labels, vacuum_index, np.arange(len(labels))[None],
-                    np.asarray(tensor))
+        self.labels, self.vacuum_index = labels, vacuum_index
+        self.block, self.reps = np.asarray(tensor), np.arange(len(labels))
+        self.perms = np.arange(len(labels))[None]  # the trivial group
+        self.generators = ()  # set by check_axioms
+        self._index = dict(zip(labels, range(len(labels))))
+        self._tensor = self._planes = self._row_of = self._rows = None
 
     @classmethod
-    def _from_block(cls, labels, vacuum_index, perms, block):
-        ring = cls.__new__(cls)
-        ring._store(labels, vacuum_index, perms, block)
+    def _from_block(cls, labels, vacuum_index, perms, block, reps):
+        ring = cls(labels, block, vacuum_index)  # then swap in the currents
+        ring.perms, ring.reps = perms, reps
         return ring
-
-    def _store(self, labels, vacuum_index, perms, block):
-        self.labels, self.vacuum_index = labels, vacuum_index
-        self.perms, self.block = perms, block
-        self.reps = _representatives(perms, vacuum_index)
-        self.generators = ()  # set by check_axioms
-        self._index = {lab: i for i, lab in enumerate(labels)}
-        self._tensor = self._planes = self._row_of = self._rows = None
 
     def index(self, label) -> int:
         try:
@@ -90,12 +86,13 @@ class FusionRing:
             raise LabelError(f"label {label!r} not in basis") from None
 
     def planes(self) -> np.ndarray:
-        """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once."""
+        """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once in
+        one scatter over every current K; the later K wins a repeated row."""
         if self._planes is None:
-            n = len(self.labels)
+            n, perms = len(self.labels), self.perms
             self._planes = np.empty((len(self.reps), n, n), self.block.dtype)
-            for perm, inverse in zip(self.perms, np.argsort(self.perms)):
-                self._planes[:, perm[self.reps]] = self.block[:, :, inverse]
+            self._planes[:, perms[:, self.reps]] = self.block[
+                :, :, np.argsort(perms)].swapaxes(1, 2)
         return self._planes
 
     def _lookup(self) -> tuple:
@@ -161,39 +158,41 @@ class FusionRing:
         slot = np.full(n, -1)  # J -> its row of perms
         slot[perms[:, vac]] = np.arange(len(perms))
         composed = perms[:, perms]  # [J, K]: the permutation of JK
-        if np.any(np.sort(perms) != np.arange(n)) or np.any(
-                composed != composed.swapaxes(0, 1)):
+        if (np.sort(perms) != np.arange(n)).any() or (
+                composed != composed.swapaxes(0, 1)).any():
             raise ConsistencyError("the simple currents do not commute")
-        words = slot[composed[:, :, vac]]
-        if words.min() < 0 or np.any(perms[words] != composed):
+        words = slot[composed[:, :, vac]]  # [J, K]: the row of JK
+        if words.min() < 0 or (perms[words] != composed).any():
             raise ConsistencyError("the simple currents are not closed")
-        if np.any(block != block.swapaxes(0, 1)):
+        if (block != block.swapaxes(0, 1)).any():
             raise ConsistencyError("fusion tensor is not commutative")
-        if np.any(block[np.searchsorted(reps, vac)]
-                  != (reps[:, None] == np.arange(n))):
+        if (block[reps.searchsorted(vac)]
+                != (reps[:, None] == np.arange(n))).any():
             raise ConsistencyError("vacuum does not act as the identity")
-        fixes = (perms[:, reps] == reps) & (perms[:, [vac]] != vac)
-        for j, i in zip(*np.nonzero(fixes)):  # J != 1 fixes r_i
-            if np.any(block[i][:, perms[j]] != block[i]):
-                raise ConsistencyError(f"block of {self.labels[reps[i]]} not "
-                                       "invariant under its stabilizer")
+        j, i = ((perms[:, reps] == reps) & (perms[:, [vac]] != vac)).nonzero()
+        moved = block[i[:, None], :, perms[j]] != block[i].swapaxes(1, 2)
+        if moved.any():  # some J != 1 that fixes r_i moves its block row
+            first = reps[i[moved.any(axis=(1, 2)).argmax()]]
+            raise ConsistencyError(f"block of {self.labels[first]} not "
+                                   "invariant under its stabilizer")
         largest = max(int(block.max()), -int(block.min()))
         if largest ** 2 * n >= EXACT_FLOAT_INT:
             raise ConsistencyError(f"coefficients up to {largest} are too "
                                    "large for an exact float64 check")
-        pairs, planes = np.flatnonzero(reps != vac), self.planes()
-        for x, i in enumerate(pairs):
+        pairs, planes = (reps != vac).nonzero()[0], self.planes()
+        for x, i in enumerate(pairs.tolist()):
             na = planes[i].astype(np.float64)
-            for j in pairs[x + 1:]:
+            for j in pairs[x + 1:].tolist():
                 nb = planes[j].astype(np.float64)
-                if not np.array_equal(na @ nb, nb @ na):
+                if not (na @ nb == nb @ na).all():
                     raise ConsistencyError("fusion tensor is not associative")
-        checked, reached = [], {vac}
-        for j in np.flatnonzero(slot >= 0).tolist():
-            if j not in reached:  # not a word over the generators so far
-                checked.append(j)
-                reached = _words(vac, n, [(perms[slot[g]], 0)
-                                          for g in checked])
+        table, checked, reached = words.tolist(), [], {int(slot[vac])}
+        for j in (slot >= 0).nonzero()[0].tolist():  # the currents, in order
+            if (row := int(slot[j])) not in reached:  # no word reaches J:
+                checked.append(j)  # a generator; the commuting rows reached
+                for x in list(reached):  # so far times the powers of J
+                    while (x := table[row][x]) not in reached:
+                        reached.add(x)
         self.generators = tuple(checked + reps[pairs].tolist())
         return self.generators
 
@@ -217,8 +216,9 @@ def _representatives(perms: np.ndarray, vac: int) -> np.ndarray:
     reps = perms.min(axis=0) == np.arange(perms.shape[1])
     reps[perms[:, vac]] = False
     reps[vac] = True
-    covered = np.isin(np.arange(len(reps)), perms[:, reps])
-    return np.flatnonzero(reps | ~covered)
+    covered = np.zeros(len(reps), dtype=bool)
+    covered[perms[:, reps]] = True
+    return (reps | ~covered).nonzero()[0]
 
 
 def verlinde(s: SMatrix) -> FusionRing:
@@ -280,15 +280,15 @@ def _verlinde_block(s: SMatrix, vac: int):
                    f"Verlinde fusion of {n} labels")
     weighted = e / e[vac]  # divide inside the x-sum
     raw = (e[reps][:, None] * weighted[reps]).reshape(-1, n) @ e.conj().T
-    rows = np.round(raw.real)
-    residual = float(np.sqrt(np.max((raw.real - rows) ** 2 + raw.imag ** 2)))
+    rows = raw.real.round()
+    residual = math.sqrt(((raw.real - rows) ** 2 + raw.imag ** 2).max())
     if not residual < INTEGRALITY_TOLERANCE:  # a NaN fails
         raise ConsistencyError(f"Verlinde residual {residual:g} >= "
                                f"{INTEGRALITY_TOLERANCE:g}")
     weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
-    bounds = np.where(np.all(np.sort(perms) == np.arange(n), axis=1),
+    bounds = np.where((np.sort(perms) == np.arange(n)).all(axis=1),
                       defects * weight, np.inf)
-    j = int(np.argmax(bounds))  # the first NaN, if any
+    j = int(bounds.argmax())  # the first NaN, if any
     if not residual + 2 * bounds[j] < INTEGRALITY_TOLERANCE:
         raise ConsistencyError(
             f"S is not covariant under the simple current "
@@ -297,7 +297,7 @@ def _verlinde_block(s: SMatrix, vac: int):
     if rows.min() < 0:
         raise ConsistencyError("negative Verlinde coefficient")
     return perms, rows.reshape(len(reps), len(reps), n).astype(
-        np.min_scalar_type(-1 - int(rows.max())))
+        np.min_scalar_type(-1 - int(rows.max()))), reps
 
 
 def fusion_su2k_closed(l: int, l2: int, k: int) -> set:

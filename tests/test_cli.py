@@ -448,12 +448,80 @@ class TestResourceExit:
         assert peak < cli.CLOSED_FUSION_BYTES_PER_CUBE * n ** 3
 
     def test_verify_without_s_needs_no_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(fu, "memory_budget", lambda: 0)
+        # the lattice check charges its own array and no S matrix
+        monkeypatch.setattr(fu, "memory_budget", lambda: cli._lattice_need(3))
         code, out, _ = run(capsys, "verify", "--k", "3", "--targets",
                            "filling")
         assert code == 0 and strict_json(out)["passed"]
         code, out, _ = run(capsys, "verify", "--k", "3", "--all")
         assert code == 2 and out == ""
+
+    def test_verify_filling_over_budget_exits_2(self, capsys, monkeypatch):
+        def never(k):
+            raise AssertionError("lattice built over budget")
+        need = 6 ** 2 * cli.LATTICE_BYTES_PER_ENTRY  # k = 3: a 6 x 6 array
+        argv = ("verify", "--k", "3", "--targets", "filling")
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(fc, "gram_matrix", never)  # refused before the lattice
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the charge lattice of rank 5")
+        assert "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and strict_json(out)["passed"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sectors_over_budget_exits_2(self, capsys, monkeypatch, fmt):
+        def never(k):
+            raise AssertionError("sectors or lattice built over budget")
+        # k = 3: 10 sectors and the 6 x 6 lattice array, charged before either
+        need = (10 * cli.SECTORS_BYTES_PER_SECTOR
+                + 6 ** 2 * cli.LATTICE_BYTES_PER_ENTRY)
+        argv = ("sectors", "--k", "3", "--format", fmt)
+        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
+        with monkeypatch.context() as m:
+            m.setattr(fc, "enumerate_sectors", never)
+            m.setattr(fc, "gram_matrix", never)
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the sectors document of 10 sectors")
+        assert "budget" in err
+        monkeypatch.setattr(fu, "memory_budget", lambda: need)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "3/5" in out
+
+    def test_sectors_refuses_a_bad_level_before_the_budget(self, capsys):
+        # k < 1 charges almost nothing, so the builder's own message wins
+        code, out, err = run(capsys, "sectors", "--k", "-5000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: need k >= 1, got -5000")
+
+    @pytest.mark.parametrize("k", [40, 60])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sectors_peak_within_budget_constants(self, capsys, k, fmt):
+        run(capsys, "sectors", "--k", "2")  # the parser, built once
+        n = (k + 1) * (k + 2) // 2
+        argv = ["sectors", "--k", str(k), "--format", fmt]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < cli.SECTORS_BYTES_PER_SECTOR * n + cli._lattice_need(k)
+
+    @pytest.mark.parametrize("k", [10, 40, 100])
+    def test_lattice_peak_within_budget_constant(self, k):
+        tracemalloc.start()
+        try:
+            fc.filling_factor(fc.gram_matrix(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cli._lattice_need(k)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -182,6 +183,13 @@ def _ring(theory, k):
     return fu.verlinde(_s_matrix(theory, k))
 
 
+def _block_ring(labels, vac, perms, block):
+    """The ring of `block` under the currents `perms`, its orbit
+    representatives read from them."""
+    return fu.FusionRing._from_block(labels, vac, perms, block,
+                                     fu._representatives(perms, vac))
+
+
 def _klein_four():
     """The group ring of Z2 x Z2 on labels 0, a, b, ab: a x b = ab."""
     tensor = np.zeros((4, 4, 4), dtype=np.int64)
@@ -309,8 +317,7 @@ class TestGeneratingSet:
         # with its translations x -> x ^ g the vacuum represents the one
         # orbit, and the words over a miss b
         perms = np.array([[x ^ g for x in range(4)] for g in range(4)])
-        ring = fu.FusionRing._from_block(dense.labels, 0, perms,
-                                         dense.tensor[:1, :1])
+        ring = _block_ring(dense.labels, 0, perms, dense.tensor[:1, :1])
         assert ring.check_axioms() == (1, 2)
         assert np.array_equal(ring.tensor, dense.tensor)
         # ab x ab = 1 + a: commutative, vacuum intact, not associative
@@ -799,7 +806,7 @@ def _block_bump(ring, i, j, c):
     block[i, j, c] += 1
     block[j, i, c] = block[i, j, c]
     return fu.FusionRing._from_block(ring.labels, ring.vacuum_index,
-                                     ring.perms, block)
+                                     ring.perms, block, ring.reps)
 
 
 @settings(max_examples=30, deadline=None)
@@ -853,7 +860,8 @@ class TestBlockCheck:
         ring = _ring("su2k", 2)
         block = ring.block.copy()
         block[1, 0, [0, 2]] += 1
-        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block)
+        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block,
+                                           ring.reps)
         assert not np.array_equal(bumped.tensor,
                                   bumped.tensor.swapaxes(0, 1))
         with pytest.raises(ConsistencyError, match="not commutative"):
@@ -863,7 +871,8 @@ class TestBlockCheck:
         ring = _ring("su2k", 2)
         block = ring.block.copy()
         block[[0, 1], [1, 0]] += np.array([1, 0, 1], dtype=block.dtype)
-        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block)
+        bumped = fu.FusionRing._from_block(ring.labels, 0, ring.perms, block,
+                                           ring.reps)
         assert not np.array_equal(bumped.tensor[0], np.eye(3))
         with pytest.raises(ConsistencyError, match="vacuum"):
             bumped.check_axioms()
@@ -876,7 +885,7 @@ class TestBlockCheck:
         perms = np.array([[group.index(tuple(g[x] for x in h))
                            for h in group] for g in group])
         block = np.eye(6, dtype=np.int8)[None, :1]
-        ring = fu.FusionRing._from_block(tuple(range(6)), 0, perms, block)
+        ring = _block_ring(tuple(range(6)), 0, perms, block)
         assert not np.array_equal(ring.tensor, ring.tensor.swapaxes(0, 1))
         with pytest.raises(ConsistencyError, match="do not commute"):
             ring.check_axioms()
@@ -886,7 +895,7 @@ class TestBlockCheck:
         perms = np.array([[0, 1, 2], [1, 1, 2]])
         block = np.zeros((2, 2, 3), dtype=np.int8)  # representatives 0, 2
         block[0, 0, 0] = block[0, 1, 2] = block[1, 0, 2] = block[1, 1, 0] = 1
-        ring = fu.FusionRing._from_block((0, 1, 2), 0, perms, block)
+        ring = _block_ring((0, 1, 2), 0, perms, block)
         assert ring.reps.tolist() == [0, 2]
         with pytest.raises(ConsistencyError, match="do not commute"):
             ring.check_axioms()
@@ -897,11 +906,214 @@ class TestBlockCheck:
         perms = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
         block = np.zeros((2, 2, 4), dtype=np.int8)  # representatives 0, 2
         block[0, 0, 0] = block[0, 1, 2] = block[1, 0, 2] = block[1, 1, 2] = 1
-        ring = fu.FusionRing._from_block((0, 1, 2, 3), 0, perms, block)
+        ring = _block_ring((0, 1, 2, 3), 0, perms, block)
         assert ring.reps.tolist() == [0, 2]
         assert not _reference_associative(ring.tensor)
         with pytest.raises(ConsistencyError, match="not closed"):
             ring.check_axioms()
+
+
+def _product_ring(k1, k2):
+    """The Verlinde ring of su(2)_k1 x su(2)_k2, labels (l1, l2): at even
+    k1 its current (k1, 0) fixes every (k1/2, l2), so the block has several
+    (current, representative) fixed pairs, where each ring of the three
+    theories has one."""
+    a, b = sm.s_su2k(k1), sm.s_su2k(k2)
+    labels = tuple(itertools.product(a.labels, b.labels))
+    return fu.verlinde(sm.SMatrix(labels, np.kron(a.entries, b.entries)))
+
+
+def _fixed_pairs(ring):
+    """(J, i) with the current J != 1 fixing representative r_i, in the
+    order the stabilizer compare reads them."""
+    perms, reps, vac = ring.perms, ring.reps, ring.vacuum_index
+    j, i = ((perms[:, reps] == reps) & (perms[:, [vac]] != vac)).nonzero()
+    return list(zip(j.tolist(), i.tolist()))
+
+
+class TestStabilizerCompare:
+    """The batched stabilizer compare on blocks with several fixed pairs:
+    it names the representative of the first pair that fails."""
+
+    @pytest.mark.parametrize("k1,k2", [(2, 3), (2, 5), (4, 3)])
+    def test_names_the_last_pair_when_only_it_fails(self, k1, k2):
+        ring = _product_ring(k1, k2)
+        pairs = _fixed_pairs(ring)
+        assert len(pairs) >= 2
+        ring.check_axioms()  # the real ring passes
+        (j, i), earlier = pairs[-1], {i for _, i in pairs[:-1]}
+        assert i not in earlier  # so breaking r_i breaks its pair alone
+        c = next(c for c in range(len(ring.labels)) if ring.perms[j, c] != c)
+        bumped = _block_bump(ring, i, i, c)
+        label = ring.labels[ring.reps[i]]
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"block of {label} not invariant under its stabilizer")):
+            bumped.check_axioms()
+
+    @pytest.mark.parametrize("k1,k2", [(2, 3), (2, 5), (4, 3)])
+    def test_names_the_first_pair_when_all_fail(self, k1, k2):
+        ring = _product_ring(k1, k2)
+        block = ring.block.copy()
+        for j, i in _fixed_pairs(ring):
+            c = next(c for c in range(len(ring.labels))
+                     if ring.perms[j, c] != c)
+            block[i, i, c] += 1
+        bumped = fu.FusionRing._from_block(ring.labels, ring.vacuum_index,
+                                           ring.perms, block, ring.reps)
+        label = ring.labels[ring.reps[_fixed_pairs(ring)[0][1]]]
+        with pytest.raises(ConsistencyError, match=re.escape(
+                f"block of {label} not invariant")):
+            bumped.check_axioms()
+
+    def test_synthetic_block_with_two_fixed_labels(self):
+        # x -> 1 - x on {0, 1} fixes the representatives 2 and 3: a
+        # symmetric block with a delta vacuum row, sigma^2 = tau^2 =
+        # sigma tau = 1 + psi, invariant but not associative; dropping psi
+        # from tau^2 moves tau's row alone
+        perms = np.array([[0, 1, 2, 3], [1, 0, 2, 3]])
+        block = np.zeros((3, 3, 4), dtype=np.int8)  # representatives 0, 2, 3
+        block[0, :, [0, 2, 3]] = np.eye(3, dtype=np.int8)  # vacuum row
+        block[:, 0] = block[0]
+        block[1, 1, [0, 1]] = block[2, 2, [0, 1]] = 1
+        block[1, 2, [0, 1]] = block[2, 1, [0, 1]] = 1
+        ring = _block_ring((0, 1, 2, 3), 0, perms, block)
+        assert _fixed_pairs(ring) == [(1, 1), (1, 2)]
+        with pytest.raises(ConsistencyError, match="associative"):
+            ring.check_axioms()  # past the stabilizer compare
+        broken = block.copy()
+        broken[2, 2, 1] = 0  # tau tau = 1: not invariant under x -> 1 - x
+        with pytest.raises(ConsistencyError,
+                           match="block of 3 not invariant"):
+            _block_ring((0, 1, 2, 3), 0, perms, broken).check_axioms()
+
+
+def _loop_planes(ring):
+    """The per-current loop the one-scatter planes replaced: one slot-2
+    gather per current K, the later K overwriting a repeated row."""
+    n = len(ring.labels)
+    planes = np.empty((len(ring.reps), n, n), ring.block.dtype)
+    for perm, inverse in zip(ring.perms, np.argsort(ring.perms)):
+        planes[:, perm[ring.reps]] = ring.block[:, :, inverse]
+    return planes
+
+
+def _loop_tensor(ring):
+    """The dense tensor expanded from the loop planes, one current at a
+    time."""
+    n, planes = len(ring.labels), _loop_planes(ring)
+    tensor = np.empty((n, n, n), ring.block.dtype)
+    for perm in ring.perms:
+        tensor[perm[ring.reps]] = planes[:, perm]
+    return tensor
+
+
+def _words_generators(ring):
+    """The generators as the _words walk found them: in label order, each
+    current that no word in the earlier ones reaches from the vacuum,
+    every word composed as an n-length permutation; then the non-current
+    representatives."""
+    perms, vac, n = ring.perms, ring.vacuum_index, len(ring.labels)
+    slot = np.full(n, -1)
+    slot[perms[:, vac]] = np.arange(len(perms))
+    checked, reached = [], {vac}
+    for j in np.flatnonzero(slot >= 0).tolist():
+        if j not in reached:
+            checked.append(j)
+            reached = fu._words(vac, n, [(perms[slot[g]], 0)
+                                         for g in checked])
+    return tuple(checked + ring.reps[ring.reps != vac].tolist())
+
+
+def _isin_representatives(perms, vac):
+    """_representatives with its covered labels marked by np.isin."""
+    reps = perms.min(axis=0) == np.arange(perms.shape[1])
+    reps[perms[:, vac]] = False
+    reps[vac] = True
+    covered = np.isin(np.arange(len(reps)), perms[:, reps])
+    return np.flatnonzero(reps | ~covered)
+
+
+class TestOnePass:
+    """Each structure check_axioms and the lookups build in one pass
+    equals the per-current form it replaced."""
+
+    @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_equal_the_per_current_forms(self, theory, k):
+        # fixed points at even k; two generators for the full theory there
+        ring = _ring(theory, k)
+        fresh = fu.FusionRing._from_block(ring.labels, ring.vacuum_index,
+                                          ring.perms, ring.block, ring.reps)
+        assert _bits_equal(fresh.planes(), _loop_planes(ring))
+        assert _bits_equal(fresh.tensor, _loop_tensor(ring))
+        assert fresh.check_axioms() == _words_generators(ring)
+        assert np.array_equal(
+            fu._representatives(ring.perms, ring.vacuum_index),
+            _isin_representatives(ring.perms, ring.vacuum_index))
+
+    @pytest.mark.parametrize("theory,k", [("su2k", 2), ("coset", 4),
+                                          ("coset", 8), ("full", 6)])
+    def test_later_current_wins_on_a_moved_block(self, theory, k):
+        # a block row that its stabilizer moves: two currents write the
+        # same plane row, and the later one's must stand, as in the loop
+        ring = _ring(theory, k)
+        j, i = _fixed_pairs(ring)[-1]
+        c = next(c for c in range(len(ring.labels)) if ring.perms[j, c] != c)
+        bumped = _block_bump(ring, i, i, c)
+        assert not np.array_equal(bumped.planes(), _ring_planes_first(bumped))
+        assert _bits_equal(bumped.planes(), _loop_planes(bumped))
+        assert _bits_equal(bumped.tensor, _loop_tensor(bumped))
+
+    @pytest.mark.parametrize("k1,k2", [(2, 3), (2, 2), (4, 4)])
+    def test_product_rings(self, k1, k2):
+        ring = _product_ring(k1, k2)
+        assert _bits_equal(ring.planes(), _loop_planes(ring))
+        assert ring.generators == _words_generators(ring)
+
+
+def _ring_planes_first(ring):
+    """The planes with the earlier current winning a repeated row: what a
+    scatter in the other order would give."""
+    n = len(ring.labels)
+    planes = np.empty((len(ring.reps), n, n), ring.block.dtype)
+    for perm, inverse in list(zip(ring.perms, np.argsort(ring.perms)))[::-1]:
+        planes[:, perm[ring.reps]] = ring.block[:, :, inverse]
+    return planes
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == (
+        b.tobytes())
+
+
+@st.composite
+def _cyclic_products(draw):
+    """(perms, vac): every element of Z_a1 x ... x Z_at as a row of
+    permutations of a union of orbits Z_m1 x ... x Z_mt (m_i | a_i, so an
+    orbit may be a fixed point), the labels shuffled, any vacuum."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    orbits = draw(st.lists(st.tuples(*[st.sampled_from(
+        [m for m in range(1, a + 1) if a % m == 0]) for a in sizes]),
+        min_size=1, max_size=4))
+    points = [(o, x) for o, ms in enumerate(orbits)
+              for x in itertools.product(*[range(m) for m in ms])]
+    shuffle = draw(st.permutations(range(len(points))))
+    index = {p: shuffle[q] for q, p in enumerate(points)}
+    perms = np.empty((math.prod(sizes), len(points)), dtype=np.intp)
+    for g, shift in enumerate(itertools.product(*map(range, sizes))):
+        for (o, x), q in index.items():
+            moved = tuple((xi + si) % m
+                          for xi, si, m in zip(x, shift, orbits[o]))
+            perms[g, q] = index[o, moved]
+    return perms, draw(st.integers(0, len(points) - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cyclic_products())
+def test_representatives_on_cyclic_products(case):
+    perms, vac = case
+    assert np.array_equal(fu._representatives(perms, vac),
+                          _isin_representatives(perms, vac))
 
 
 @st.composite
