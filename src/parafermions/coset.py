@@ -115,7 +115,7 @@ def count_primaries(k: int) -> int:
 def coset_s_compact(k: int) -> CosetModularData:
     """Coset modular data from the closed form (identical to su(k)_2)."""
     s = sm.s_suk2_compact(k)
-    num = dimension_numerators(*sm.weight_arrays(s.labels), k).tolist()
+    num = dimension_numerators(*sm.canonical_arrays(k), k).tolist()
     dims = {w: Fraction(x, 4 * k * (k + 2)) for w, x in zip(s.labels, num)}
     return CosetModularData(s=s, dims=dims, central_charge=central_charge(k))
 
@@ -124,7 +124,7 @@ def coset_s_phase_form(k: int) -> SMatrix:
     """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry),
     checked against su(k)_2 to DEFAULT_TOLERANCE."""
     base = sm.s_suk2_compact(k)
-    m = sum(sm.weight_arrays(base.labels))
+    m = sum(sm.canonical_arrays(k))
     entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
     out = SMatrix(base.labels, entries)
     defect = out.max_abs_diff(base)
@@ -153,8 +153,7 @@ def coset_s_via_su2k_u1(k: int) -> SMatrix:
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
-    labels = canonical_weights(k)
-    mu, nu = sm.weight_arrays(labels)
+    labels, (mu, nu) = canonical_weights(k), sm.canonical_arrays(k)
     l, m = nu - mu, mu + nu
     entries = (2 * sm.s_su2k(k).entries[np.ix_(l, l)]
                * np.conj(s_u1_2k(k).entries[np.ix_(m, m)]))

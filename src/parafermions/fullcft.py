@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,7 @@ class FullSector(sm.Label):
         return CosetWeight((self.l - self.rho) % self.k, self.rho, self.k)
 
 
+@lru_cache(maxsize=1)  # this level's, shared read-only by every builder
 def sector_arrays(k: int):
     """Integer views (l, rho, L, d, neutral) of enumerate_sectors(k): L is
     full_s_compact's lifted charge, d = (2 rho - l) mod k and neutral the
@@ -54,9 +56,13 @@ def sector_arrays(k: int):
     l, rho = l[allowed], rho[allowed]
     mu = (l - rho) % k
     lifted = l + (k + 2) * ((mu - (l - rho)) // k)
-    return l, rho, lifted, (2 * rho - l) % k, canonical_index(mu, rho, k)
+    out = l, rho, lifted, (2 * rho - l) % k, canonical_index(mu, rho, k)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
+@lru_cache(maxsize=1)
 def enumerate_sectors(k: int):
     """All allowed (l, rho), lexicographic; count is (k+1)(k+2)/2."""
     l, rho = sector_arrays(k)[:2]

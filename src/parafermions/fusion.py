@@ -232,10 +232,11 @@ def verlinde(s: SMatrix) -> FusionRing:
     return ring
 
 
-def _simple_currents(s: SMatrix, vac: int):
-    """The labels J with |S_Jx| = S_0x for every x (to DEFAULT_TOLERANCE,
-    in any order of the columns x), the permutation a -> Ja of each and
-    its covariance defect: (currents, perms of shape (m, n), defects).
+def _simple_currents(s: SMatrix, vac: int, size):
+    """The labels J with |S_Jx| = S_0x for every x (size = |S|, to
+    DEFAULT_TOLERANCE, in any order of the columns x), the permutation
+    a -> Ja of each and its covariance defect: (currents, perms of shape
+    (m, n), defects).
     In index order, a current that no word in the generators so far
     reaches from the vacuum is a generator: Ja is the row of S nearest
     phi_J S_a, phi_J(x) = S_Jx / S_0x, on a fixed generic projection of
@@ -243,7 +244,7 @@ def _simple_currents(s: SMatrix, vac: int):
     - S_a|). Any other current is its shortest word (_words), whose summed
     defect bounds both (triangle inequality, |phi| = 1 to tolerance)."""
     e, n = s.entries, s.dim
-    currents = np.flatnonzero(np.abs(np.abs(e) - np.abs(e[vac])).max(axis=1)
+    currents = np.flatnonzero(np.abs(size - size[vac]).max(axis=1)
                               < sm.DEFAULT_TOLERANCE).tolist()
     probe = np.exp(2j * np.pi * np.sqrt(2) * np.arange(n) ** 2)  # Weyl phases
     prints = e @ probe
@@ -272,8 +273,8 @@ def _verlinde_block(s: SMatrix, vac: int):
     below INTEGRALITY_TOLERANCE alone and plus twice the largest bound; a
     NaN fails both. A current that does not permute the rows has an
     infinite bound. Non-integer is reported before negative."""
-    e, n = s.entries, s.dim
-    currents, perms, defects = _simple_currents(s, vac)
+    e, n, size = s.entries, s.dim, np.abs(s.entries)
+    currents, perms, defects = _simple_currents(s, vac, size)
     reps = _representatives(perms, vac)
     require_budget((VERLINDE_BYTES_PER_SQUARE + len(reps)) * n ** 2
                    + VERLINDE_BYTES_PER_BLOCK_ENTRY * len(reps) ** 2 * n,
@@ -285,7 +286,7 @@ def _verlinde_block(s: SMatrix, vac: int):
     if not residual < INTEGRALITY_TOLERANCE:  # a NaN fails
         raise ConsistencyError(f"Verlinde residual {residual:g} >= "
                                f"{INTEGRALITY_TOLERANCE:g}")
-    weight = 2 * np.abs(e).max() * np.abs(weighted).sum(axis=1).max()
+    weight = 2 * size.max() * np.abs(weighted).sum(axis=1).max()
     bounds = np.where((np.sort(perms) == np.arange(n)).all(axis=1),
                       defects * weight, np.inf)
     j = int(bounds.argmax())  # the first NaN, if any
@@ -335,7 +336,7 @@ def coset_fusion_tensor(k: int) -> np.ndarray:
     Outcome l'' = |l_a - l_b| + 2t of the su(2)_k rule (while l'' <=
     min(l_a + l_b, 2k - l_a - l_b)) is the weight (x, x + l'') mod k with
     x = (m_a + m_b - l'')/2 mod k: one int32 pass over the pairs per t."""
-    mu, nu = sm.weight_arrays(sm.canonical_weights(k)).astype(np.int32)
+    mu, nu = sm.canonical_arrays(k).astype(np.int32)
     l, m, n = nu - mu, mu + nu, len(mu)
     x, out = np.ogrid[:k, :2 * k + 1]
     y = (x + out) % k

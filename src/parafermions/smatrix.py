@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 
 import numpy as np
@@ -87,6 +88,7 @@ class CosetWeight(Label):
         return self[1] - self[0]
 
 
+@lru_cache(maxsize=1)  # this level's, shared by every builder
 def canonical_weights(k: int):
     """All k(k+1)/2 canonical coset weights, in order of (nu - mu, mu)."""
     return tuple(CosetWeight(mu, mu + d, k)
@@ -103,6 +105,14 @@ def canonical_index(mu, nu, k: int):
 def weight_arrays(labels):
     """Integer-array views (mu, nu) of a sequence of CosetWeights."""
     return np.array(labels, dtype=np.int64).reshape(-1, 3)[:, :2].T
+
+
+@lru_cache(maxsize=1)
+def canonical_arrays(k: int):
+    """weight_arrays(canonical_weights(k)), read-only, once per level."""
+    out = weight_arrays(canonical_weights(k))
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(eq=False)
@@ -141,12 +151,20 @@ class SMatrix:
         return float(np.max(np.abs(self.entries @ self.entries.conj().T - eye)))
 
     def reindexed(self, new_labels) -> "SMatrix":
-        """Same matrix in a different basis order (labels must coincide as sets)."""
+        """Same matrix in another basis order; new_labels permute the basis."""
         perm = [self.index(lab) for lab in new_labels]
+        if len(perm) != self.dim or len(set(perm)) != self.dim:
+            raise LabelError(f"{len(perm)} labels are not a permutation "
+                             f"of the {self.dim}-label basis")
         return SMatrix(tuple(new_labels), self.entries[np.ix_(perm, perm)])
 
     def max_abs_diff(self, other: "SMatrix") -> float:
-        aligned = other if other.labels == self.labels else other.reindexed(self.labels)
+        """Largest entry difference; other label sets are inconsistent."""
+        try:
+            aligned = (other if other.labels == self.labels
+                       else other.reindexed(self.labels))
+        except LabelError as exc:
+            raise ConsistencyError(f"label sets differ: {exc}") from None
         return float(np.max(np.abs(self.entries - aligned.entries)))
 
 
@@ -180,8 +198,7 @@ def s_suk2_weylkac(k: int) -> SMatrix:
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     h = k + 2
-    labels = canonical_weights(k)
-    mu, nu = weight_arrays(labels)
+    labels, (mu, nu) = canonical_weights(k), canonical_arrays(k)
     lo, hi = k - nu, k - mu + 1  # the residues x misses
     size = h * (h - 1) // 2 - lo - hi  # |x|
     r = np.arange(h)
@@ -203,8 +220,7 @@ def s_suk2_compact(k: int) -> SMatrix:
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
-    labels = canonical_weights(k)
-    mu, nu = weight_arrays(labels)
+    labels, (mu, nu) = canonical_weights(k), canonical_arrays(k)
     m, l = mu + nu, nu - mu
     sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
     entries = 2.0 / math.sqrt(k * (k + 2)) * phase(np.outer(m, m), 2 * k) * sine
@@ -298,8 +314,7 @@ def simple_current_extend(representative_row, k: int) -> SMatrix:
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
-    labels = canonical_weights(k)
-    mu, nu = weight_arrays(labels)
+    labels, (mu, nu) = canonical_weights(k), canonical_arrays(k)
     rep, power = orbit_of(mu, nu, k)
     r = orbit_count(k)
     block = np.array([[representative_row[(a, b)] for b in range(r)]
@@ -324,7 +339,6 @@ def orbit_basis(k: int):
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
-    labels = canonical_weights(k)
-    mu, nu = weight_arrays(labels)
+    labels, (mu, nu) = canonical_weights(k), canonical_arrays(k)
     l, _ = orbit_of(mu, nu, k)
     return tuple(labels[i] for i in np.lexsort((nu, mu, l)))

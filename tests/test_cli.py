@@ -236,6 +236,20 @@ class TestVerifyCommand:
         # su(k)_2 as the coset's S
         assert calls == {"full": 1, "coset": 1, "suk2": 2}
 
+    def test_other_basis_is_a_failed_check(self, capsys, monkeypatch):
+        # the dual construction on integer labels instead of the sectors
+        # is a failed compare, not a traceback and not an agreement
+        build = fc.full_s_compact
+        monkeypatch.setattr(fc, "full_s_compact", lambda k: sm.SMatrix(
+            range((k + 1) * (k + 2) // 2), build(k).entries))
+        code, out, err = run(capsys, "verify", "--k", "3", "--targets",
+                             "full-dual")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert check["passed"] is False and check["residual"] is None
+        assert "label sets differ" in check["error"]
+        assert "full-dual-construction: label sets differ" in err
+
     @pytest.mark.usefixtures("zero_cartan_corner")
     def test_lattice_error_is_a_failed_check(self, capsys):
         code, out, err = run(capsys, "verify", "--k", "4", "--targets",

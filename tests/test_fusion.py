@@ -367,9 +367,14 @@ def _one_shot_verlinde(s, vac):
     return rounded.astype(np.int64), residuals
 
 
+def _simple_currents(s, vac):
+    """fusion._simple_currents with |S| computed for it, as verlinde does."""
+    return fu._simple_currents(s, vac, np.abs(s.entries))
+
+
 def _representatives(s, vac):
     """The labels whose pairs the orbit Verlinde sum computes."""
-    return fu._representatives(fu._simple_currents(s, vac)[1], vac)
+    return fu._representatives(_simple_currents(s, vac)[1], vac)
 
 
 def _reference_simple_currents(s, vac):
@@ -435,7 +440,7 @@ def _covariance_bound(s, vac):
 def _check_generator_built(s, vac):
     """The generator-built currents against the per-current reference;
     returns the reference words."""
-    currents, perms, defects = fu._simple_currents(s, vac)
+    currents, perms, defects = _simple_currents(s, vac)
     expected, ref_perms, direct = _reference_simple_currents(s, vac)
     assert np.array_equal(currents, expected)
     assert np.array_equal(perms, ref_perms)
@@ -541,7 +546,7 @@ class TestBlocks:
 
     def test_simple_currents(self):
         s = sm.s_su2k(10)
-        currents, perms, defects = fu._simple_currents(s, 0)
+        currents, perms, defects = _simple_currents(s, 0)
         assert currents.tolist() == [0, 10]
         assert perms.tolist() == [list(range(11)), list(range(10, -1, -1))]
         assert defects.max() < 1e-14
@@ -551,10 +556,10 @@ class TestBlocks:
         s = co.coset_s_compact(5).s
         noise = np.random.default_rng(0).standard_normal((2, 15, 15)) * 1e-11
         e = s.entries + noise[0] + 1j * noise[1]
-        currents, perms, defects = fu._simple_currents(
+        currents, perms, defects = _simple_currents(
             sm.SMatrix(s.labels, e), 0)
         assert currents.tolist() == [0, 1, 2, 3, 4]  # (m, m) sort first
-        assert np.array_equal(perms, fu._simple_currents(s, 0)[1])
+        assert np.array_equal(perms, _simple_currents(s, 0)[1])
         direct, conj = (np.abs(e[perms[1]] - e[1] / e[0] * e).max(),
                         np.abs(e[perms[1]] * (e[1] / e[0]).conj() - e).max())
         assert conj > direct
@@ -771,7 +776,7 @@ def test_simple_currents_are_the_permutation_rows(theory, k):
     # apply, which test_tensor_equals_one_shot pins to the all-rows sum
     ring = _ring(theory, k)
     rows = _permutation_rows(ring.tensor)
-    currents, perms, _ = fu._simple_currents(_s_matrix(theory, k),
+    currents, perms, _ = _simple_currents(_s_matrix(theory, k),
                                              ring.vacuum_index)
     assert currents.tolist() == list(rows)
     assert np.array_equal(perms, np.array(list(rows.values())))

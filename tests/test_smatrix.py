@@ -294,3 +294,25 @@ class TestSMatrixContainer:
         r = s.reindexed(sm.orbit_basis(3))
         assert r.entry(w(0, 1), w(1, 2)) == s.entry(w(0, 1), w(1, 2))
         assert r.max_abs_diff(s) < 1e-15
+
+    @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1), (0, 1, 2, 3)],
+                             ids=["duplicate", "subset", "superset"])
+    def test_reindex_needs_a_permutation(self, labels):
+        with pytest.raises(LabelError):
+            sm.s_su2k(2).reindexed(labels)
+
+    @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1), (0, 1, 2, 3)],
+                             ids=["duplicate", "subset", "superset"])
+    def test_compare_needs_the_same_label_set(self, labels):
+        # other's entries agree with su(2)_2's wherever the labels meet,
+        # so only the basis check tells the two matrices apart
+        s = sm.s_su2k(2)
+        n = len(labels)
+        entries = np.eye(n, dtype=complex)
+        m = min(n, 3)
+        entries[:m, :m] = s.entries[:m, :m]
+        other = sm.SMatrix(labels, entries)
+        with pytest.raises(ConsistencyError, match="label sets differ"):
+            s.max_abs_diff(other)
+        with pytest.raises(ConsistencyError, match="label sets differ"):
+            other.max_abs_diff(s)
