@@ -268,13 +268,15 @@ def cmd_smatrix(args) -> int:
 
 def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
-    never run. tol decides pass or fail here and nowhere else: builds
-    hold their self-checks to the module constants. Each S matrix is
-    built through _build at most once per call, also when its build
-    raises; su(k)_2 is the coset's, coset_s_compact(k).s. A check returns
+    never run. tol decides pass or fail here and nowhere else, and the
+    relation each check names is judged here only: the builders it calls
+    do not check themselves. Each S matrix is built through _build at
+    most once per call, also when its build raises; su(k)_2 is the
+    coset's, coset_s_compact(k).s. A check returns
     its residual, or (residual, passed) when passing takes more than
-    residual < tol. A check that raises ConsistencyError is recorded
-    as failed with the error's message. Each check records its wall time
+    residual < tol. A check that raises ConsistencyError, or whose
+    residual is not finite, is recorded as failed with a null residual
+    and the error's message. Each check records its wall time
     as elapsed_s, which includes the builds of the S matrices it is the
     first to use."""
     built = {}  # builder: its result, or the error it raised
@@ -297,7 +299,8 @@ def _verify_checks(k: int, tol: float, targets=None):
     def four_way():
         three = [coset().s, build("coset", co.coset_s_phase_form),
                  build("coset-lm", co.coset_s_via_su2k_u1)]
-        return max(a.max_abs_diff(b) for a, b in combinations(three, 2))
+        # np.max, not max: a NaN is the answer wherever it stands
+        return np.max([a.max_abs_diff(b) for a, b in combinations(three, 2)])
 
     @cache
     def report(name):
@@ -341,7 +344,8 @@ def _verify_checks(k: int, tol: float, targets=None):
     def filling():
         fu.require_budget(_lattice_need(k),
                           f"the charge lattice of rank {2 * k - 1}")
-        return int(fc.filling_factor(fc.gram_matrix(k)) != Fraction(k, k + 2))
+        fc.filling_factor(fc.gram_matrix(k))  # raises unless k/(k+2)
+        return 0
 
     plan = [("oracle-vs-compact",
              lambda: build("suk2-oracle",
@@ -370,12 +374,14 @@ def _verify_checks(k: int, tol: float, targets=None):
         start = time.perf_counter()
         try:
             out = run()
+            residual, ok = out if isinstance(out, tuple) else (out, None)
+            residual = float(residual)
+            if not math.isfinite(residual):
+                raise ConsistencyError(f"residual {residual} is not finite")
         except ConsistencyError as exc:
             check = {"name": name, "residual": None, "passed": False,
                      "error": str(exc)}
         else:
-            residual, ok = out if isinstance(out, tuple) else (out, None)
-            residual = float(residual)
             check = {"name": name, "residual": residual,
                      "passed": residual < tol if ok is None else ok}
         check["elapsed_s"] = time.perf_counter() - start

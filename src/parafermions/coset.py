@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import smatrix as sm
-from .errors import ConsistencyError, InvalidRankError, LabelError
+from .errors import InvalidRankError, LabelError
 from .smatrix import CosetWeight, SMatrix, canonical_weights
 
 
@@ -103,13 +103,10 @@ def dimension_numerators(mu, nu, k: int):
 
 
 def count_primaries(k: int) -> int:
-    """k(k+1)/2, cross-checked against the canonical weight enumeration."""
+    """k(k+1)/2, the length of canonical_weights(k)."""
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
-    n = k * (k + 1) // 2
-    if k >= 2 and len(canonical_weights(k)) != n:
-        raise ConsistencyError(f"primary count mismatch at k={k}")
-    return n
+    return k * (k + 1) // 2
 
 
 def coset_s_compact(k: int) -> CosetModularData:
@@ -121,18 +118,11 @@ def coset_s_compact(k: int) -> CosetModularData:
 
 
 def coset_s_phase_form(k: int) -> SMatrix:
-    """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry),
-    checked against su(k)_2 to DEFAULT_TOLERANCE."""
+    """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry)."""
     base = sm.s_suk2_compact(k)
     m = sum(sm.canonical_arrays(k))
     entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
-    out = SMatrix(base.labels, entries)
-    defect = out.max_abs_diff(base)
-    if not defect < sm.DEFAULT_TOLERANCE:
-        raise ConsistencyError(
-            f"phase form disagrees with the compact form at k={k}: {defect:g}"
-        )
-    return out
+    return SMatrix(base.labels, entries)
 
 
 def s_u1_2k(k: int) -> SMatrix:

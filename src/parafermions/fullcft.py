@@ -19,7 +19,7 @@ from . import coset as co
 from . import lie
 from . import smatrix as sm
 from .errors import ConsistencyError, InvalidRankError, LabelError
-from .smatrix import CosetWeight, DEFAULT_TOLERANCE, SMatrix, canonical_index
+from .smatrix import CosetWeight, SMatrix, canonical_index
 
 
 class FullSector(sm.Label):
@@ -89,19 +89,13 @@ def full_s_product(k: int) -> SMatrix:
     periodicity l -> l + k+2 is absorbed by the parafermion label through
     the pairing rule. So only the block l, l' < k+2 of s_u1 is built, and
     the coset S is su(k)_2's (coset_s_compact without its dimensions).
-    The product is checked unitary to DEFAULT_TOLERANCE.
     """
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
     l, _, _, _, neutral = sector_arrays(k)
     charged = sm.phase(-np.outer(l, l), k * (k + 2)) / math.sqrt(k * (k + 2))
     entries = k * charged * sm.s_suk2_compact(k).entries[np.ix_(neutral, neutral)]
-    out = SMatrix(enumerate_sectors(k), entries)
-    defect = out.unitarity_defect()
-    if not defect < DEFAULT_TOLERANCE:
-        raise ConsistencyError(
-            f"full S product form not unitary at k={k}: defect {defect:g}")
-    return out
+    return SMatrix(enumerate_sectors(k), entries)
 
 
 def full_s_compact(k: int) -> SMatrix:

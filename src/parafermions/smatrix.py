@@ -91,6 +91,8 @@ class CosetWeight(Label):
 @lru_cache(maxsize=1)  # this level's, shared by every builder
 def canonical_weights(k: int):
     """All k(k+1)/2 canonical coset weights, in order of (nu - mu, mu)."""
+    if k < 1:
+        raise InvalidRankError(f"need k >= 1, got {k}")
     return tuple(CosetWeight(mu, mu + d, k)
                  for d in range(k) for mu in range(k - d))
 
@@ -132,6 +134,9 @@ class SMatrix:
                 f"matrix shape {self.entries.shape} does not match {n} labels"
             )
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._index) != n:
+            raise LabelError(f"the basis repeats labels: {len(self._index)} "
+                             f"distinct of {n}")
 
     @property
     def dim(self):
@@ -153,7 +158,7 @@ class SMatrix:
     def reindexed(self, new_labels) -> "SMatrix":
         """Same matrix in another basis order; new_labels permute the basis."""
         perm = [self.index(lab) for lab in new_labels]
-        if len(perm) != self.dim or len(set(perm)) != self.dim:
+        if len(perm) != self.dim:  # a repeat is refused by SMatrix
             raise LabelError(f"{len(perm)} labels are not a permutation "
                              f"of the {self.dim}-label basis")
         return SMatrix(tuple(new_labels), self.entries[np.ix_(perm, perm)])

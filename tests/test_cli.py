@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -318,6 +319,88 @@ class TestVerifyCommand:
         assert "phase form" in four_way["error"]
         assert "coset-four-way: phase form" in err
         assert any(c["passed"] for c in doc["checks"])  # exact checks ran
+
+
+def _with_nan(s):
+    entries = s.entries.copy()
+    entries[1, 2] = np.nan
+    return sm.SMatrix(s.labels, entries)
+
+
+class TestOneJudgePerRelation:
+    """Builders build; verify alone judges each relation, and a residual
+    that is not finite is a failed check."""
+
+    @pytest.mark.parametrize("name", ["coset_s_compact", "coset_s_phase_form",
+                                      "coset_s_via_su2k_u1"])
+    def test_nan_in_any_construction_fails_four_way(self, capsys,
+                                                    monkeypatch, name):
+        build = getattr(co, name)
+
+        def broken(k):
+            out = build(k)
+            if isinstance(out, co.CosetModularData):
+                return dataclasses.replace(out, s=_with_nan(out.s))
+            return _with_nan(out)
+        monkeypatch.setattr(co, name, broken)
+        code, out, err = run(capsys, "verify", "--k", "4", "--targets",
+                             "four-way")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert (check["passed"], check["residual"], check["error"]) == (
+            False, None, "residual nan is not finite")
+        assert err.endswith("coset-four-way: residual nan is not finite\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_residual_is_a_strict_failed_check(self, capsys, monkeypatch,
+                                                   fmt):
+        build = sm.s_su2k
+        monkeypatch.setattr(sm, "s_su2k", lambda k: _with_nan(build(k)))
+        code, out, err = run(capsys, "verify", "--k", "4", "--targets",
+                             "unitarity-su2k", "--format", fmt)
+        assert code == 3
+        if fmt == "json":
+            doc = strict_json(out)
+        else:
+            cells = {row[0]: row[1] for row in csv.reader(io.StringIO(out))}
+            doc = {key: strict_json(cells[key]) for key in ("passed", "checks")}
+        check, = doc["checks"]
+        assert doc["passed"] is False
+        assert (check["passed"], check["residual"], check["error"]) == (
+            False, None, "residual nan is not finite")
+        assert "unitarity-su2k: residual nan is not finite" in err
+
+    def test_builders_do_not_judge_themselves(self, capsys, monkeypatch):
+        calls = {"unitarity_defect": 0, "max_abs_diff": 0}
+        for name in calls:
+            def counted(self, *args, _name=name,
+                        _method=getattr(sm.SMatrix, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(sm.SMatrix, name, counted)
+        fc.full_s_product(6)
+        co.coset_s_phase_form(6)
+        assert calls == {"unitarity_defect": 0, "max_abs_diff": 0}
+        code, _, _ = run(capsys, "verify", "--k", "6", "--all")
+        assert code == 3
+        # one S S^dag per theory; oracle-vs-compact, the three pairs of
+        # coset-four-way and full-dual-construction
+        assert calls == {"unitarity_defect": 3, "max_abs_diff": 5}
+
+    def test_non_unitary_product_reaches_unitarity_full(self, capsys,
+                                                        monkeypatch):
+        build = sm.s_suk2_compact
+        monkeypatch.setattr(sm, "s_suk2_compact", lambda k: sm.SMatrix(
+            build(k).labels, 1.01 * build(k).entries))
+        code, out, _ = run(capsys, "verify", "--k", "4", "--targets", "full")
+        assert code == 3
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        unitarity = checks["unitarity-full"]
+        assert unitarity["passed"] is False and "error" not in unitarity
+        assert unitarity["residual"] == pytest.approx(1.01 ** 2 - 1)
+        # only the Verlinde sum, which needs integers, cannot proceed
+        assert [n for n, c in checks.items() if "error" in c] == [
+            "verlinde-full-integrality"]
 
 
 class TestResourceExit:

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parafermions import cli
 from parafermions import coset as co
 from parafermions import smatrix as sm
-from parafermions.errors import ConsistencyError, LabelError
+from parafermions.errors import LabelError
 
 
 def w(mu, nu, k=3):
@@ -144,14 +146,19 @@ class TestFourWayAgreement:
             for b in mats:
                 assert a.max_abs_diff(b) < 1e-10
 
-    def test_phase_form_refuses_a_nan(self, monkeypatch):
+    def test_phase_form_refuses_a_nan(self, capsys, monkeypatch):
+        # the phase form builds without comparing itself; verify's
+        # coset-four-way is the one judge of the relation
         base = sm.s_suk2_compact(4)
         entries = base.entries.copy()
         entries[1, 2] = np.nan
         monkeypatch.setattr(sm, "s_suk2_compact",
                             lambda k: sm.SMatrix(base.labels, entries))
-        with pytest.raises(ConsistencyError, match="nan"):
-            co.coset_s_phase_form(4)
+        assert cli.main(["verify", "--k", "4", "--targets", "four-way"]) == 3
+        check, = json.loads(capsys.readouterr().out)["checks"]
+        assert (check["name"], check["passed"], check["residual"]) == (
+            "coset-four-way", False, None)
+        assert "nan" in check["error"]
 
     def test_k2_ising_pattern(self):
         s = co.coset_s_via_su2k_u1(2)

@@ -301,6 +301,11 @@ class TestSMatrixContainer:
         with pytest.raises(LabelError):
             sm.s_su2k(2).reindexed(labels)
 
+    def test_basis_refuses_repeated_labels(self):
+        # index(0) would read row 1, and row 0 could not be addressed
+        with pytest.raises(LabelError, match="2 distinct of 3"):
+            sm.SMatrix((0, 0, 1), np.eye(3))
+
     @pytest.mark.parametrize("labels", [(0, 0, 1), (0, 1), (0, 1, 2, 3)],
                              ids=["duplicate", "subset", "superset"])
     def test_compare_needs_the_same_label_set(self, labels):
@@ -311,6 +316,10 @@ class TestSMatrixContainer:
         entries = np.eye(n, dtype=complex)
         m = min(n, 3)
         entries[:m, :m] = s.entries[:m, :m]
+        if len(set(labels)) < n:  # refused before it can be compared
+            with pytest.raises(LabelError, match="repeats labels"):
+                sm.SMatrix(labels, entries)
+            return
         other = sm.SMatrix(labels, entries)
         with pytest.raises(ConsistencyError, match="label sets differ"):
             s.max_abs_diff(other)

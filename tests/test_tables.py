@@ -91,3 +91,17 @@ def test_invalid_level_raises_every_time():
             fc.enumerate_sectors(0)
     assert fc.sector_arrays.cache_info().currsize == 1
     assert fc.sector_arrays.cache_info().misses == 5
+
+
+@pytest.mark.usefixtures("cleared")
+@pytest.mark.parametrize("k", [0, -2])
+def test_canonical_tables_refuse_an_invalid_level(k):
+    sm.canonical_arrays(3)
+    for _ in range(2):
+        for table in (sm.canonical_weights, sm.canonical_arrays):
+            with pytest.raises(InvalidRankError, match=f"got {k}"):
+                table(k)
+    # the failures are not cached, and level 3 is still the one kept
+    assert [t.cache_info().currsize for t in TABLES[:2]] == [1, 1]
+    assert sm.canonical_weights(3) is sm.canonical_weights(3)
+    assert [t.cache_info().misses for t in TABLES[:2]] == [5, 3]
