@@ -65,7 +65,7 @@ FUSION_BYTES_PER_CUBE = 8
 CLOSED_FUSION_BYTES_PER_CUBE = 4
 
 # tracemalloc peak of the charge lattice's Bareiss pass (gram_matrix and
-# filling_factor) per entry of its 2k x 2k object array: 48-67 bytes at
+# filling_factor) per entry of its 2k x 2k int64 array: 49-76 bytes at
 # k = 10..300.
 LATTICE_BYTES_PER_ENTRY = 80
 
@@ -162,14 +162,18 @@ def _pair_texts(matrix: np.ndarray, dumps, pair: str) -> list:
     order, with re and im as dumps writes them in a list of floats.
 
     S entries repeat (sine products times roots of unity), so each
-    distinct [re, im] is formatted once: the entries are keyed on their
+    distinct [re, im] is looked up once: the entries are keyed on their
     16 bytes, never on their values, since 0.0 == -0.0 and the two keep
-    their own texts."""
+    their own texts. Each distinct magnitude is formatted once, and a
+    negative float other than NaN reads "-" and its magnitude's text."""
     keys = np.ascontiguousarray(matrix, np.complex128).view("V16")
     keys = keys.ravel().tolist()
     distinct = dict.fromkeys(keys)
-    floats = np.frombuffer(b"".join(distinct), np.float64).tolist()
-    texts = dumps(floats)[1:-1].split(", ")
+    floats = np.frombuffer(b"".join(distinct), np.float64)
+    sizes, at = np.unique(np.abs(floats), return_inverse=True)
+    texts = dumps(sizes.tolist())[1:-1].split(", ")
+    at += len(texts) * (np.signbit(floats) & ~np.isnan(floats))
+    texts = np.array(texts + ["-" + t for t in texts], object)[at].tolist()
     cell = dict(zip(distinct, map(pair.format, texts[0::2], texts[1::2])))
     return list(map(cell.__getitem__, keys))
 
@@ -443,10 +447,12 @@ def cmd_sectors(args) -> int:
     fu.require_budget(SECTORS_BYTES_PER_SECTOR * n + _lattice_need(args.k),
                       f"the sectors document of {n} sectors")
     sectors = fc.enumerate_sectors(args.k)
+    names = list(map(str, sm.canonical_weights(args.k)))
+    neutral = fc.sector_arrays(args.k)[4].tolist()
     doc = document("sectors", args.k, sectors, {
         "count": len(sectors),
         "coset_primaries": co.count_primaries(args.k),
-        "neutral_labels": [str(s.neutral) for s in sectors],
+        "neutral_labels": [names[i] for i in neutral],
         "filling_factor": str(fc.filling_factor(fc.gram_matrix(args.k))),
     })
     emit(doc, args.format)

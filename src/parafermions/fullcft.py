@@ -66,10 +66,7 @@ def sector_arrays(k: int):
 def enumerate_sectors(k: int):
     """All allowed (l, rho), lexicographic; count is (k+1)(k+2)/2."""
     l, rho = sector_arrays(k)[:2]
-    out = tuple(FullSector(a, b, k) for a, b in zip(l.tolist(), rho.tolist()))
-    if len(out) != (k + 1) * (k + 2) // 2:
-        raise ConsistencyError(f"sector count mismatch at k={k}: {len(out)}")
-    return out
+    return tuple(FullSector(a, b, k) for a, b in zip(l.tolist(), rho.tolist()))
 
 
 def s_u1(k: int) -> SMatrix:
@@ -139,10 +136,12 @@ class ChargeLattice:
     its charge vector Q, checked positive definite on construction.
 
     pivots: the diagonal of one fraction-free (Bareiss) elimination of
-    [G | Q] with the row [Q^T | 0] appended, exact in Python ints (an
-    object array, one block update per pivot), without row exchanges. By
-    Sylvester's identity pivot m <= dim is the m-th leading principal minor
-    of G, all > 0 exactly when G is positive definite; the last is
+    [G | Q] with the row [Q^T | 0] appended, without row exchanges, one
+    block update per pivot: in int64 while the trailing block's entries
+    are below 2^31 in magnitude, so that each product fits 63 bits, then
+    in Python ints (an object array), exact for every input. By
+    Sylvester's identity pivot m <= dim is the m-th leading principal
+    minor of G, all > 0 exactly when G is positive definite; the last is
     det G * (0 - Q^T G^{-1} Q), the Schur complement of G."""
 
     k: int
@@ -152,14 +151,22 @@ class ChargeLattice:
 
     def __post_init__(self):
         q = self.charge_vector
-        a = np.array([[*row, x] for row, x in zip(self.gram, q)] + [[*q, 0]],
-                     dtype=object)
-        for c, top in enumerate(a.diagonal()):  # a view: read as it goes
+        rows = [[*row, x] for row, x in zip(self.gram, q)] + [[*q, 0]]
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            a = np.array(rows, dtype=object)
+        for c in range(len(a)):
+            rest = a[c:, c:]
+            if a.dtype != object and (rest.max() >= 2 ** 31
+                                      or rest.min() <= -2 ** 31):
+                a = a.astype(object)  # a product could leave 63 bits
+            top = a[c, c]
             if c < self.dim and top <= 0:
                 raise ConsistencyError(
                     f"Gram matrix not positive definite at k={self.k}: "
                     f"leading minor {c + 1} is {top}")
-            a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * top - np.outer(
+            a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * top - np.multiply.outer(
                 a[c + 1:, c], a[c, c + 1:])) // (a[c - 1, c - 1] if c else 1)
         object.__setattr__(self, "pivots", tuple(a.diagonal().tolist()))
 

@@ -76,8 +76,8 @@ def sigma_xx_curve(s: SMatrix, a, b, t1: complex, t2: complex,
     cross = np.conj(t1) * t2 * np.exp(1j * alphas) * mono.value
     sigma = base + 2 * cross.real
     return InterferencePattern(
-        alpha_samples=tuple(float(x) for x in alphas),
-        sigma_xx=tuple(float(x) for x in sigma),
+        alpha_samples=tuple(alphas.tolist()),
+        sigma_xx=tuple(sigma.tolist()),
         monodromy=mono,
     )
 

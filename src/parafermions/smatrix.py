@@ -15,6 +15,7 @@ denominator per matrix or theory until the final exp/sin in float64.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -247,7 +248,8 @@ def level_rank_entry(a: CosetWeight, b: CosetWeight, k: int) -> complex:
         )
     l, lp = a.nu, b.nu
     s2 = math.sqrt(2.0 / (k + 2)) * math.sin(math.pi * (l + 1) * (lp + 1) / (k + 2))
-    return math.sqrt(2.0 / k) * complex(phase(l * lp, 2 * k)) * s2
+    root = cmath.exp(2j * math.pi * (l * lp % (2 * k) / (2 * k)))  # as phase()
+    return math.sqrt(2.0 / k) * root * s2
 
 
 def orbit_count(k: int) -> int:

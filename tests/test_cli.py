@@ -1006,6 +1006,34 @@ class TestMatrixEncoder:
                                                np.array(matrix), fmt)
         assert _emitted(capsys, labels, matrix, fmt) == expected
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_signed_magnitudes(self, capsys, fmt):
+        # a negative float reads "-" and its magnitude's text, a NaN
+        # "nan" whatever its sign bit
+        labels = ["0", "1", "2"]
+        matrix = np.array([
+            [0.25 - 0.25j, complex(-1 / 3, 1 / 3), complex(-np.nan, -0.0)],
+            [complex(np.inf, -np.inf), -0.25 + 0j, complex(np.nan, 0.0)],
+            [complex(-1 / 3, -np.inf), complex(0.0, -np.nan), 1 / 3 + 0.25j]])
+        assert np.signbit(matrix[0, 2].real) and np.signbit(matrix[2, 1].imag)
+        doc = cli.document("smatrix", 2, labels, {"which": "su2k",
+                                                  "matrix": matrix})
+        if fmt == "csv":
+            cli.emit(doc, fmt)
+            assert capsys.readouterr().out == _reference_smatrix_document(
+                2, "su2k", labels, matrix, fmt)
+            return
+        with pytest.raises(ValueError) as expected:
+            json.dumps(np.stack((matrix.real, matrix.imag), -1).tolist(),
+                       allow_nan=False)
+        with pytest.raises(ValueError) as err:
+            cli.emit(doc, fmt)
+        assert str(err.value) == str(expected.value)
+        assert capsys.readouterr().out == ""
+        finite = np.where(np.isfinite(matrix), matrix, -0.5)
+        assert _emitted(capsys, labels, finite, fmt) == (
+            _reference_smatrix_document(2, "su2k", labels, finite, fmt))
+
     def test_non_finite_entries(self, capsys, monkeypatch):
         labels = ["0", "1"]
         entries = np.array([[complex(np.nan, 0.5), 1.0],

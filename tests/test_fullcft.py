@@ -178,26 +178,62 @@ def symmetric_systems(draw):
     return tuple(map(tuple, g.tolist())), tuple(q)
 
 
+def assert_pivots_are_fraction_minors(gram, q):
+    """The lattice of (gram, q) has the Fraction leading minors and Schur
+    complement as int pivots, or names the first minor <= 0 as it is."""
+    n = len(gram)
+    minors = [fraction_det([row[:m] for row in gram[:m]])
+              for m in range(1, n + 1)]
+    bad = next((m for m in range(n) if minors[m] <= 0), None)
+    if bad is not None:
+        with pytest.raises(ConsistencyError) as err:
+            fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
+        assert str(err.value) == (
+            "Gram matrix not positive definite at k=5: "
+            f"leading minor {bad + 1} is {minors[bad]}")
+        return
+    cl = fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
+    qgq = sum(a * b for a, b in zip(q, lie.rational_solve(gram, q)))
+    assert cl.pivots == (*minors, -minors[-1] * qgq)
+    assert all(type(p) is int for p in cl.pivots)
+
+
+def wide_system(bits, seed):
+    """(G, Q) with G = B^T B + I positive definite, B 6 x 6 with entries
+    below 2^bits in magnitude, and G with its fifth leading minor made
+    negative by lowering G_44 alone (minors 1..4 unchanged)."""
+    rng = np.random.default_rng(seed)
+    b = [[int(x) for x in row] for row in rng.integers(-2 ** bits, 2 ** bits,
+                                                     (6, 6), dtype=np.int64)]
+    g = [[sum(b[r][i] * b[r][j] for r in range(6)) + (i == j)
+          for j in range(6)] for i in range(6)]
+    q = tuple(int(x) for x in rng.integers(-4, 5, 6))
+    m4, m5 = (fraction_det([row[:m] for row in g[:m]]) for m in (4, 5))
+    bent = [row[:] for row in g]
+    bent[4][4] -= m5 // m4 + 1  # minor 5 drops by (m5 // m4 + 1) m4 > m5
+    return (tuple(map(tuple, g)), q), (tuple(map(tuple, bent)), q)
+
+
 class TestChargeLattice:
     @settings(max_examples=300, deadline=None)
     @given(system=symmetric_systems())
     def test_bareiss_pivots_are_fraction_minors(self, system):
-        gram, q = system
-        n = len(gram)
-        minors = [fraction_det([row[:m] for row in gram[:m]])
-                  for m in range(1, n + 1)]
-        bad = next((m for m in range(n) if minors[m] <= 0), None)
-        if bad is not None:
-            with pytest.raises(ConsistencyError) as err:
-                fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
-            assert str(err.value) == (
-                "Gram matrix not positive definite at k=5: "
-                f"leading minor {bad + 1} is {minors[bad]}")
-            return
-        cl = fc.ChargeLattice(k=5, gram=gram, charge_vector=q)
-        qgq = sum(a * b for a, b in zip(q, lie.rational_solve(gram, q)))
-        assert cl.pivots == (*minors, -minors[-1] * qgq)
-        assert all(type(p) is int for p in cl.pivots)
+        assert_pivots_are_fraction_minors(*system)
+
+    @pytest.mark.parametrize("bent", [False, True])
+    def test_entries_cross_int64_mid_elimination(self, bent):
+        # every input below 2^31, so the pass starts in int64, and the
+        # minors pass 2^31 and then 2^63 as it goes
+        system = wide_system(13, seed=1)[bent]
+        assert max(abs(x) for row in system[0] for x in row) < 2 ** 31
+        assert fraction_det([row[:3] for row in system[0][:3]]) >= 2 ** 63
+        assert_pivots_are_fraction_minors(*system)
+
+    @pytest.mark.parametrize("bent", [False, True])
+    def test_inputs_beyond_int64(self, bent):
+        system = wide_system(40, seed=2)[bent]
+        assert max(abs(x) for row in system[0] for x in row) >= 2 ** 63
+        assert_pivots_are_fraction_minors(*system)
 
     def test_k2(self):
         cl = fc.gram_matrix(2)
@@ -217,7 +253,7 @@ class TestChargeLattice:
         assert g[0, 1] == g[0, 3] == 1
         assert g[0, 2] == g[0, 4] == 0
 
-    @pytest.mark.parametrize("k", range(1, 31))
+    @pytest.mark.parametrize("k", [*range(1, 31), 40, 60])
     def test_filling_factor_exact(self, k):
         nu = fc.filling_factor(fc.gram_matrix(k))
         assert nu == Fraction(k, k + 2)  # exact rational, no tolerance
