@@ -112,19 +112,29 @@ def emit(doc: dict, fmt: str) -> None:
 
 
 def to_csv(doc: dict, out) -> None:
-    """Write doc to out as CSV: metadata comments, then data rows with
-    complex entries as re/im column pairs, an integer tensor as its JSON
-    text, encoded before any row so that a refused one writes nothing."""
+    """Write doc to out as CSV: metadata comments, then a key,<json> row
+    per other field, an integer tensor as its JSON text, encoded before
+    any row so that a refused one writes nothing. Before the data rows of
+    a matrix (complex entries as re/im column pairs) or a curve, those
+    field rows are comments too: `# key,<json>`."""
     texts = {key: _tensor_json(value) for key, value in doc.items()
              if isinstance(value, np.ndarray) and value.dtype.kind != "c"}
     writer = csv.writer(out)
-    for key in ("schema_version", "k", "kind"):
+    meta, data = ("schema_version", "k", "kind"), ("matrix", "curve")
+    for key in meta:
         writer.writerow([f"# {key}", doc[key]])
+    mark = "# " if any(key in doc for key in data) else ""
+    for key, value in doc.items():
+        if key in texts:
+            # as writer.writerow([key, text]), whose row buffer would
+            # hold the text at four bytes a character
+            quote = _csv_quote(texts[key])
+            out.writelines([f"{key},{quote}", texts[key], f"{quote}\r\n"])
+        elif key not in meta + data:
+            writer.writerow([mark + key, json.dumps(value)])
     if "matrix" in doc:
-        header = ["label"]
-        for lab in doc["basis"]:
-            header += [f"{lab} re", f"{lab} im"]
-        writer.writerow(header)
+        writer.writerow(["label", *(f"{lab} {part}" for lab in doc["basis"]
+                                    for part in ("re", "im"))])
         # as writer.writerow([lab, re, im, ...]) with float cells: a row
         # is the label, quoted as the writer quotes it, and the cells
         cells = _pair_texts(doc["matrix"], repr, "{},{}")
@@ -134,20 +144,7 @@ def to_csv(doc: dict, out) -> None:
             row = ",".join(cells[i * n:(i + 1) * n])
             out.write(f"{quote}{lab}{quote},{row}\r\n")
     elif "curve" in doc:
-        writer.writerow(["alpha", "sigma_xx"])
-        for point in doc["curve"]:
-            writer.writerow(map(float, point))
-    else:
-        for key, value in doc.items():
-            if key in ("schema_version", "k", "kind"):
-                continue
-            if key in texts:
-                # as writer.writerow([key, text]), whose row buffer would
-                # hold the text at four bytes a character
-                quote = _csv_quote(texts[key])
-                out.writelines([f"{key},{quote}", texts[key], f"{quote}\r\n"])
-            else:
-                writer.writerow([key, json.dumps(value)])
+        writer.writerows([["alpha", "sigma_xx"], *doc["curve"]])
 
 
 def _csv_quote(text: str) -> str:
@@ -274,26 +271,18 @@ def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
     never run. tol decides pass or fail here and nowhere else, and the
     relation each check names is judged here only: the builders it calls
-    do not check themselves. Each S matrix is built through _build at
-    most once per call, also when its build raises; su(k)_2 is the
-    coset's, coset_s_compact(k).s. A check returns
-    its residual, or (residual, passed) when passing takes more than
-    residual < tol. A check that raises ConsistencyError, or whose
-    residual is not finite, is recorded as failed with a null residual
-    and the error's message. Each check records its wall time
+    do not check themselves. Each S matrix is built through _build once
+    per call and its result cached; su(k)_2 is coset_s_compact(k).s. A
+    check returns its residual, or (residual, passed) when passing takes
+    more than residual < tol. A check that raises ConsistencyError, or
+    whose residual is not finite, is recorded as failed with a null
+    residual and the error's message. Each check records its wall time
     as elapsed_s, which includes the builds of the S matrices it is the
     first to use."""
-    built = {}  # builder: its result, or the error it raised
 
+    @cache
     def build(which, builder):
-        if builder not in built:
-            try:
-                built[builder] = _build(which, k, builder)
-            except ConsistencyError as exc:
-                built[builder] = exc
-        if isinstance(built[builder], ConsistencyError):
-            raise built[builder]
-        return built[builder]
+        return _build(which, k, builder)
 
     # read from the modules at call time, as _SMATRIX_BUILDERS does
     su2k = lambda: build("su2k", sm.s_su2k)
@@ -325,21 +314,12 @@ def _verify_checks(k: int, tol: float, targets=None):
         return rep.s2_defect, (rep.conjugation_is_permutation
                                and rep.s2_defect < tol and rep.c2_defect < tol)
 
-    def closed_budget(which):  # before either tensor is built
+    def closed(which, s, tensor):
+        """0 when the Verlinde tensor of s() is tensor(k), else 1."""
         n = _smatrix_dim(which, k)
         fu.require_budget(CLOSED_FUSION_BYTES_PER_CUBE * n ** 3,
                           f"the closed-form fusion compare of {n} labels")
-
-    def verlinde_coset():
-        closed_budget("coset")
-        ring = fu.verlinde(coset().s)  # basis canonical_weights(k)
-        return int(not np.array_equal(ring.tensor,
-                                      fu.coset_fusion_tensor(k)))
-
-    def verlinde_su2k():
-        closed_budget("su2k")
-        ring = fu.verlinde(su2k())  # basis l = 0..k
-        return int(not np.array_equal(ring.tensor, fu.su2k_fusion_tensor(k)))
+        return int(not np.array_equal(fu.verlinde(s()).tensor, tensor(k)))
 
     def verlinde_full():
         fu.verlinde(full())  # raises on failure
@@ -362,8 +342,10 @@ def _verify_checks(k: int, tol: float, targets=None):
             (f"st3-{name}", lambda n=name: report(n).st3_defect),
         ]
     plan += [
-        ("verlinde-vs-closed-coset", verlinde_coset),
-        ("verlinde-vs-closed-su2k", verlinde_su2k),
+        ("verlinde-vs-closed-coset",
+         lambda: closed("coset", lambda: coset().s, fu.coset_fusion_tensor)),
+        ("verlinde-vs-closed-su2k",
+         lambda: closed("su2k", su2k, fu.su2k_fusion_tensor)),
         ("verlinde-full-integrality", verlinde_full),
         ("full-dual-construction",
          lambda: full().max_abs_diff(build("full-compact",
@@ -451,7 +433,7 @@ def cmd_sectors(args) -> int:
     neutral = fc.sector_arrays(args.k)[4].tolist()
     doc = document("sectors", args.k, sectors, {
         "count": len(sectors),
-        "coset_primaries": co.count_primaries(args.k),
+        "coset_primaries": len(names),
         "neutral_labels": [names[i] for i in neutral],
         "filling_factor": str(fc.filling_factor(fc.gram_matrix(args.k))),
     })
@@ -523,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("smatrix", parents=[], help="emit an S matrix")
+    p = sub.add_parser("smatrix", help="emit an S matrix")
     common(p)
     p.add_argument("--which", choices=sorted(_SMATRIX_BUILDERS),
                    required=True)

@@ -102,13 +102,6 @@ def dimension_numerators(mu, nu, k: int):
     return k * l * (l + 2) - (k + 2) * m * m
 
 
-def count_primaries(k: int) -> int:
-    """k(k+1)/2, the length of canonical_weights(k)."""
-    if k < 1:
-        raise InvalidRankError(f"need k >= 1, got {k}")
-    return k * (k + 1) // 2
-
-
 def coset_s_compact(k: int) -> CosetModularData:
     """Coset modular data from the closed form (identical to su(k)_2)."""
     s = sm.s_suk2_compact(k)

@@ -30,8 +30,7 @@ class FullSector(sm.Label):
     _fields = ("l", "rho", "k")
 
     def __new__(cls, l, rho, k):
-        if k < 1:
-            raise InvalidRankError(f"need k >= 1, got {k}")
+        l, rho, k = cls._checked(l, rho, k)
         l, rho = l % (k + 2), rho % k
         if (l - rho) % k > rho:
             raise LabelError(f"(l, rho) = ({l}, {rho}) violates the Z_k "

@@ -95,16 +95,6 @@ class FusionRing:
                 :, :, np.argsort(perms)].swapaxes(1, 2)
         return self._planes
 
-    def _lookup(self) -> tuple:
-        """The plane rows and, at a n + b, the row (r, Jb) of a = Jr."""
-        n, reps = len(self.labels), self.reps
-        if self._row_of is None:
-            at, via = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-            at[self.perms[:, reps]] = np.arange(len(reps))
-            via[self.perms[:, reps]] = np.arange(len(self.perms))[:, None]
-            self._row_of = (at[:, None] * n + self.perms[via]).ravel().tolist()
-        return self.planes().reshape(-1, n), self._row_of
-
     @property
     def tensor(self) -> np.ndarray:
         """The dense N[a][b][c], N_(Jr, y) = N_(r, Jy), expanded on first
@@ -119,16 +109,21 @@ class FusionRing:
         return self._tensor
 
     def coefficient(self, a, b, c) -> int:
-        rows, row_of = self._lookup()
-        return int(rows[row_of[self.index(a) * len(self.labels)
-                               + self.index(b)], self.index(c)])
+        """N_ab^c, read as product(a, b)[c]: a, b, then c must be labels."""
+        return self.product(a, b)[self.labels[self.index(c)]]
 
     def product(self, a, b) -> Counter:
         """Multiset of outcomes of a x b: a fresh Counter, dict.update'd
         (no Counter.__init__ Mapping path) from plane row (r, Jb), a = Jr,
-        of a table of dicts {label: count} the first lookup builds."""
+        of a table of dicts {label: count} the first lookup builds, with
+        the row number of each pair at a n + b."""
         if self._rows is None:
-            flat = self._lookup()[0]
+            n, reps = len(self.labels), self.reps
+            at, via = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+            at[self.perms[:, reps]] = np.arange(len(reps))
+            via[self.perms[:, reps]] = np.arange(len(self.perms))[:, None]
+            self._row_of = (at[:, None] * n + self.perms[via]).ravel().tolist()
+            flat = self.planes().reshape(-1, n)
             rows, cols = np.nonzero(flat)
             self._rows = [{} for _ in range(len(flat))]
             for row, c, count in zip(rows.tolist(), cols.tolist(),

@@ -9,7 +9,6 @@ signature of a non-Abelian bulk.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +98,6 @@ def detection_report(s: SMatrix, probe, bulk_candidates) -> tuple:
     non-Abelian whenever |M| < 1 by more than DEFAULT_TOLERANCE."""
     bulks = tuple(bulk_candidates)
     row = monodromy_row(s, probe)[[s.index(b) for b in bulks]].tolist()
-    return tuple(DetectionRow(b, size, cmath.phase(m), not math.isclose(
-        size, 1.0, abs_tol=DEFAULT_TOLERANCE))
-        for b, m, size in zip(bulks, row, map(abs, row)))
+    return tuple(DetectionRow(b, size, cmath.phase(m),
+                              abs(size - 1) > DEFAULT_TOLERANCE)
+                 for b, m, size in zip(bulks, row, map(abs, row)))

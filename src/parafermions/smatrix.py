@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -56,6 +56,17 @@ class Label(tuple):
 
     __ne__ = object.__ne__  # the inverse of __eq__, not tuple's !=
 
+    @classmethod
+    def _checked(cls, a, b, k) -> tuple:
+        """(a, b, k) as ints (operator.index), else LabelError; k >= 1."""
+        try:
+            a, b, k = index(a), index(b), index(k)
+        except TypeError:
+            raise LabelError(f"{cls.__name__}{a, b, k} not integral") from None
+        if k < 1:
+            raise InvalidRankError(f"need k >= 1, got {k}")
+        return a, b, k
+
     def __getnewargs__(self):
         return tuple(self)
 
@@ -79,8 +90,7 @@ class CosetWeight(Label):
     _fields = ("mu", "nu", "k")
 
     def __new__(cls, mu, nu, k):
-        if k < 1:
-            raise InvalidRankError(f"need k >= 1, got {k}")
+        mu, nu, k = cls._checked(mu, nu, k)
         mu, nu = mu % k, nu % k
         return tuple.__new__(cls, (mu, nu, k) if mu <= nu else (nu, mu, k))
 

@@ -215,7 +215,7 @@ def test_criterion_08_filling_factor(capsys):
 def test_criterion_09_sector_counts(capsys):
     ok = True
     for k in range(2, 9):
-        ok = ok and co.count_primaries(k) == k * (k + 1) // 2
+        ok = ok and len(sm.canonical_weights(k)) == k * (k + 1) // 2
         sectors = fc.enumerate_sectors(k)
         ok = ok and len(sectors) == (k + 1) * (k + 2) // 2
         if k <= 6:

@@ -88,11 +88,11 @@ class TestSmatrixCommand:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0].startswith("# schema_version")
-        # header + 3 label rows after 3 metadata rows
-        assert len(lines) == 3 + 1 + 3
+        # header + 3 label rows after 3 metadata and 2 field rows
+        assert len(lines) == 3 + 2 + 1 + 3
         _, json_out, _ = run(capsys, "smatrix", "--k", "2", "--which", "su2k")
         doc = json.loads(json_out)
-        rows = list(csv.reader(io.StringIO(out)))[4:]
+        rows = list(csv.reader(io.StringIO(out)))[6:]
         assert [r[0] for r in rows] == doc["basis"]
         cells = [[float(x) for x in r[1:]] for r in rows]  # every cell
         assert cells == [[x for re_im in row for x in re_im]
@@ -206,9 +206,9 @@ class TestVerifyCommand:
         assert len(exact) == 4 and all(exact.values())
         assert err.startswith("failing checks: ") and err.count("\n") == 1
 
-    def test_raising_build_is_built_once(self, capsys, monkeypatch):
-        # a build that raises is called once; its error is kept and raised
-        # again for every check that needs the matrix
+    def test_raising_build_fails_each_check(self, capsys, monkeypatch):
+        # a build that raises fails every check that needs the matrix, each
+        # with its message; a build that returns is cached
         calls = {"full": 0, "coset": 0, "suk2": 0}
 
         def counted(name, build):
@@ -232,10 +232,10 @@ class TestVerifyCommand:
         assert len(full_checks) == 5
         assert all(c["passed"] is False and c["residual"] is None
                    and "not unitary" in c["error"] for c in full_checks)
-        # one call each through the cache; s_suk2_compact runs only inside
+        # the coset is built once; s_suk2_compact runs only inside
         # coset_s_compact and coset_s_phase_form, since verify reads
         # su(k)_2 as the coset's S
-        assert calls == {"full": 1, "coset": 1, "suk2": 2}
+        assert calls["coset"] == 1 and calls["suk2"] == 2
 
     def test_other_basis_is_a_failed_check(self, capsys, monkeypatch):
         # the dual construction on integer labels instead of the sectors
@@ -952,7 +952,7 @@ class TestTensorEncoder:
 
 def _reference_smatrix_document(k, which, labels, matrix, fmt):
     """The smatrix document through tolist(), json.dumps and csv.writer
-    rows of float cells."""
+    rows of float cells, after its basis and which as comment rows."""
     pairs = np.stack((matrix.real, matrix.imag), axis=-1).tolist()
     doc = cli.document("smatrix", k, labels,
                        {"which": which, "matrix": pairs})
@@ -962,6 +962,8 @@ def _reference_smatrix_document(k, which, labels, matrix, fmt):
     writer = csv.writer(buf)
     for key in ("schema_version", "k", "kind"):
         writer.writerow([f"# {key}", doc[key]])
+    for key in ("basis", "which"):
+        writer.writerow([f"# {key}", json.dumps(doc[key])])
     header = ["label"]
     for lab in doc["basis"]:
         header += [f"{lab} re", f"{lab} im"]
@@ -1154,6 +1156,37 @@ class TestInterfereCommand:
         start = rows.index(["alpha", "sigma_xx"]) + 1
         curve = [[float(x) for x in r] for r in rows[start:]]
         assert curve == json.loads(json_out)["curve"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--k", "3", "--which", "coset"],
+    ["verify", "--k", "3", "--targets", "s2", "filling"],
+    ["fusion", "--k", "3", "--which", "full"],
+    ["dims", "--k", "3"],
+    ["sectors", "--k", "3"],
+    ["interfere", "--k", "3", "--bulk", "1,2", "--probe", "0,1",
+     "--t1", "0.8+0.3j", "--t2", "1.1-0.2j", "--samples", "5"],
+])
+def test_csv_carries_every_json_field(capsys, argv):
+    # each field but the matrix or curve is a row "key" or "# key": the
+    # metadata as text, every other field as its JSON
+    _, json_out, _ = run(capsys, *argv)
+    _, csv_out, _ = run(capsys, *argv, "--format", "csv")
+    doc = json.loads(json_out)
+    cells = {row[0].removeprefix("# "): row[1:]
+             for row in csv.reader(io.StringIO(csv_out))}
+    for key, value in doc.items():
+        if key in ("matrix", "curve"):
+            continue
+        text, = cells[key]
+        if key in ("schema_version", "k", "kind"):
+            assert text == str(value), key
+            continue
+        got = json.loads(text)
+        if key == "checks":  # elapsed_s is a measurement of each run
+            for check in got + value:
+                del check["elapsed_s"]
+        assert got == value, key
 
 
 class TestUsage:

@@ -56,6 +56,12 @@ class TestVerlinde:
             ring.product(w(0, 1), "no-such-label")
         with pytest.raises(LabelError):
             ring.coefficient(w(0, 0), w(0, 0), w(0, 1, k=4))
+        # checked in the order a, b, c
+        for first, args in [("x", ("x", "y", "z")),
+                            ("y", (w(0, 0), "y", "z")),
+                            ("z", (w(0, 0), w(0, 0), "z"))]:
+            with pytest.raises(LabelError, match=f"label '{first}' not in"):
+                ring.coefficient(*args)
 
     def test_coefficient_lookup(self):
         ring = fu.verlinde(co.coset_s_compact(3).s)

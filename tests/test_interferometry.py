@@ -158,6 +158,17 @@ class TestDetectionReport:
                    for r in rows)
         assert not any(r.non_abelian for r in rows)
 
+    @pytest.mark.parametrize("gap,flagged", [(5e-10, True), (5e-11, False)])
+    def test_threshold_is_the_tolerance(self, gap, flagged):
+        # |M| = 1 - gap for probe and bulk 1 of su(2)_1 with S_11 scaled:
+        # flagged exactly when the gap exceeds DEFAULT_TOLERANCE = 1e-10
+        s = sm.s_su2k(1)
+        entries = s.entries.copy()
+        entries[1, 1] *= 1 - gap
+        row, = it.detection_report(sm.SMatrix(s.labels, entries), 1, [1])
+        assert row.magnitude == pytest.approx(1 - gap, rel=0, abs=1e-15)
+        assert row.non_abelian is flagged
+
     def test_one_vacuum_lookup_per_report(self, coset3, monkeypatch):
         calls = []
 
@@ -186,8 +197,8 @@ class TestDetectionReport:
                     m = complex(row[s.index(r.bulk)])
                     assert r.magnitude.hex() == abs(m).hex()
                     assert r.phase.hex() == cmath.phase(m).hex()
-                    assert r.non_abelian == (not math.isclose(
-                        abs(m), 1.0, abs_tol=sm.DEFAULT_TOLERANCE))
+                    assert r.non_abelian == (
+                        abs(abs(m) - 1) > sm.DEFAULT_TOLERANCE)
                 assert it.detection_report(s, probe, []) == ()
 
     @pytest.mark.parametrize("k", range(2, 7))

@@ -95,6 +95,21 @@ def test_label_semantics(cls, k, a, b):
     assert tuple(label) == fields
 
 
+@pytest.mark.parametrize("cls", [sm.CosetWeight, fc.FullSector])
+@pytest.mark.parametrize("fields", [(0.5, 1, 3), (1.0, 1, 3), ("1", 1, 3),
+                                    (1, 1, 3.0), (1, None, 3)])
+def test_non_integer_fields_raise(cls, fields):
+    with pytest.raises(LabelError, match="not integral"):
+        cls(*fields)
+
+
+@pytest.mark.parametrize("cls", [sm.CosetWeight, fc.FullSector])
+def test_numpy_integers_become_ints(cls):
+    label = cls(*np.array([1, 4, 3]))
+    assert label == cls(1, 4, 3) and str(label) == "1,1"
+    assert [type(x) for x in label] == [int] * 3
+
+
 def test_exact_texts():
     assert repr(sm.CosetWeight(0, 1, 3)) == "CosetWeight(mu=0, nu=1, k=3)"
     assert str(sm.CosetWeight(4, 0, 3)) == "0,1"

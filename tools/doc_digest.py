@@ -1,19 +1,22 @@
-"""One SHA-256 over every CLI document for k = 1..16.
+"""SHA-256 digests of every CLI document for k = 1..16, one per
+(command, format) family and one over all of them.
 
     python tools/doc_digest.py [SRC]
 
 imports `parafermions` from SRC, the `src` directory of a checkout (this
 checkout's by default), runs each command below through `cli.main` and
-hashes its argv, exit code, stdout and stderr in order. Two checkouts
-print the same digest exactly when every document, message and exit code
-is the same byte for byte:
+hashes its argv, exit code, stdout and stderr in order, into its
+family's digest and into the total. Two checkouts print the same digest
+for a family exactly when every document, message and exit code of that
+family is the same byte for byte:
 
 * `smatrix` for all eight builders in JSON and CSV (the Weyl-Kac oracle
   up to k = 12);
 * `sectors`, `dims` and `interfere` (coset and full) in JSON and CSV;
 * `fusion` for su2k, coset and full up to k = 12 in JSON and CSV;
-* `verify --all` in JSON for k = 2..12, with each check's `elapsed_s`
-  removed, the one field that is a measurement.
+* `verify --all` in JSON and CSV for k = 2..12, and `verify --all
+  --tolerance 1e-30` (the failing verdict) in JSON, with each check's
+  `elapsed_s` removed, the one field that is a measurement.
 
 A level a command refuses is hashed too, as its exit code and message.
 """
@@ -21,6 +24,7 @@ A level a command refuses is hashed too, as its exit code and message.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -51,7 +55,20 @@ def commands(builders):
                 for which in ("su2k", "coset", "full"):
                     yield ["fusion", *common, "--which", which]
         if k in VERIFY_KS:
-            yield ["verify", "--k", str(k), "--all"]
+            verify = ["verify", "--k", str(k), "--all"]
+            yield verify
+            yield [*verify, "--format", "csv"]
+            yield [*verify, "--tolerance", "1e-30"]
+
+
+def family(argv) -> str:
+    return f"{argv[0]} {'csv' if 'csv' in argv else 'json'}"
+
+
+def _untimed(checks: list) -> list:
+    for check in checks:
+        del check["elapsed_s"]
+    return checks
 
 
 def run(cli, argv) -> tuple:
@@ -59,11 +76,18 @@ def run(cli, argv) -> tuple:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     text = out.getvalue()
-    if argv[0] == "verify":
+    if family(argv) == "verify json":
         doc = json.loads(text)
-        for check in doc["checks"]:
-            del check["elapsed_s"]
+        _untimed(doc["checks"])
         text = json.dumps(doc)
+    elif argv[0] == "verify":  # the checks row holds the checks' JSON
+        rows = list(csv.reader(io.StringIO(text)))
+        for row in rows:
+            if row[0] == "checks":
+                row[1] = json.dumps(_untimed(json.loads(row[1])))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        text = buf.getvalue()
     return code, text, err.getvalue()
 
 
@@ -72,10 +96,14 @@ def main(argv) -> int:
     sys.path.insert(0, str(Path(argv[1]) if len(argv) > 1 else root / "src"))
     from parafermions import cli
 
-    digest = hashlib.sha256()
+    total, families = hashlib.sha256(), {}
     for command in commands(sorted(cli._SMATRIX_BUILDERS)):
-        digest.update(json.dumps([command, *run(cli, command)]).encode())
-    print(digest.hexdigest())
+        record = json.dumps([command, *run(cli, command)]).encode()
+        families.setdefault(family(command), hashlib.sha256()).update(record)
+        total.update(record)
+    for name, digest in families.items():
+        print(f"{name:<16}{digest.hexdigest()}")
+    print(f"{'total':<16}{total.hexdigest()}")
     return 0
 
 
