@@ -18,7 +18,7 @@ from .coset import LmLabel, from_lm
 from .errors import (ConsistencyError, ContractViolationError, LabelError,
                      ResourceError)
 from . import smatrix as sm
-from .smatrix import CosetWeight, SMatrix
+from .smatrix import CosetWeight, LabelIndex, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
 # Bytes `verlinde` budgets, its check included, per S entry (tracemalloc
@@ -39,8 +39,9 @@ def require_budget(need: int, what: str) -> None:
     than `memory_budget()` bytes."""
     budget = memory_budget()
     if need > budget:
+        mib = round(Fraction(need, 2 ** 20))  # exact past float's range
         raise ResourceError(
-            f"{what} needs about {need / 2 ** 20:.0f} MiB, over the budget "
+            f"{what} needs about {mib} MiB, over the budget "
             f"of {budget / 2 ** 20:.0f} MiB (half of physical memory)")
 
 
@@ -70,7 +71,7 @@ class FusionRing:
         self.block, self.reps = np.asarray(tensor), np.arange(len(labels))
         self.perms = np.arange(len(labels))[None]  # the trivial group
         self.generators = ()  # set by check_axioms
-        self._index = dict(zip(labels, range(len(labels))))
+        self._index = LabelIndex(labels)
         self._tensor = self._planes = self._row_of = self._rows = None
 
     @classmethod
@@ -80,10 +81,7 @@ class FusionRing:
         return ring
 
     def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise LabelError(f"label {label!r} not in basis") from None
+        return self._index[label]
 
     def planes(self) -> np.ndarray:
         """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once in
@@ -129,12 +127,8 @@ class FusionRing:
             for row, c, count in zip(rows.tolist(), cols.tolist(),
                                      flat[rows, cols].tolist()):
                 self._rows[row][self.labels[c]] = count
-        try:
-            row = self._rows[self._row_of[self._index[a] * len(self.labels)
-                                          + self._index[b]]]
-        except KeyError as missing:
-            raise LabelError(
-                f"label {missing.args[0]!r} not in basis") from None
+        row = self._rows[self._row_of[self._index[a] * len(self.labels)
+                                      + self._index[b]]]
         out = Counter.__new__(Counter)
         dict.update(out, row)
         return out
@@ -401,20 +395,21 @@ class ModularReport:
 
 def verify_modular_relations(s: SMatrix, t: TData) -> ModularReport:
     """Residuals of S S^dag = I, S^2 = C, (ST)^3 = C and C^2 = I, with C
-    the rounded real part of S^2. conjugation_is_permutation is
-    structural: |C| sums to 1 along every row and column, so the integer
-    C is a signed permutation; how close S^2 comes to C is s2_defect."""
+    the rounded real part of S^2. conjugation_is_permutation: |C| sums to
+    1 along every row and column, so C[a, p_a] = sign_a for a permutation
+    p, and C^2[a, p_(p_a)] = sign_a sign_(p_a); c2_defect is inf if not."""
     s2 = s.entries @ s.entries
     c = np.round(s2.real)
     size = np.abs(c)
-    is_perm = bool(np.all(size.sum(axis=0) == 1)
-                   and np.all(size.sum(axis=1) == 1))
+    is_perm = all(np.all(size.sum(axis=i) == 1) for i in (0, 1))
+    p, sign = size.argmax(axis=1), c.sum(axis=1)
+    c2 = np.abs(sign * sign[p] - (p[p] == np.arange(s.dim))).max()
     st = s.entries * t.vector(s.labels)  # S diag(T), scaling columns
     st3 = st @ st @ st
     return ModularReport(
         s2_defect=float(np.max(np.abs(s2 - c))),
         st3_defect=float(np.max(np.abs(st3 - c))),
-        c2_defect=float(np.max(np.abs(c @ c - np.eye(s.dim)))),
+        c2_defect=float(c2) if is_perm else math.inf,
         unitarity_defect=s.unitarity_defect(),
         conjugation_is_permutation=is_perm,
     )

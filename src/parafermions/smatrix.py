@@ -128,6 +128,19 @@ def canonical_arrays(k: int):
     return out
 
 
+class LabelIndex(dict):
+    """{label: position}; a label it repeats or lacks raises LabelError."""
+
+    def __init__(self, labels):
+        super().__init__(zip(labels, range(len(labels))))
+        if len(self) != len(labels):
+            raise LabelError(f"the basis repeats labels: {len(self)} "
+                             f"distinct of {len(labels)}")
+
+    def __missing__(self, label):
+        raise LabelError(f"label {label!r} not in basis")
+
+
 @dataclass(eq=False)
 class SMatrix:
     """Square complex matrix with an ordered label basis; == is identity
@@ -144,20 +157,14 @@ class SMatrix:
             raise ConsistencyError(
                 f"matrix shape {self.entries.shape} does not match {n} labels"
             )
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != n:
-            raise LabelError(f"the basis repeats labels: {len(self._index)} "
-                             f"distinct of {n}")
+        self._index = LabelIndex(self.labels)
 
     @property
     def dim(self):
         return len(self.labels)
 
     def index(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise LabelError(f"label {label!r} not in basis") from None
+        return self._index[label]
 
     def entry(self, a, b) -> complex:
         return self.entries[self.index(a), self.index(b)]

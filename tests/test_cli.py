@@ -2,7 +2,9 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -403,6 +405,76 @@ class TestOneJudgePerRelation:
             "verlinde-full-integrality"]
 
 
+def _verify_doc(out, fmt):
+    """The JSON fields of a verify document in either format."""
+    if fmt == "json":
+        return strict_json(out)
+    cells = {row[0]: row[1] for row in csv.reader(io.StringIO(out))
+             if not row[0].startswith("#")}
+    return {key: strict_json(cells[key])
+            for key in ("tolerance", "checks", "passed")}
+
+
+def _cycle(k):
+    """A 3 x 3 cyclic shift in su(2)_2's basis: S^2 is a 3-cycle, so C is
+    a signed permutation exactly and C^2 = C^-1 is off I by 1."""
+    return sm.SMatrix((0, 1, 2), np.roll(np.eye(3), 1, axis=1))
+
+
+class TestOnePassRule:
+    """Every verify row passes exactly when its residual is below the
+    tolerance; a row without a residual names its error."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_every_row(self, capsys, k):
+        for fmt, tol in itertools.product(("json", "csv"), (None, "1e-30")):
+            argv = ["verify", "--k", str(k), "--all", "--format", fmt]
+            code, out, _ = run(capsys, *argv,
+                               *(("--tolerance", tol) if tol else ()))
+            doc = _verify_doc(out, fmt)
+            assert doc["tolerance"] == float(tol or sm.DEFAULT_TOLERANCE)
+            assert len(doc["checks"]) == 16
+            for check in doc["checks"]:
+                residual = check["residual"]
+                assert check["passed"] is (residual is not None
+                                           and residual < doc["tolerance"])
+                assert ("error" in check) is (residual is None)
+            assert doc["passed"] is all(c["passed"] for c in doc["checks"])
+            assert code == (0 if doc["passed"] else 3)
+
+    def test_cycle_is_a_failed_residual(self, capsys, monkeypatch):
+        monkeypatch.setattr(sm, "s_su2k", _cycle)
+        code, out, err = run(capsys, "verify", "--k", "2", "--targets",
+                             "s2-su2k")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert (check["residual"], check["passed"]) == (1.0, False)
+        assert "error" not in check
+        assert err == "failing checks: s2-su2k\n"
+
+    @pytest.mark.parametrize("scale,error", [
+        (math.sqrt(2), "S^2 does not round to a signed permutation"),
+        (None, "residual nan is not finite"),
+    ])
+    def test_s2_without_a_residual_names_its_error(self, capsys, monkeypatch,
+                                                   scale, error):
+        build = sm.s_su2k
+
+        def broken(k):
+            s = build(k)
+            if scale is None:
+                return _with_nan(s)
+            return sm.SMatrix(s.labels, scale * s.entries)
+        monkeypatch.setattr(sm, "s_su2k", broken)
+        code, out, err = run(capsys, "verify", "--k", "4", "--targets",
+                             "s2-su2k")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert (check["residual"], check["passed"], check["error"]) == (
+            None, False, error)
+        assert f"s2-su2k: {error}" in err
+
+
 class TestResourceExit:
     def test_memory_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(fu, "memory_budget", lambda: 1024)
@@ -432,6 +504,53 @@ class TestResourceExit:
         monkeypatch.setattr(fu, "memory_budget", lambda: need)
         code, out, _ = run(capsys, *argv)
         assert code == 0 and len(json.loads(out)["curve"]) == 64
+
+    @pytest.mark.parametrize("argv,what", [
+        *[(("smatrix", "--which", which), f"the {which} S matrix of ")
+          for which in sorted(cli._SMATRIX_BUILDERS)],
+        (("verify", "--all"), "the suk2-oracle S matrix of "),
+        (("fusion",), "the fusion document of "),
+        (("dims",), "the coset S matrix of "),
+        (("sectors",), "the sectors document of "),
+        (("interfere", "--bulk", "0,0", "--probe", "0,1"),
+         "a curve of 64 samples over an S matrix of "),
+        (("interfere", "--k", "3", "--bulk", "0,0", "--probe", "0,1",
+          "--samples", str(10 ** 400)),
+         f"a curve of {10 ** 400} samples over an S matrix of 36 entries "),
+    ], ids=[*sorted(cli._SMATRIX_BUILDERS), "verify", "fusion", "dims",
+            "sectors", "interfere", "interfere-samples"])
+    def test_huge_need_exits_2(self, capsys, argv, what):
+        # a need past float's range is still a refusal, not an OverflowError
+        if "--k" not in argv:
+            argv = (*argv, "--k", str(10 ** 160))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            f"error: {re.escape(what)}.*needs about [0-9]+ MiB, over the "
+            f"budget of [0-9]+ MiB \\(half of physical memory\\)\n", err)
+
+    @pytest.mark.parametrize("need", [0, 1, 2 ** 19, 2 ** 19 + 1, 3 * 2 ** 19,
+                                      2 ** 52 + 2 ** 19, 2 ** 53 - 1])
+    def test_mib_figure_as_float_formatting(self, monkeypatch, need):
+        monkeypatch.setattr(fu, "memory_budget", lambda: -1)
+        with pytest.raises(ResourceError) as refused:
+            fu.require_budget(need, "x")
+        assert str(refused.value).startswith(
+            f"x needs about {need / 2 ** 20:.0f} MiB, ")
+
+    @pytest.mark.parametrize("samples", ["-100000", "0", "1"])
+    def test_too_few_samples_refused_before_any_charge(self, capsys,
+                                                       monkeypatch, samples):
+        def never(*args):
+            raise AssertionError("S built or budget charged")
+        monkeypatch.setattr(fu, "memory_budget", lambda: 100_000)
+        monkeypatch.setattr(fu, "require_budget", never)
+        for key in cli._SMATRIX_BUILDERS:
+            monkeypatch.setitem(cli._SMATRIX_BUILDERS, key, never)
+        _raises_then_exits(
+            capsys, ("interfere", "--k", "10", "--bulk", "0,0", "--probe",
+                     "0,1", "--samples", samples), ContractViolationError, 1,
+            f"error: need at least 2 samples, got {samples}\n")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_smatrix_over_budget_exits_2(self, capsys, monkeypatch, fmt):

@@ -63,6 +63,22 @@ class TestVerlinde:
             with pytest.raises(LabelError, match=f"label '{first}' not in"):
                 ring.coefficient(*args)
 
+    def test_repeated_label_refused_as_smatrix_refuses_it(self):
+        tensor = fu.verlinde(sm.s_su2k(2)).tensor
+        message = "the basis repeats labels: 2 distinct of 3"
+        with pytest.raises(LabelError, match=f"^{message}$"):
+            fu.FusionRing((0, 1, 1), tensor, 0)
+        with pytest.raises(LabelError, match=f"^{message}$"):
+            sm.SMatrix((0, 1, 1), sm.s_su2k(2).entries)
+
+    def test_unknown_label_refused_as_smatrix_refuses_it(self):
+        s = sm.s_su2k(2)
+        ring = fu.verlinde(s)
+        for lookup in (ring.index, s.index, lambda x: ring.product(x, 0),
+                       lambda x: ring.product(0, x)):
+            with pytest.raises(LabelError, match="^label 7 not in basis$"):
+                lookup(7)
+
     def test_coefficient_lookup(self):
         ring = fu.verlinde(co.coset_s_compact(3).s)
         assert ring.coefficient(w(0, 2), w(0, 2), w(0, 1)) == 1
@@ -1404,6 +1420,62 @@ class TestModularRelations:
         twice = sm.SMatrix(data.s.labels, data.s.entries * math.sqrt(2))
         assert not fu.verify_modular_relations(
             twice, t).conjugation_is_permutation
+
+    @staticmethod
+    def _rooted(c):
+        """(S, T) with S a square root of c by eigendecomposition, so that
+        S^2 rounds to c; T is trivial."""
+        w, v = np.linalg.eig(c.astype(complex))
+        s = sm.SMatrix(tuple(range(len(c))),
+                       v @ np.diag(np.sqrt(w)) @ np.linalg.inv(v))
+        assert np.array_equal(np.round((s.entries @ s.entries).real), c)
+        return s, fu.TData(dict.fromkeys(s.labels, 0), Fraction(0))
+
+    @pytest.mark.parametrize("n,defects", [(1, {0}), (2, {0, 2}),
+                                           (3, {0, 1, 2}), (4, {0, 1, 2})])
+    def test_c2_by_index_on_every_signed_permutation(self, n, defects):
+        # fixed points and involutions with either sign, 3- and 4-cycles
+        seen = set()
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                c = np.zeros((n, n))
+                c[np.arange(n), perm] = signs
+                report = fu.verify_modular_relations(*self._rooted(c))
+                assert report.conjugation_is_permutation
+                assert report.c2_defect == np.max(np.abs(c @ c - np.eye(n)))
+                seen.add(report.c2_defect)
+        assert seen == defects
+
+    @pytest.mark.parametrize("c", [
+        2 * np.eye(3),  # S * sqrt(2)
+        np.diag([1, 0]),  # a zero row
+        np.ones((2, 2)),  # two entries in every row and column
+        np.array([[0, 1], [1, 1]]),  # a row with two entries
+    ])
+    def test_c2_defect_inf_unless_signed_permutation(self, c):
+        report = fu.verify_modular_relations(*self._rooted(c))
+        assert not report.conjugation_is_permutation
+        assert report.c2_defect == math.inf
+
+    def test_c2_defect_of_a_nan_s(self):
+        data = co.coset_s_compact(3)
+        entries = data.s.entries.copy()
+        entries[1, 2] = np.nan
+        report = fu.verify_modular_relations(
+            sm.SMatrix(data.s.labels, entries),
+            fu.TData(data.dims, data.central_charge))
+        assert not report.conjugation_is_permutation
+        assert math.isnan(report.s2_defect) and report.c2_defect == math.inf
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 12, 20, 30])
+    def test_c2_by_index_for_every_theory(self, k):
+        for s in (sm.s_su2k(k), co.coset_s_compact(k).s, fc.full_s_product(k)):
+            labels = s.labels
+            t = next(t for labs, t in _t_theories(k) if labs == labels)
+            report = fu.verify_modular_relations(s, t)
+            c = np.round((s.entries @ s.entries).real)
+            assert report.conjugation_is_permutation
+            assert report.c2_defect == np.max(np.abs(c @ c - np.eye(s.dim)))
 
     def test_t_phases_unimodular(self):
         data = co.coset_s_compact(4)

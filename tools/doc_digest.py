@@ -16,7 +16,13 @@ family is the same byte for byte:
 * `fusion` for su2k, coset and full up to k = 12 in JSON and CSV;
 * `verify --all` in JSON and CSV for k = 2..12, and `verify --all
   --tolerance 1e-30` (the failing verdict) in JSON, with each check's
-  `elapsed_s` removed, the one field that is a measurement.
+  `elapsed_s` removed, the one field that is a measurement;
+* `budget`: every command above again with `fusion.memory_budget`
+  patched, hashed as its argv, exit code and stderr: once refusing each
+  of its budget charges in turn (the first as a budget of 0, then the
+  later ones: Verlinde's, the ring's dense tensor, the closed-form
+  compares), until a run is refused no charge, and once under a budget
+  of 1 MiB, which admits the small levels and refuses the larger ones.
 
 A level a command refuses is hashed too, as its exit code and message.
 """
@@ -27,6 +33,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -36,6 +43,7 @@ ORACLE_KS = FUSION_KS = range(1, 13)
 VERIFY_KS = range(2, 13)
 # (which, probe, bulk): labels valid at every k >= 2
 INTERFERE = (("coset", "0,1", "1,1"), ("full", "1,1", "2,1"))
+SMALL_BUDGET = 2 ** 20  # bytes
 
 
 def commands(builders):
@@ -65,7 +73,7 @@ def family(argv) -> str:
     return f"{argv[0]} {'csv' if 'csv' in argv else 'json'}"
 
 
-def _untimed(checks: list) -> list:
+def _drop_elapsed(checks: list) -> list:
     for check in checks:
         del check["elapsed_s"]
     return checks
@@ -75,32 +83,68 @@ def run(cli, argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    text = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def untimed(argv, text: str) -> str:
+    """A document without its checks' elapsed_s, or text as it is."""
     if family(argv) == "verify json":
         doc = json.loads(text)
-        _untimed(doc["checks"])
+        _drop_elapsed(doc["checks"])
         text = json.dumps(doc)
     elif argv[0] == "verify":  # the checks row holds the checks' JSON
         rows = list(csv.reader(io.StringIO(text)))
         for row in rows:
             if row[0] == "checks":
-                row[1] = json.dumps(_untimed(json.loads(row[1])))
+                row[1] = json.dumps(_drop_elapsed(json.loads(row[1])))
         buf = io.StringIO()
         csv.writer(buf).writerows(rows)
         text = buf.getvalue()
-    return code, text, err.getvalue()
+    return text
+
+
+class Refusing:
+    """A memory_budget that admits the first `admitted` charges and gives
+    0 bytes, refusing any charge, from then on; `calls` counts charges."""
+
+    def __init__(self, admitted: int):
+        self.admitted, self.calls = admitted, 0
+
+    def __call__(self) -> int:
+        self.calls += 1
+        return 2 ** 63 if self.calls <= self.admitted else 0
 
 
 def main(argv) -> int:
     root = Path(__file__).resolve().parents[1]
     sys.path.insert(0, str(Path(argv[1]) if len(argv) > 1 else root / "src"))
-    from parafermions import cli
+    from parafermions import cli, fusion
 
     total, families = hashlib.sha256(), {}
-    for command in commands(sorted(cli._SMATRIX_BUILDERS)):
-        record = json.dumps([command, *run(cli, command)]).encode()
-        families.setdefault(family(command), hashlib.sha256()).update(record)
+
+    def add(name, record):
+        record = json.dumps(record).encode()
+        families.setdefault(name, hashlib.sha256()).update(record)
         total.update(record)
+
+    builders = sorted(cli._SMATRIX_BUILDERS)
+    for command in commands(builders):
+        code, out, err = run(cli, command)
+        add(family(command), [command, code, untimed(command, out), err])
+    real = fusion.memory_budget
+    try:
+        for command in commands(builders):
+            for admitted in itertools.count():
+                fusion.memory_budget = budget = Refusing(admitted)
+                code, _, err = run(cli, command)
+                if budget.calls <= admitted:  # no charge was refused
+                    break
+                add("budget", [admitted, command, code, err])
+            fusion.memory_budget = lambda: SMALL_BUDGET
+            code, _, err = run(cli, command)
+            add("budget", [SMALL_BUDGET, command, code, err])
+    finally:
+        fusion.memory_budget = real
     for name, digest in families.items():
         print(f"{name:<16}{digest.hexdigest()}")
     print(f"{'total':<16}{total.hexdigest()}")
