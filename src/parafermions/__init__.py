@@ -4,8 +4,8 @@ The top level holds the names of the README's Library example: the su(k)_2
 S matrix as a Weyl-Kac oracle (one 2x2 complementary minor per entry) and
 in level-rank closed form, the diagonal-coset theory, Verlinde fusion,
 quantum dimensions, monodromy, the charge lattice and filling factor, and
-the label types. Everything else lives in the submodules smatrix, coset,
-fusion, fullcft, interferometry, lie and errors.
+the label types. Everything else the library uses lives in the submodules
+smatrix, coset, fusion, fullcft, interferometry and errors.
 """
 
 from .errors import ParafermionError

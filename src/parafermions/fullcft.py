@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import coset as co
-from . import lie
 from . import smatrix as sm
 from .errors import ConsistencyError, InvalidRankError, LabelError
 from .smatrix import CosetWeight, SMatrix, canonical_index
@@ -175,26 +174,21 @@ class ChargeLattice:
 
 
 def gram_matrix(k: int) -> ChargeLattice:
-    """Corner 3 coupled to two A_{k-1} Cartan blocks through single 1s."""
+    """Corner 3 coupled through single 1s to two A_{k-1} Cartan blocks,
+    each 2 on the diagonal and -1 beside it."""
     if k < 1:
         raise InvalidRankError(f"need k >= 1, got {k}")
     n = 2 * k - 1
-    g = [[0] * n for _ in range(n)]
-    g[0][0] = 3
+    g = np.diag([3] + [2] * (n - 1))
     for off in (1, k) if k >= 2 else ():
-        g[0][off] = g[off][0] = 1
-        for i, row in enumerate(lie.cartan_matrix(k)):
-            g[off + i][off:off + k - 1] = row
-    return ChargeLattice(k=k, gram=tuple(tuple(row) for row in g),
+        g[0, off] = g[off, 0] = 1
+        i = np.arange(off, off + k - 2)
+        g[i, i + 1] = g[i + 1, i] = -1
+    return ChargeLattice(k=k, gram=tuple(map(tuple, g.tolist())),
                          charge_vector=(1,) + (0,) * (n - 1))
 
 
 def filling_factor(cl: ChargeLattice) -> Fraction:
     """Exact Q^T G^{-1} Q = -(last pivot) / det G from the lattice's
-    elimination; must equal k/(k+2)."""
-    nu = Fraction(-cl.pivots[-1], cl.pivots[-2])
-    if nu != Fraction(cl.k, cl.k + 2):
-        raise ConsistencyError(
-            f"filling factor {nu} != {cl.k}/{cl.k + 2} at k={cl.k}"
-        )
-    return nu
+    elimination; `verify` compares it with k/(k+2)."""
+    return Fraction(-cl.pivots[-1], cl.pivots[-2])

@@ -71,6 +71,7 @@ class FusionRing:
         self.block, self.reps = np.asarray(tensor), np.arange(len(labels))
         self.perms = np.arange(len(labels))[None]  # the trivial group
         self.generators = ()  # set by check_axioms
+        self.residual = None  # set by verlinde
         self._index = LabelIndex(labels)
         self._tensor = self._planes = self._row_of = self._rows = None
 
@@ -214,9 +215,12 @@ def verlinde(s: SMatrix) -> FusionRing:
     """N_ab^c = sum_x S_ax S_bx conj(S_cx) / S_vac,x, rounded to integers,
     summed on pairs of simple-current orbit representatives, stored as
     that block and checked. Raises ResourceError, before the sum
-    allocates, when its working set exceeds `memory_budget()`."""
+    allocates, when its working set exceeds `memory_budget()`. The ring's
+    `residual` is the certified residual the sum was judged on."""
     vac = find_vacuum(s)
-    ring = FusionRing._from_block(s.labels, vac, *_verlinde_block(s, vac))
+    *block, residual = _verlinde_block(s, vac)
+    ring = FusionRing._from_block(s.labels, vac, *block)
+    ring.residual = residual
     ring.check_axioms()
     return ring
 
@@ -252,16 +256,18 @@ def _simple_currents(s: SMatrix, vac: int, size):
 
 
 def _verlinde_block(s: SMatrix, vac: int):
-    """(perms, block): the currents' permutations (_simple_currents) and
-    the Verlinde sum on the R^2 pairs of their orbit representatives as one
-    (R^2, n) x (n, n) BLAS product, (R, R, n) in the smallest integer dtype
-    that holds max N, once the budget admits it. Covariance defines every
-    other coefficient, two moves of at most the current's bound
+    """(perms, block, reps, residual): the currents' permutations
+    (_simple_currents), the Verlinde sum on the R^2 pairs of their orbit
+    representatives reps as one (R^2, n) x (n, n) BLAS product, (R, R, n)
+    in the smallest integer dtype that holds max N, once the budget admits
+    it, and its certified residual. Covariance defines every other
+    coefficient, two moves of at most the current's bound
     2 delta_J max|S| max_b sum_x |S_bx / S_0x| each (README, Fusion): the
     pair residual (sqrt of the largest (re - round)^2 + im^2) must stay
-    below INTEGRALITY_TOLERANCE alone and plus twice the largest bound; a
-    NaN fails both. A current that does not permute the rows has an
-    infinite bound. Non-integer is reported before negative."""
+    below INTEGRALITY_TOLERANCE alone and plus twice the largest bound,
+    which sum is the certified residual; a NaN fails both. A current that
+    does not permute the rows has an infinite bound. Non-integer is
+    reported before negative."""
     e, n, size = s.entries, s.dim, np.abs(s.entries)
     currents, perms, defects = _simple_currents(s, vac, size)
     reps = _representatives(perms, vac)
@@ -279,7 +285,8 @@ def _verlinde_block(s: SMatrix, vac: int):
     bounds = np.where((np.sort(perms) == np.arange(n)).all(axis=1),
                       defects * weight, np.inf)
     j = int(bounds.argmax())  # the first NaN, if any
-    if not residual + 2 * bounds[j] < INTEGRALITY_TOLERANCE:
+    certified = residual + 2 * bounds[j]
+    if not certified < INTEGRALITY_TOLERANCE:
         raise ConsistencyError(
             f"S is not covariant under the simple current "
             f"{s.labels[currents[j]]}: Verlinde residual {residual:g} plus "
@@ -287,13 +294,13 @@ def _verlinde_block(s: SMatrix, vac: int):
     if rows.min() < 0:
         raise ConsistencyError("negative Verlinde coefficient")
     return perms, rows.reshape(len(reps), len(reps), n).astype(
-        np.min_scalar_type(-1 - int(rows.max()))), reps
+        np.min_scalar_type(-1 - int(rows.max()))), reps, float(certified)
 
 
 def fusion_su2k_closed(l: int, l2: int, k: int) -> set:
     """Truncated su(2)_k rule: |l-l2| .. min(l+l2, 2k-l-l2) in steps of 2."""
     if not (0 <= l <= k and 0 <= l2 <= k):
-        raise LabelError(f"labels must lie in 0..{k}, got {l}, {l2}")
+        raise LabelError(f"labels must be in 0..{k}, got {l}, {l2}")
     return set(range(abs(l - l2), min(l + l2, 2 * k - l - l2) + 1, 2))
 
 

@@ -9,6 +9,7 @@ signature of a non-Abelian bulk.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +66,16 @@ class InterferencePattern:
 def sigma_xx_curve(s: SMatrix, a, b, t1: complex, t2: complex,
                    n_samples: int) -> InterferencePattern:
     """sigma_xx(alpha) = |t1|^2 + |t2|^2 + 2 Re(t1* t2 e^{i alpha} M_ab),
-    sampled uniformly on [0, 2 pi)."""
+    sampled uniformly on [0, 2 pi). Every sample is at most
+    (|t1| + |t2|)^2, as |M_ab| <= 1; the amplitudes are refused unless
+    that bound is finite (a NaN amplitude included)."""
     if n_samples < 2:
         raise ContractViolationError(
             f"need at least 2 samples, got {n_samples}")
+    size = math.hypot(t1.real, t1.imag) + math.hypot(t2.real, t2.imag)
+    if not math.isfinite(size * size):  # hypot and * overflow to inf
+        raise ContractViolationError(
+            f"amplitudes t1={t1}, t2={t2}: (|t1| + |t2|)^2 is not finite")
     mono = monodromy(s, a, b)
     alphas = 2 * np.pi * np.arange(n_samples) / n_samples
     base = abs(t1) ** 2 + abs(t2) ** 2

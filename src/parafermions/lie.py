@@ -1,11 +1,11 @@
-"""Finite Lie-algebra data for su(k) = A_{k-1}.
+"""Finite Lie-algebra data for su(k) = A_{k-1}, kept as exact references.
 
 Everything here is exact: rational arithmetic (fractions.Fraction) or
-integer arrays; floating point never enters. It holds the Cartan matrix,
-which the charge lattice's Gram matrix is built from, an exact
-Gauss-Jordan inverse and solve, and the Weyl group as the k! permutations
-of the orthogonal coordinates, which the tests use to expand the Weyl-Kac
-sum term by term.
+integer arrays; floating point never enters. It holds an exact
+Gauss-Jordan inverse and solve, and the Weyl group as the k!
+permutations of the orthogonal coordinates, which the tests use to
+expand the Weyl-Kac sum term by term. No other module of the package
+imports it: the charge lattice writes its own Cartan blocks.
 """
 
 from __future__ import annotations
@@ -49,17 +49,6 @@ def rational_solve(matrix, rhs):
     """Solve matrix @ x = rhs exactly."""
     inverse, _ = rational_inverse(matrix)
     return tuple(sum(a * b for a, b in zip(row, rhs)) for row in inverse)
-
-
-def cartan_matrix(k: int) -> tuple:
-    """A_{k-1} Cartan matrix as a tuple of int tuples."""
-    if k < 2:
-        raise InvalidRankError(f"su(k) needs k >= 2, got k={k}")
-    n = k - 1
-    return tuple(
-        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def weyl_group(k: int):

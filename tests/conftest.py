@@ -1,17 +1,18 @@
 import pytest
 
-from parafermions import lie
+from parafermions import fullcft as fc
 
 
 @pytest.fixture
 def zero_cartan_corner(monkeypatch):
-    """Make gram_matrix build a Gram matrix whose first Cartan block has
-    a zero corner entry: G[1][1] = 0, so leading minor 2 is -1."""
-    cartan = lie.cartan_matrix
+    """Make gram_matrix hand its lattice a Gram matrix whose first Cartan
+    block has a zero corner entry: G[1][1] = 0, so leading minor 2 is -1."""
+    lattice = fc.ChargeLattice
 
-    def patched(k):
-        rows = [list(row) for row in cartan(k)]
-        rows[0][0] = 0
-        return tuple(tuple(row) for row in rows)
+    def patched(k, gram, charge_vector):
+        rows = [list(row) for row in gram]
+        rows[1][1] = 0
+        return lattice(k=k, gram=tuple(map(tuple, rows)),
+                       charge_vector=charge_vector)
 
-    monkeypatch.setattr(lie, "cartan_matrix", patched)
+    monkeypatch.setattr(fc, "ChargeLattice", patched)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from parafermions import interferometry as it
 from parafermions import smatrix as sm
 from parafermions.errors import (ConsistencyError, ContractViolationError,
                                  InvalidRankError, LabelError, ResourceError)
+
+# (t1, t2) pairs whose (|t1| + |t2|)^2 is past float's range
+OVERFLOWING_AMPLITUDES = [("1e154", "1e154"), ("1e160", "1"), ("1e308", "1")]
 
 
 def strict_json(text):
@@ -203,9 +207,12 @@ class TestVerifyCommand:
         assert all(isinstance(c["residual"], float) and "error" not in c
                    for c in checks)
         exact = {c["name"]: c["passed"] for c in checks
-                 if c["name"].startswith("verlinde-")
+                 if c["name"].startswith("verlinde-vs-")
                  or c["name"] == "filling-factor"}
-        assert len(exact) == 4 and all(exact.values())
+        assert len(exact) == 3 and all(exact.values())
+        # the full ring's integrality is judged on its certified residual
+        full, = [c for c in checks if c["name"] == "verlinde-full-integrality"]
+        assert full["passed"] is False and 0 < full["residual"] < 1e-10
         assert err.startswith("failing checks: ") and err.count("\n") == 1
 
     def test_raising_build_fails_each_check(self, capsys, monkeypatch):
@@ -473,6 +480,59 @@ class TestOnePassRule:
         assert (check["residual"], check["passed"], check["error"]) == (
             None, False, error)
         assert f"s2-su2k: {error}" in err
+
+
+@pytest.fixture
+def doubled_charge(monkeypatch):
+    """Make gram_matrix hand its lattice the charge vector 2 e_0, so that
+    Q^T G^-1 Q is 4k/(k+2)."""
+    lattice = fc.ChargeLattice
+
+    def patched(k, gram, charge_vector):
+        return lattice(k=k, gram=gram, charge_vector=(2, *charge_vector[1:]))
+
+    monkeypatch.setattr(fc, "ChargeLattice", patched)
+
+
+class TestVerifyJudgesItsRows:
+    """The filling factor and the full ring's integrality are computed by
+    their builders and judged by verify alone, on the residual it reports."""
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_filling_factor_reads_zero(self, capsys, k):
+        code, out, _ = run(capsys, "verify", "--k", str(k), "--targets",
+                           "filling", "--tolerance", "1e-30")
+        assert code == 0
+        check, = strict_json(out)["checks"]
+        assert (check["residual"], check["passed"]) == (0.0, True)
+
+    @pytest.mark.usefixtures("doubled_charge")
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_wrong_filling_factor_is_its_residual(self, capsys, k):
+        code, out, err = run(capsys, "verify", "--k", str(k), "--targets",
+                             "filling")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert check["residual"] == float(Fraction(3 * k, k + 2))
+        assert check["passed"] is False and "error" not in check
+        assert err == "failing checks: filling-factor\n"
+        # sectors writes nu as computed, as dims writes its dimensions
+        code, out, _ = run(capsys, "sectors", "--k", str(k))
+        assert code == 0
+        assert strict_json(out)["filling_factor"] == str(
+            Fraction(4 * k, k + 2))
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_verlinde_row_is_the_rings_residual(self, capsys, k):
+        ring = fu.verlinde(fc.full_s_product(k))
+        assert 0 < ring.residual < fu.INTEGRALITY_TOLERANCE
+        for tol, code in ((None, 0), ("1e-30", 3)):
+            argv = ["verify", "--k", str(k), "--targets", "verlinde-full"]
+            got, out, _ = run(capsys, *argv,
+                              *(("--tolerance", tol) if tol else ()))
+            check, = strict_json(out)["checks"]
+            assert check["residual"] == ring.residual
+            assert (got, check["passed"]) == (code, code == 0)
 
 
 class TestResourceExit:
@@ -1276,6 +1336,29 @@ class TestInterfereCommand:
         curve = [[float(x) for x in r] for r in rows[start:]]
         assert curve == json.loads(json_out)["curve"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("t1,t2", OVERFLOWING_AMPLITUDES)
+    def test_overflowing_amplitudes_exit_1(self, capsys, fmt, t1, t2):
+        code, out, err = run(capsys, "interfere", "--k", "3", "--bulk", "1,2",
+                             "--probe", "0,1", "--t1", t1, "--t2", t2,
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == (f"error: amplitudes t1={complex(t1)}, "
+                       f"t2={complex(t2)}: (|t1| + |t2|)^2 is not finite\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_largest_amplitudes_emit(self, capsys, fmt):
+        code, out, _ = run(capsys, "interfere", "--k", "3", "--bulk", "0,0",
+                           "--probe", "0,0", "--t1", "6e153", "--t2", "6e153",
+                           "--samples", "4", "--format", fmt)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[-4:]
+        curve = (strict_json(out)["curve"] if fmt == "json"
+                 else [[float(x) for x in row] for row in rows])
+        # the in-phase sample is (|t1| + |t2|)^2, just inside float's range
+        assert max(s for _, s in curve) == pytest.approx(1.44e308)
+        assert all(math.isfinite(s) for _, s in curve)
+
 
 @pytest.mark.parametrize("argv", [
     ["smatrix", "--k", "3", "--which", "coset"],
@@ -1306,6 +1389,34 @@ def test_csv_carries_every_json_field(capsys, argv):
             for check in got + value:
                 del check["elapsed_s"]
         assert got == value, key
+
+
+def _every_command(k):
+    """Each command at level k with each of its choices, and interfere
+    with each pair of OVERFLOWING_AMPLITUDES."""
+    level = ["--k", str(k)]
+    for which in sorted(cli._SMATRIX_BUILDERS):
+        yield ["smatrix", *level, "--which", which]
+    yield ["verify", *level, "--all"]
+    yield ["verify", *level, "--all", "--tolerance", "1e-30"]
+    for which in ("su2k", "coset", "full"):
+        yield ["fusion", *level, "--which", which]
+    yield ["dims", *level]
+    yield ["sectors", *level]
+    for which, probe, bulk in (("coset", "0,1", "1,1"), ("full", "1,1", "2,1")):
+        interfere = ["interfere", *level, "--which", which, "--probe", probe,
+                     "--bulk", bulk]
+        yield interfere
+        for t1, t2 in OVERFLOWING_AMPLITUDES:
+            yield [*interfere, "--t1", t1, "--t2", t2]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_csv_verdict_equals_json_verdict(capsys, k):
+    for argv in _every_command(k):
+        code, out, err = run(capsys, *argv)
+        assert run(capsys, *argv, "--format", "csv")[::2] == (code, err), argv
+        assert bool(out) is (code in (0, 3)), argv
 
 
 class TestUsage:

@@ -198,6 +198,19 @@ def assert_pivots_are_fraction_minors(gram, q):
     assert all(type(p) is int for p in cl.pivots)
 
 
+def gram_entry(i, j, k):
+    """Entry (i, j) of the rank 2k-1 Gram matrix, written out: the corner
+    3 at (0, 0), 1 between it and the first row of each Cartan block (rows
+    1 and k), and in each A_{k-1} block (rows 1..k-1 and k..2k-2) 2 on
+    the diagonal and -1 beside it; 0 elsewhere."""
+    if i == j:
+        return 3 if i == 0 else 2
+    if min(i, j) == 0:
+        return int(max(i, j) in (1, k))
+    same_block = (i < k) == (j < k)
+    return -1 if abs(i - j) == 1 and same_block else 0
+
+
 def wide_system(bits, seed):
     """(G, Q) with G = B^T B + I positive definite, B 6 x 6 with entries
     below 2^bits in magnitude, and G with its fifth leading minor made
@@ -234,6 +247,14 @@ class TestChargeLattice:
         system = wide_system(40, seed=2)[bent]
         assert max(abs(x) for row in system[0] for x in row) >= 2 ** 63
         assert_pivots_are_fraction_minors(*system)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_gram_entries(self, k):
+        n = 2 * k - 1
+        gram = fc.gram_matrix(k).gram
+        assert gram == tuple(tuple(gram_entry(i, j, k) for j in range(n))
+                             for i in range(n))
+        assert all(type(x) is int for row in gram for x in row)
 
     def test_k2(self):
         cl = fc.gram_matrix(2)

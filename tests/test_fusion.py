@@ -553,6 +553,27 @@ class TestBlocks:
         with pytest.raises(ConsistencyError, match="not covariant"):
             fu._verlinde_block(bumped, vac)
 
+    @pytest.mark.parametrize("theory,k", [("su2k", 10), ("coset", 5),
+                                          ("full", 4)])
+    def test_ring_carries_the_certified_residual(self, theory, k):
+        # the residual verlinde judged, the representative-pair hypot
+        # residual plus the two-slot bound, is the ring's residual
+        s = _s_matrix(theory, k)
+        vac = fu.find_vacuum(s)
+        rng = np.random.default_rng(k)
+        noise = rng.standard_normal((2, s.dim, s.dim)) * 1e-11
+        entries = s.entries + noise[0] + 1j * noise[1]
+        entries[vac] = s.entries[vac]
+        bumped = sm.SMatrix(s.labels, entries)
+        _, residuals = _one_shot_verlinde(bumped, vac)
+        reps = _representatives(bumped, vac)
+        total = (residuals[np.ix_(reps, reps)].max()
+                 + _covariance_bound(bumped, vac))
+        assert fu.verlinde(bumped).residual == pytest.approx(total, rel=1e-12)
+        assert fu.verlinde(s).residual < 1e-12
+        assert fu.FusionRing(s.labels, _ring(theory, k).tensor,
+                             vac).residual is None
+
     def test_non_integer_reported_before_negative(self):
         s = sm.s_su2k(10)  # the current 10 maps l to 10 - l
         entries = s.entries.copy()

@@ -137,6 +137,25 @@ class TestSigmaXxCurve:
                            match="need at least 2 samples, got 1"):
             it.sigma_xx_curve(coset3, w(0, 0), w(0, 0), 1, 1, 1)
 
+    @pytest.mark.parametrize("t1,t2", [
+        (1e154, 1e154), (1e160, 1), (1e308, 1), (1.5e308 + 1.5e308j, 1),
+        (math.nan, 1), (1, complex(1, math.nan)), (math.inf, 1)])
+    def test_amplitudes_with_no_finite_bound_refused(self, coset3, t1, t2):
+        # (|t1| + |t2|)^2 bounds every sample; |t1| of the complex one
+        # is past float's range, where abs() would raise OverflowError
+        with pytest.raises(ContractViolationError) as err:
+            it.sigma_xx_curve(coset3, w(0, 1), w(1, 2), t1, t2, 4)
+        assert str(err.value) == (f"amplitudes t1={t1}, t2={t2}: "
+                                  "(|t1| + |t2|)^2 is not finite")
+
+    def test_largest_amplitudes_give_finite_samples(self, coset3):
+        # (|t1| + |t2|)^2 = 1.44e308, just inside float's range
+        for bulk in coset3.labels:
+            pat = it.sigma_xx_curve(coset3, w(0, 1), bulk, 6e153,
+                                    6e153 * cmath.exp(0.3j), 64)
+            assert all(map(math.isfinite, pat.sigma_xx))
+            assert max(pat.sigma_xx) <= 1.44e308 * (1 + 1e-12)
+
 
 class TestDetectionReport:
     def test_fibonacci_detection(self, coset3):

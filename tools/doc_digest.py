@@ -12,7 +12,10 @@ family is the same byte for byte:
 
 * `smatrix` for all eight builders in JSON and CSV (the Weyl-Kac oracle
   up to k = 12);
-* `sectors`, `dims` and `interfere` (coset and full) in JSON and CSV;
+* `sectors`, `dims` and `interfere` (coset and full) in JSON and CSV,
+  and `interfere` again with each pair of OVERFLOWS amplitudes, whose
+  (|t1| + |t2|)^2 is not finite, in JSON and CSV: each run is refused
+  with exit 1 and nothing on stdout;
 * `fusion` for su2k, coset and full up to k = 12 in JSON and CSV;
 * `verify --all` in JSON and CSV for k = 2..12, and `verify --all
   --tolerance 1e-30` (the failing verdict) in JSON, with each check's
@@ -43,6 +46,7 @@ ORACLE_KS = FUSION_KS = range(1, 13)
 VERIFY_KS = range(2, 13)
 # (which, probe, bulk): labels valid at every k >= 2
 INTERFERE = (("coset", "0,1", "1,1"), ("full", "1,1", "2,1"))
+OVERFLOWS = (("1e154", "1e154"), ("1e160", "1"), ("1e308", "1"))  # t1, t2
 SMALL_BUDGET = 2 ** 20  # bytes
 
 
@@ -67,6 +71,16 @@ def commands(builders):
             yield verify
             yield [*verify, "--format", "csv"]
             yield [*verify, "--tolerance", "1e-30"]
+
+
+def overflows():
+    """`interfere` with each pair of OVERFLOWS amplitudes, for both
+    theories in both formats at every k. The `budget` family leaves them
+    out: they charge what the runs of `commands` charge."""
+    for k, fmt, (which, probe, bulk), (t1, t2) in itertools.product(
+            KS, ("json", "csv"), INTERFERE, OVERFLOWS):
+        yield ["interfere", "--k", str(k), "--format", fmt, "--which", which,
+               "--probe", probe, "--bulk", bulk, "--t1", t1, "--t2", t2]
 
 
 def family(argv) -> str:
@@ -128,7 +142,7 @@ def main(argv) -> int:
         total.update(record)
 
     builders = sorted(cli._SMATRIX_BUILDERS)
-    for command in commands(builders):
+    for command in itertools.chain(commands(builders), overflows()):
         code, out, err = run(cli, command)
         add(family(command), [command, code, untimed(command, out), err])
     real = fusion.memory_budget
