@@ -330,6 +330,66 @@ class TestVerifyCommand:
         assert any(c["passed"] for c in doc["checks"])  # exact checks ran
 
 
+VERIFY_NAMES = [
+    "oracle-vs-compact", "coset-four-way",
+    "unitarity-su2k", "s2-su2k", "st3-su2k",
+    "unitarity-coset", "s2-coset", "st3-coset",
+    "unitarity-full", "s2-full", "st3-full",
+    "verlinde-vs-closed-coset", "verlinde-vs-closed-su2k",
+    "verlinde-full-integrality", "full-dual-construction", "filling-factor",
+]
+
+
+class TestVerifyTable:
+    """The rows of verify --all in their order, the budget charges they
+    make in theirs, and each row alone as it reads under --all."""
+
+    def _checks(self, capsys, k, *argv):
+        code, out, _ = run(capsys, "verify", "--k", str(k), *argv)
+        checks = strict_json(out)["checks"]
+        for check in checks:
+            del check["elapsed_s"]  # the one field that is a measurement
+        return code, checks
+
+    def test_all_rows_and_charges_in_order(self, capsys, monkeypatch):
+        charged = []
+        require = fu.require_budget
+
+        def recorded(need, what):
+            charged.append(what)
+            require(need, what)
+        monkeypatch.setattr(fu, "require_budget", recorded)
+        code, checks = self._checks(capsys, 3, "--all")
+        assert code == 3
+        assert [c["name"] for c in checks] == VERIFY_NAMES
+        assert charged == [
+            "the suk2-oracle S matrix of 36 entries",
+            "the coset S matrix of 36 entries",  # coset_s_compact
+            "the coset S matrix of 36 entries",  # coset_s_phase_form
+            "the coset-lm S matrix of 36 entries",
+            "the su2k S matrix of 16 entries",
+            "the full-product S matrix of 100 entries",
+            "the closed-form fusion compare of 6 labels",
+            "Verlinde fusion of 6 labels",
+            "the fusion tensor of 6 labels",
+            "the closed-form fusion compare of 4 labels",
+            "Verlinde fusion of 4 labels",
+            "the fusion tensor of 4 labels",
+            "Verlinde fusion of 10 labels",
+            "the full-compact S matrix of 100 entries",
+            "the charge lattice of rank 5",
+        ]
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_each_row_alone_reads_as_under_all(self, capsys, k):
+        _, every = self._checks(capsys, k, "--all")
+        assert [c["name"] for c in every] == VERIFY_NAMES
+        for row in every:
+            code, alone = self._checks(capsys, k, "--targets", row["name"])
+            assert alone == [row]
+            assert code == (0 if row["passed"] else 3)
+
+
 def _with_nan(s):
     entries = s.entries.copy()
     entries[1, 2] = np.nan
