@@ -24,7 +24,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -211,8 +211,11 @@ def _tensor_json(tensor: np.ndarray) -> str:
     return str(buf[:-1], "ascii")
 
 
-# each builder is read from its module at call time, never bound at
-# import, so a wrapper installed on the module is the one that runs
+# Each builder is read from its module at call time, never bound at
+# import, so a wrapper installed on the module is the one that runs.
+# Commands and verify's su2k and full records take their S here by key;
+# dims and verify's coset record name coset_s_compact (the coset's S and
+# T from one call), verify's coset-four-way row the phase form (no key).
 _SMATRIX_BUILDERS = {
     "su2k": lambda k: sm.s_su2k(k),
     "suk2-oracle": lambda k: sm.s_suk2_weylkac(k),
@@ -271,42 +274,36 @@ def _verify_checks(k: int, tol: float, targets=None):
     """Evaluate the named consistency checks, lazily so untargeted ones
     never run. tol decides pass or fail here and nowhere else, and the
     relation each check names is judged here only: the builders it calls
-    do not check themselves. Each S matrix is built through _build once
-    per call and its result cached; su(k)_2 is coset_s_compact(k).s. A
-    check returns one residual and passes exactly when it is below tol;
-    one that raises ConsistencyError, or whose residual is not finite,
-    fails with a null residual and the error's message. Each check
-    records its wall time as elapsed_s, which includes the builds of the
-    S matrices it is the first to use."""
+    do not check themselves. A row is one relation applied to one theory
+    record (its S, T data and closed fusion rule, None for full) or one
+    of four cross-checks. su(2)_k and full take their S by
+    _SMATRIX_BUILDERS key; the coset's S, which is su(k)_2's, and its T
+    come from one coset_s_compact call. Each S matrix is built through
+    _build once per call and cached. A check returns one residual and
+    passes exactly when it is below tol; one that raises ConsistencyError,
+    or whose residual is not finite, fails with a null residual and the
+    error's message. Each check records its wall time as elapsed_s, which
+    includes the builds of the S matrices it is the first to use."""
 
     @cache
-    def build(which, builder):
+    def build(which, builder=None):
         return _build(which, k, builder)
 
-    # read from the modules at call time, as _SMATRIX_BUILDERS does
-    su2k = lambda: build("su2k", sm.s_su2k)
     coset = lambda: build("coset", co.coset_s_compact)
-    full = lambda: build("full-product", fc.full_s_product)
-
-    def four_way():
-        three = [coset().s, build("coset", co.coset_s_phase_form),
-                 build("coset-lm", co.coset_s_via_su2k_u1)]
-        # np.max, not max: a NaN is the answer wherever it stands
-        return np.max([a.max_abs_diff(b) for a, b in combinations(three, 2)])
+    theories = {  # name: (S, T data of that S, closed fusion rule)
+        "su2k": (lambda: build("su2k"), lambda s: fu.TData(
+            {l: sm.dim_su2k(l, k) for l in s.labels}, Fraction(3 * k, k + 2)),
+            fu.su2k_fusion_tensor),
+        "coset": (lambda: coset().s, lambda s: fu.TData(
+            coset().dims, coset().central_charge), fu.coset_fusion_tensor),
+        "full": (lambda: build("full"), lambda s: fu.TData(
+            fc.full_dims(k), fc.full_central_charge(k)), None),
+    }
 
     @cache
     def report(name):
-        if name == "su2k":
-            s = su2k()
-            t = fu.TData({l: sm.dim_su2k(l, k) for l in s.labels},
-                         Fraction(3 * k, k + 2))
-        elif name == "coset":
-            c = coset()
-            s, t = c.s, fu.TData(c.dims, c.central_charge)
-        else:
-            s = full()
-            t = fu.TData(fc.full_dims(k), fc.full_central_charge(k))
-        return fu.verify_modular_relations(s, t)
+        s, t_data, _ = theories[name]
+        return fu.verify_modular_relations(s(), t_data(s()))
 
     def s2(name):  # S^2 = C and C^2 = 1; a NaN S^2 is a NaN residual
         rep = report(name)
@@ -314,55 +311,53 @@ def _verify_checks(k: int, tol: float, targets=None):
             return max(rep.s2_defect, rep.c2_defect)
         raise ConsistencyError("S^2 does not round to a signed permutation")
 
-    def closed(which, s, tensor):
-        """0 when the Verlinde tensor of s() is tensor(k), else 1."""
-        n = _smatrix_dim(which, k)
+    def verlinde(name):  # 0 when the ring is the closed rule's, else 1
+        s, _, rule = theories[name]
+        if rule is None:  # the full ring's certified integrality residual
+            return fu.verlinde(s()).residual
+        n = _smatrix_dim(name, k)
         fu.require_budget(CLOSED_FUSION_BYTES_PER_CUBE * n ** 3,
                           f"the closed-form fusion compare of {n} labels")
-        return int(not np.array_equal(fu.verlinde(s()).tensor, tensor(k)))
+        return int(not np.array_equal(fu.verlinde(s()).tensor, rule(k)))
+
+    def four_way():
+        three = [coset().s, build("coset", co.coset_s_phase_form),
+                 build("coset-lm")]
+        # np.max, not max: a NaN is the answer wherever it stands
+        return np.max([a.max_abs_diff(b) for a, b in combinations(three, 2)])
 
     def filling():
         fu.require_budget(_lattice_need(k),
                           f"the charge lattice of rank {2 * k - 1}")
         return abs(fc.filling_factor(fc.gram_matrix(k)) - Fraction(k, k + 2))
 
+    relations = {"unitarity": lambda name: report(name).unitarity_defect,
+                 "s2": s2, "st3": lambda name: report(name).st3_defect}
     plan = [("oracle-vs-compact",
-             lambda: build("suk2-oracle",
-                           sm.s_suk2_weylkac).max_abs_diff(coset().s)),
+             lambda: build("suk2-oracle").max_abs_diff(coset().s)),
             ("coset-four-way", four_way)]
-    for name in ("su2k", "coset", "full"):
-        plan += [
-            (f"unitarity-{name}", lambda n=name: report(n).unitarity_defect),
-            (f"s2-{name}", lambda n=name: s2(n)),
-            (f"st3-{name}", lambda n=name: report(n).st3_defect),
-        ]
-    plan += [
-        ("verlinde-vs-closed-coset",
-         lambda: closed("coset", lambda: coset().s, fu.coset_fusion_tensor)),
-        ("verlinde-vs-closed-su2k",
-         lambda: closed("su2k", su2k, fu.su2k_fusion_tensor)),
-        ("verlinde-full-integrality", lambda: fu.verlinde(full()).residual),
-        ("full-dual-construction",
-         lambda: full().max_abs_diff(build("full-compact",
-                                           fc.full_s_compact))),
-        ("filling-factor", filling),
-    ]
-    if targets:
-        plan = [(n, f) for n, f in plan
-                if any(t and t in n for t in targets)]
+    plan += [(f"{relation}-{name}", partial(judge, name))
+             for name in theories for relation, judge in relations.items()]
+    plan += [(f"verlinde-vs-closed-{name}" if theories[name][2]
+              else f"verlinde-{name}-integrality", partial(verlinde, name))
+             for name in ("coset", "su2k", "full")]
+    plan += [("full-dual-construction",
+              lambda: build("full").max_abs_diff(build("full-compact"))),
+             ("filling-factor", filling)]
     checks = []
     for name, run in plan:
+        if targets and not any(t and t in name for t in targets):
+            continue
         start = time.perf_counter()
         try:
             residual = float(run())
             if not math.isfinite(residual):
                 raise ConsistencyError(f"residual {residual} is not finite")
+            check = {"name": name, "residual": residual,
+                     "passed": residual < tol}
         except ConsistencyError as exc:
             check = {"name": name, "residual": None, "passed": False,
                      "error": str(exc)}
-        else:
-            check = {"name": name, "residual": residual,
-                     "passed": residual < tol}
         check["elapsed_s"] = time.perf_counter() - start
         checks.append(check)
     return checks

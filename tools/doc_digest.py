@@ -27,7 +27,9 @@ family is the same byte for byte:
   compares), until a run is refused no charge, and once under a budget
   of 1 MiB, which admits the small levels and refuses the larger ones.
 
-A level a command refuses is hashed too, as its exit code and message.
+A level a command refuses is hashed too, as its exit code and message,
+and a command whose exception escapes `cli.main` as the exception's type
+name and message.
 """
 
 from __future__ import annotations
@@ -94,15 +96,22 @@ def _drop_elapsed(checks: list) -> list:
 
 
 def run(cli, argv) -> tuple:
+    """cli.main(argv)'s exit code, stdout and stderr. An exception that
+    escapes it is the run's result instead, as its type name and message
+    in place of the exit code, with empty stdout and stderr, so a tree
+    that crashes on one command is still digested on every other."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)], "", ""
     return code, out.getvalue(), err.getvalue()
 
 
 def untimed(argv, text: str) -> str:
     """A document without its checks' elapsed_s, or text as it is."""
-    if family(argv) == "verify json":
+    if family(argv) == "verify json" and text:
         doc = json.loads(text)
         _drop_elapsed(doc["checks"])
         text = json.dumps(doc)
