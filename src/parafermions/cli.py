@@ -213,14 +213,14 @@ def _tensor_json(tensor: np.ndarray) -> str:
 
 # Each builder is read from its module at call time, never bound at
 # import, so a wrapper installed on the module is the one that runs.
-# Commands and verify's su2k and full records take their S here by key;
-# dims and verify's coset record name coset_s_compact (the coset's S and
-# T from one call), verify's coset-four-way row the phase form (no key).
+# Commands and verify's su2k and full records take their S here by key.
+# "coset" is su(k)_2's S, built without the coset's Fraction weights;
+# dims and verify's coset record, which need T, name coset_s_compact.
 _SMATRIX_BUILDERS = {
     "su2k": lambda k: sm.s_su2k(k),
     "suk2-oracle": lambda k: sm.s_suk2_weylkac(k),
     "suk2-compact": lambda k: sm.s_suk2_compact(k),
-    "coset": lambda k: co.coset_s_compact(k).s,
+    "coset": lambda k: sm.s_suk2_compact(k),
     "coset-lm": lambda k: co.coset_s_via_su2k_u1(k),
     "u1": lambda k: fc.s_u1(k),
     "full-product": lambda k: fc.full_s_product(k),

@@ -22,11 +22,11 @@ from .smatrix import CosetWeight, LabelIndex, SMatrix
 
 INTEGRALITY_TOLERANCE = 1e-8
 # Bytes `verlinde` budgets, its check included, per S entry (tracemalloc
-# peak 60-67 n^2 at n = 55..496) and per (R, R, n) block entry (37-39 for
+# peak 57-64 n^2 at n = 55..496) and per (R, R, n) block entry (37-39 for
 # su(2)_k at k = 60 and 150), plus one per plane entry. Tests pin both.
 VERLINDE_BYTES_PER_SQUARE = 96
 VERLINDE_BYTES_PER_BLOCK_ENTRY = 64
-EXACT_FLOAT_INT = 2 ** 53  # float64 holds every integer below this exactly
+EXACT_FLOAT_INT = 2 ** 24  # float32 holds every integer below this exactly
 
 
 def memory_budget() -> int:
@@ -84,27 +84,32 @@ class FusionRing:
     def index(self, label) -> int:
         return self._index[label]
 
+    def _positions(self, perms: np.ndarray) -> np.ndarray:
+        """The orbit map, (n, n): plane row r n + P[c] for a = J r and c, P
+        perms' row at J, in one scatter; a later J wins a repeated a."""
+        (m, n), size = self.perms.shape, len(self.reps)
+        orbit = np.empty(n, dtype=np.intp)  # J r -> J size + r
+        orbit[self.perms[:, self.reps]] = np.arange(m * size).reshape(m, size)
+        return orbit[:, None] % size * n + perms[orbit // size]
+
     def planes(self) -> np.ndarray:
-        """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once in
-        one scatter over every current K; the later K wins a repeated row."""
+        """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once as
+        one read of the block at the orbit map of the inverse currents."""
         if self._planes is None:
-            n, perms = len(self.labels), self.perms
-            self._planes = np.empty((len(self.reps), n, n), self.block.dtype)
-            self._planes[:, perms[:, self.reps]] = self.block[
-                :, :, np.argsort(perms)].swapaxes(1, 2)
+            self._planes = self.block.reshape(len(self.reps), -1).take(
+                self._positions(np.argsort(self.perms)), axis=1)
         return self._planes
 
     @property
     def tensor(self) -> np.ndarray:
-        """The dense N[a][b][c], N_(Jr, y) = N_(r, Jy), expanded on first
-        access once the budget admits its n^3 entries."""
+        """The dense N[a][b][c], N_(Jr, y) = N_(r, Jy): one read of the
+        planes at the orbit map, once the budget admits its n^3 entries."""
         if self._tensor is None:
             n = len(self.labels)
             require_budget(self.block.itemsize * n ** 3,
                            f"the fusion tensor of {n} labels")
-            self._tensor = np.empty((n, n, n), dtype=self.block.dtype)
-            for perm in self.perms:
-                self._tensor[perm[self.reps]] = self.planes()[:, perm]
+            self._tensor = self.planes().reshape(-1, n).take(
+                self._positions(self.perms), axis=0)
         return self._tensor
 
     def coefficient(self, a, b, c) -> int:
@@ -113,16 +118,11 @@ class FusionRing:
 
     def product(self, a, b) -> Counter:
         """Multiset of outcomes of a x b: a fresh Counter, dict.update'd
-        (no Counter.__init__ Mapping path) from plane row (r, Jb), a = Jr,
-        of a table of dicts {label: count} the first lookup builds, with
-        the row number of each pair at a n + b."""
+        (no Counter.__init__ Mapping path) from the dict {label: count} of
+        plane row (r, Jb), a = Jr, that the orbit map gives at a n + b."""
         if self._rows is None:
-            n, reps = len(self.labels), self.reps
-            at, via = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-            at[self.perms[:, reps]] = np.arange(len(reps))
-            via[self.perms[:, reps]] = np.arange(len(self.perms))[:, None]
-            self._row_of = (at[:, None] * n + self.perms[via]).ravel().tolist()
-            flat = self.planes().reshape(-1, n)
+            self._row_of = self._positions(self.perms).ravel().tolist()
+            flat = self.planes().reshape(-1, len(self.labels))
             rows, cols = np.nonzero(flat)
             self._rows = [{} for _ in range(len(flat))]
             for row, c, count in zip(rows.tolist(), cols.tolist(),
@@ -140,8 +140,8 @@ class FusionRing:
         a commutative group of permutations, P_J P_K = P_JK with
         JK = P_J[K]; block rows invariant under both labels' stabilizers;
         a symmetric block; a delta vacuum row; N_a N_b = N_b N_a for each
-        pair of non-current representatives, in float64, exact below
-        max|N|^2 n < 2^53. Returns the generators G: the generating
+        pair of non-current representatives, in float32, exact below
+        max|N|^2 n < 2^24. Returns the generators G: the generating
         currents, then the non-current representatives."""
         perms, block, reps = self.perms, self.block, self.reps
         n, vac = len(self.labels), self.vacuum_index
@@ -168,12 +168,12 @@ class FusionRing:
         largest = max(int(block.max()), -int(block.min()))
         if largest ** 2 * n >= EXACT_FLOAT_INT:
             raise ConsistencyError(f"coefficients up to {largest} are too "
-                                   "large for an exact float64 check")
+                                   "large for an exact float32 check")
         pairs, planes = (reps != vac).nonzero()[0], self.planes()
         for x, i in enumerate(pairs.tolist()):
-            na = planes[i].astype(np.float64)
+            na = planes[i].astype(np.float32)
             for j in pairs[x + 1:].tolist():
-                nb = planes[j].astype(np.float64)
+                nb = planes[j].astype(np.float32)
                 if not (na @ nb == nb @ na).all():
                     raise ConsistencyError("fusion tensor is not associative")
         table, checked, reached = words.tolist(), [], {int(slot[vac])}

@@ -994,14 +994,12 @@ class TestExitCodeMap:
 
     @pytest.fixture
     def scaled_coset(self, monkeypatch):
-        build = co.coset_s_compact
+        build = sm.s_suk2_compact  # the coset's S, in every command
 
         def scaled(k):  # 1.01 S: every Verlinde coefficient times 1.0201
-            c = build(k)
-            return co.CosetModularData(
-                s=sm.SMatrix(c.s.labels, 1.01 * c.s.entries), dims=c.dims,
-                central_charge=c.central_charge)
-        monkeypatch.setattr(co, "coset_s_compact", scaled)
+            s = build(k)
+            return sm.SMatrix(s.labels, 1.01 * s.entries)
+        monkeypatch.setattr(sm, "s_suk2_compact", scaled)
 
     def test_invalid_rank(self, capsys):
         _raises_then_exits(capsys, ("smatrix", "--k", "1", "--which", "coset"),

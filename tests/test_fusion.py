@@ -268,16 +268,17 @@ class TestCheckAxioms:
             bumped.check_axioms()
 
     def test_rejects_coefficients_beyond_exact_float(self):
-        # vacuum 0 acts as the identity; x x = a 0 + a x keeps the float64
-        # exactness bound max|N|^2 n < 2^53 for a up to 2^26 - 1 alone
+        # vacuum 0 acts as the identity; x x = a 0 + a x keeps the float32
+        # exactness bound max|N|^2 n < 2^24 for a up to 2896 alone
         def ring(a):
             tensor = np.array([[[1, 0], [0, 1]], [[0, 1], [a, a]]])
             return fu.FusionRing((0, 1), tensor, 0)
 
-        assert ring(2 ** 26 - 1).check_axioms() == (1,)
-        for a in (2 ** 26, 2 ** 27):
+        assert 2 * 2896 ** 2 < 2 ** 24 <= 2 * 2897 ** 2
+        assert ring(2896).check_axioms() == (1,)
+        for a in (2897, 2 ** 26):
             with pytest.raises(ConsistencyError,
-                               match="too large for an exact float64"):
+                               match="too large for an exact float32"):
                 ring(a).check_axioms()
 
     @pytest.mark.parametrize("theory", ["coset", "full"])
@@ -1230,6 +1231,25 @@ class TestMemoryBudget:
         ring, peak = _verlinde_peak(s)
         assert ring._tensor is None
         assert peak <= 0.5 * s.dim ** 3
+
+    def test_planes_peak(self):
+        # su(2)_150: n = 151, R = 76, m = 2. The planes are one read of the
+        # block at an (n, n) map of positions; beyond the planes themselves
+        # only that map, its one temporary and the inverse currents are held
+        s = sm.s_su2k(150)
+        vac = fu.find_vacuum(s)
+        perms, block, reps, _ = fu._verlinde_block(s, vac)
+        ring = fu.FusionRing._from_block(s.labels, vac, perms, block, reps)
+        (m, n), size = perms.shape, len(reps)
+        assert (n, size, m) == (151, 76, 2)
+        tracemalloc.start()
+        try:
+            planes = ring.planes()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert planes.nbytes == size * n ** 2 * block.itemsize
+        assert peak <= planes.nbytes + 16 * n ** 2 + 8 * m * n + 2 ** 16
 
     def test_guard_raises_before_allocating(self, monkeypatch):
         s = co.coset_s_compact(4).s

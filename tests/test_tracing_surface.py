@@ -1,13 +1,19 @@
-"""The benchmark's span tracer (`perfbench/spans.py`) wraps named package
-functions with `getattr`, so `perfbench/run.py --trace 1` breaks when one
-of them is deleted or renamed. These tests load the tracer by path and
-check that every entry of its LAYERS table resolves on the package, and
-that a wrapper installed after import sees every call it is meant to."""
+"""The benchmark (`perfbench/`) names package functions: its span tracer
+(`perfbench/spans.py`) wraps them with `getattr`, and its workloads and
+worker import and call them, so a rename in `src/` breaks the benchmark
+only when it runs. These tests read every `perfbench/*.py` as a syntax
+tree, running none of it, and check that each entry of the tracer's
+LAYERS table, each name imported from the package and each dotted read
+off a package module resolves. They also load the tracer by path and
+check that a wrapper installed after import sees every call it is meant
+to."""
 
+import ast
 import contextlib
 import functools
 import importlib
 import importlib.util
+import inspect
 import io
 from pathlib import Path
 
@@ -32,10 +38,20 @@ def modules(spans):
             for mod, _, _ in spans.LAYERS}
 
 
+def _trees():
+    """{file name: syntax tree} of every perfbench/*.py."""
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SPANS.parent.glob("*.py"))}
+
+
 def test_every_layer_resolves():
-    spans = load_spans()
+    layers, = [ast.literal_eval(node.value)
+               for node in _trees()["spans.py"].body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["LAYERS"]]
+    assert layers
     missing = []
-    for mod, attr, _ in spans.LAYERS:
+    for mod, attr, _ in layers:
         owner = importlib.import_module(f"parafermions.{mod}")
         for part in attr.split("."):
             owner = getattr(owner, part, None)
@@ -88,3 +104,68 @@ def test_fusion_command_calls_each_wrapper_once(fusion_calls, which):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["fusion", "--k", "4", "--which", which]) == 0
     assert fusion_calls == ["verlinde", "check_axioms"]
+
+
+def _package_imports(tree):
+    """(module, name, bound name) of each `from parafermions... import`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "parafermions"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                yield module, alias.name, alias.asname or alias.name
+
+
+def _package_name(module, name: str):
+    """What `from <module> import name` binds, or None: an attribute of
+    the module, else its submodule."""
+    if hasattr(module, name):
+        return getattr(module, name)
+    if importlib.util.find_spec(f"{module.__name__}.{name}") is None:
+        return None
+    return importlib.import_module(f"{module.__name__}.{name}")
+
+
+def test_benchmark_imports_exist():
+    imported = [(file, module, name) for file, tree in _trees().items()
+                for module, name, _ in _package_imports(tree)]
+    missing = [f"{file}: {module.__name__}.{name}"
+               for file, module, name in imported
+               if _package_name(module, name) is None]
+    assert imported and not missing, (
+        f"perfbench imports what src/ lacks: {missing}")
+
+
+def _package_modules(tree) -> dict:
+    """{bound name: module} for each `parafermions` module a file imports."""
+    bound = {alias.asname or alias.name: importlib.import_module(alias.name)
+             for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names if alias.name == "parafermions"}
+    for module, name, as_name in _package_imports(tree):
+        if inspect.ismodule(value := _package_name(module, name)):
+            bound[as_name] = value
+    return bound
+
+
+def test_benchmark_reads_exist():
+    # every load of a dotted name rooted at a package module, such as
+    # fu.FusionRing.product or parafermions.__version__, resolves
+    missing, read = [], 0
+    for file, tree in _trees().items():
+        bound = _package_modules(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                continue
+            attrs, root = [], node
+            while isinstance(root, ast.Attribute):
+                attrs.insert(0, root.attr)
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                read += 1
+                try:
+                    functools.reduce(getattr, attrs, bound[root.id])
+                except AttributeError:
+                    missing.append(f"{file}:{node.lineno}: "
+                                   f"{ast.unparse(node)}")
+    assert read and not missing, f"perfbench reads what src/ lacks: {missing}"
