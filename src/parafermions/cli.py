@@ -49,9 +49,11 @@ EXIT_VERIFY = 3
 INTERFERE_BYTES_PER_SAMPLE = 384
 
 # tracemalloc peak of `smatrix` per S entry, its JSON or CSV document
-# written to a file included: 117-160 bytes for JSON and 82-161 for CSV
-# at n = 300..1000, where S itself holds 16, the builder up to 72 more
-# (full-product) and the 16-byte keys of the entries' texts 64.
+# written to a file included: 112-139 bytes for JSON and 81-139 for CSV
+# at n = 288..1000 over the eight builders (the oracle to n = 595). It
+# is reached while the document is written, where S itself holds 16 and
+# the 16-byte keys of the entries' texts 64; a builder's own peak is
+# 24-56 (su2k to the oracle).
 SMATRIX_BYTES_PER_ENTRY = 192
 
 # tracemalloc peak of `fusion` per n^3, its JSON or CSV document included:

@@ -113,8 +113,10 @@ def coset_s_compact(k: int) -> CosetModularData:
 def coset_s_phase_form(k: int) -> SMatrix:
     """Entry = exp(2 pi i (mu+nu)(rho+sigma)/k) conj(su(k)_2 entry)."""
     base = sm.s_suk2_compact(k)
-    m = sum(sm.canonical_arrays(k))
-    entries = sm.phase(np.outer(m, m), k) * np.conj(base.entries)
+    m = np.arange(2 * k - 1)  # the grid of mu + nu
+    entries = np.conj(base.entries, out=base.entries)  # base is ours alone
+    np.multiply(sm.gather(sm.phase(np.outer(m, m), k),
+                          sum(sm.canonical_arrays(k))), entries, out=entries)
     return SMatrix(base.labels, entries)
 
 
@@ -131,13 +133,12 @@ def coset_s_via_su2k_u1(k: int) -> SMatrix:
     """Coset S as 2 S^{su(2)_k}_{l,l'} conj(S^{u(1)_{2k}}_{m,m'}).
 
     The (l, m) = (nu - mu, mu + nu) labels of the canonical weights
-    (to_lm), one-to-one since 0 <= mu <= nu < k, pick the su(2)_k and
-    u(1)_{2k} entries by fancy indexing.
+    (to_lm), one-to-one since 0 <= mu <= nu < k, gather the su(2)_k and
+    u(1)_{2k} factors.
     """
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     labels, (mu, nu) = canonical_weights(k), sm.canonical_arrays(k)
-    l, m = nu - mu, mu + nu
-    entries = (2 * sm.s_su2k(k).entries[np.ix_(l, l)]
-               * np.conj(s_u1_2k(k).entries[np.ix_(m, m)]))
+    entries = sm.gather(2 * sm.s_su2k(k).entries, nu - mu)
+    entries *= sm.gather(np.conj(s_u1_2k(k).entries), mu + nu)
     return SMatrix(labels, entries)

@@ -88,8 +88,12 @@ def full_s_product(k: int) -> SMatrix:
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
     l, _, _, _, neutral = sector_arrays(k)
-    charged = sm.phase(-np.outer(l, l), k * (k + 2)) / math.sqrt(k * (k + 2))
-    entries = k * charged * sm.s_suk2_compact(k).entries[np.ix_(neutral, neutral)]
+    # the coset factor first, so that the compact S is freed before the
+    # charge factor is gathered; the product keeps the charge on the left
+    entries = sm.gather(sm.s_suk2_compact(k).entries, neutral)
+    q = np.arange(k + 2)  # the grid of l
+    charged = sm.phase(-np.outer(q, q), k * (k + 2)) / math.sqrt(k * (k + 2))
+    np.multiply(sm.gather(k * charged, l), entries, out=entries)
     return SMatrix(enumerate_sectors(k), entries)
 
 
@@ -103,8 +107,11 @@ def full_s_compact(k: int) -> SMatrix:
     if k < 2:
         raise InvalidRankError(f"need k >= 2, got {k}")
     _, _, lifted, d, _ = sector_arrays(k)
-    sine = np.sin(np.pi * np.outer(d + 1, d + 1) / (k + 2))
-    entries = (2.0 / (k + 2)) * sm.phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine
+    r = np.arange(2 * (k + 2))  # the grid of L mod 2(k+2)
+    e = np.arange(1, k + 1)  # the grid of d + 1
+    charge = (2.0 / (k + 2)) * sm.phase(np.outer(r, r), 2 * (k + 2))
+    entries = sm.gather(charge, lifted % (2 * (k + 2)))
+    entries *= sm.gather(np.sin(np.pi * np.outer(e, e) / (k + 2)), d)
     return SMatrix(enumerate_sectors(k), entries)
 
 

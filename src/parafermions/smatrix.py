@@ -11,6 +11,10 @@ Three independent routes to the su(k)_2 matrix live here:
 
 Every phase and conformal dimension is an exact integer over one
 denominator per matrix or theory until the final exp/sin in float64.
+A closed form whose factors each read one coordinate of each label
+evaluates each factor once on its small coordinate grid and reads the
+n x n matrix off that table with gather, bit for bit the entries of the
+n^2 broadcast.
 """
 
 from __future__ import annotations
@@ -32,9 +36,16 @@ DEFAULT_TOLERANCE = 1e-10
 
 def phase(num, den: int):
     """exp(2 pi i num/den) for integer (arrays) num: the numerator is
-    reduced mod den exactly and picks its value from the den roots of
+    reduced mod den exactly and takes its value from the den roots of
     unity, the one call to exp."""
-    return np.exp(2j * np.pi * (np.arange(den) / den))[np.mod(num, den)]
+    return np.exp(2j * np.pi * (np.arange(den) / den)).take(np.mod(num, den))
+
+
+def gather(table, index):
+    """table[index][:, index], as two takes: the n x n matrix whose entry
+    (i, j) is table[index[i], index[j]], for a factor tabulated on the
+    grid of one label coordinate."""
+    return table.take(index, 0).take(index, 1)
 
 
 class Label(tuple):
@@ -179,7 +190,7 @@ class SMatrix:
         if len(perm) != self.dim:  # a repeat is refused by SMatrix
             raise LabelError(f"{len(perm)} labels are not a permutation "
                              f"of the {self.dim}-label basis")
-        return SMatrix(tuple(new_labels), self.entries[np.ix_(perm, perm)])
+        return SMatrix(tuple(new_labels), gather(self.entries, perm))
 
     def max_abs_diff(self, other: "SMatrix") -> float:
         """Largest entry difference; other label sets are inconsistent."""
@@ -244,9 +255,10 @@ def s_suk2_compact(k: int) -> SMatrix:
     if k < 2:
         raise InvalidRankError(f"su(k)_2 needs k >= 2, got {k}")
     labels, (mu, nu) = canonical_weights(k), canonical_arrays(k)
-    m, l = mu + nu, nu - mu
-    sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
-    entries = 2.0 / math.sqrt(k * (k + 2)) * phase(np.outer(m, m), 2 * k) * sine
+    m, l = np.arange(2 * k - 1), np.arange(1, k + 1)  # grids of mu+nu, l+1
+    charge = 2.0 / math.sqrt(k * (k + 2)) * phase(np.outer(m, m), 2 * k)
+    entries = gather(charge, mu + nu)
+    entries *= gather(np.sin(np.pi * np.outer(l, l) / (k + 2)), nu - mu)
     return SMatrix(labels, entries)
 
 
@@ -293,41 +305,6 @@ def dim_su2k(l: int, k: int) -> Fraction:
     return Fraction(l * (l + 2), 4 * (k + 2))
 
 
-def dim_suk2(w: CosetWeight) -> Fraction:
-    """Conformal dimension of the su(k)_2 primary Lam_mu + Lam_nu."""
-    k, mu, nu = w.k, w.mu, w.nu
-    num = 2 * mu * (k - nu) + (k + 1) * (mu * (k - mu) + nu * (k - nu))
-    return Fraction(num, 2 * k * (k + 2))
-
-
-def monodromy_charge(power_mu: int, w: CosetWeight) -> Fraction:
-    """Monodromy charge of w under J^power_mu, reduced to (-1, 0].
-
-    Computed as -mu(rho+sigma)/k and cross-checked against the
-    dimension-difference definition; a mismatch is a programming error.
-    """
-    k = w.k
-    q = _reduce_charge(Fraction(-power_mu * (w.mu + w.nu), k))
-    via_dims = _monodromy_via_dims(power_mu, w)
-    if q != via_dims:
-        raise ConsistencyError(
-            f"monodromy charge mismatch for J^{power_mu} on {w}: {q} vs {via_dims}"
-        )
-    return q
-
-
-def _monodromy_via_dims(power_mu: int, w: CosetWeight) -> Fraction:
-    k = w.k
-    target = CosetWeight(w.mu + power_mu, w.nu + power_mu, k)
-    current = CosetWeight(power_mu, power_mu, k)
-    return _reduce_charge(dim_suk2(target) - dim_suk2(w) - dim_suk2(current))
-
-
-def _reduce_charge(q: Fraction) -> Fraction:
-    r = q % 1
-    return r - 1 if r > 0 else r
-
-
 def simple_current_extend(representative_row, k: int) -> SMatrix:
     """Full su(k)_2 matrix from its orbit-representative block.
 
@@ -345,7 +322,7 @@ def simple_current_extend(representative_row, k: int) -> SMatrix:
                       for a in range(r)], dtype=complex)
     # S_{J^p(0,ra), J^q(0,rb)} picks up e^{-2 pi i Q} per action
     entries = (phase(np.outer(power, mu + nu) + np.outer(rep, power), k)
-               * block[np.ix_(rep, rep)])
+               * gather(block, rep))
     out = SMatrix(labels, entries)
     defect = out.max_abs_diff(s_suk2_compact(k))
     if not defect < DEFAULT_TOLERANCE:

@@ -2,11 +2,15 @@
 
 Each reference is the entry-by-entry loop the package used before its
 builders became label-array broadcasts: one exact Fraction phase and one
-cmath.exp per entry, in the same label order.
+cmath.exp per entry, in the same label order. The builders now read
+their entries off per-coordinate factor tables; the n^2 label-array
+broadcasts they replace are kept here too, and each builder must equal
+its broadcast bit for bit.
 """
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -127,6 +131,77 @@ BUILDERS = {
 }
 
 
+def broadcast_phase(num, den):
+    """exp(2 pi i num/den), num reduced mod den by fancy indexing."""
+    return np.exp(2j * np.pi * (np.arange(den) / den))[np.mod(num, den)]
+
+
+def suk2_compact_broadcast(k):
+    mu, nu = sm.canonical_arrays(k)
+    m, l = mu + nu, nu - mu
+    sine = np.sin(np.pi * np.outer(l + 1, l + 1) / (k + 2))
+    return (2.0 / math.sqrt(k * (k + 2)) * broadcast_phase(np.outer(m, m), 2 * k)
+            * sine)
+
+
+def phase_form_broadcast(k):
+    m = sum(sm.canonical_arrays(k))
+    return (broadcast_phase(np.outer(m, m), k)
+            * np.conj(suk2_compact_broadcast(k)))
+
+
+def via_su2k_u1_broadcast(k):
+    mu, nu = sm.canonical_arrays(k)
+    l, m = nu - mu, mu + nu
+    return (2 * sm.s_su2k(k).entries[np.ix_(l, l)]
+            * np.conj(co.s_u1_2k(k).entries[np.ix_(m, m)]))
+
+
+def full_product_broadcast(k):
+    l, _, _, _, neutral = fc.sector_arrays(k)
+    charged = (broadcast_phase(-np.outer(l, l), k * (k + 2))
+               / math.sqrt(k * (k + 2)))
+    return k * charged * suk2_compact_broadcast(k)[np.ix_(neutral, neutral)]
+
+
+def full_compact_broadcast(k):
+    _, _, lifted, d, _ = fc.sector_arrays(k)
+    sine = np.sin(np.pi * np.outer(d + 1, d + 1) / (k + 2))
+    return ((2.0 / (k + 2))
+            * broadcast_phase(np.outer(lifted, lifted), 2 * (k + 2)) * sine)
+
+
+# builder: (n^2 broadcast, bound on its tracemalloc peak at k = 40 in units
+# of S's bytes; at the broadcasts it was 2.50, 3.01, 3.00, 4.27 and 2.50)
+TABLE_BUILDERS = {
+    sm.s_suk2_compact: (suk2_compact_broadcast, 1.75),
+    co.coset_s_phase_form: (phase_form_broadcast, 2.25),
+    co.coset_s_via_su2k_u1: (via_su2k_u1_broadcast, 2.25),
+    fc.full_s_product: (full_product_broadcast, 3.0),
+    fc.full_s_compact: (full_compact_broadcast, 1.75),
+}
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDERS, ids=lambda f: f.__name__)
+def test_builder_is_bitwise_its_broadcast(build):
+    broadcast, _ = TABLE_BUILDERS[build]
+    for k in range(2, 31):
+        assert build(k).entries.tobytes() == broadcast(k).tobytes(), k
+
+
+@pytest.mark.parametrize("build", TABLE_BUILDERS, ids=lambda f: f.__name__)
+def test_builder_peak_at_k40(build):
+    _, ratio = TABLE_BUILDERS[build]
+    build(40)  # the level's cached labels and label arrays
+    tracemalloc.start()
+    try:
+        s = build(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ratio * s.entries.nbytes + 2 ** 16
+
+
 @pytest.mark.parametrize("k", KS)
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builder_matches_per_entry_reference(name, k):
@@ -178,6 +253,9 @@ def test_orbit_of_inverts_the_current(k, data):
 def test_phase_is_exact_mod_den():
     num = np.array([-7, 0, 3, 10 ** 12 + 3])
     assert np.array_equal(sm.phase(num, 5), sm.phase(np.mod(num, 5), 5))
+    grid = np.arange(-9, 9)
+    assert sm.phase(np.outer(grid, grid), 7).tobytes() == \
+        broadcast_phase(np.outer(grid, grid), 7).tobytes()
     assert abs(sm.phase(1, 4) - 1j) < 1e-15
     assert sm.phase(0, 3) == 1
 

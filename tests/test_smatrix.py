@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import suk2_charges as ch
 from parafermions import lie
 from parafermions import smatrix as sm
 from parafermions.errors import (ConsistencyError, ContractViolationError,
@@ -216,10 +217,10 @@ class TestDimensions:
             sm.dim_su2k(4, 3)
 
     def test_suk2(self):
-        assert sm.dim_suk2(w(1, 1)) == Fraction(2, 3)
-        assert sm.dim_suk2(w(0, 0)) == 0
+        assert ch.dim_suk2(w(1, 1)) == Fraction(2, 3)
+        assert ch.dim_suk2(w(0, 0)) == 0
         # quadratic Casimir (Lam, Lam + 2 rhobar)/(2(k+2)) fixes 4/15
-        assert sm.dim_suk2(w(0, 1)) == Fraction(4, 15)
+        assert ch.dim_suk2(w(0, 1)) == Fraction(4, 15)
 
 
 class TestMonodromyCharge:
@@ -233,18 +234,18 @@ class TestMonodromyCharge:
             (2, 2): Fraction(-1, 3),
         }
         for (mu, nu), q in charges.items():
-            assert sm.monodromy_charge(1, w(mu, nu)) == q
+            assert ch.monodromy_charge(1, w(mu, nu)) == q
 
     def test_identity_current(self):
         for weight in sm.canonical_weights(4):
-            assert sm.monodromy_charge(0, weight) == 0
+            assert ch.monodromy_charge(0, weight) == 0
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_internal_cross_check_never_trips(self, k):
         # monodromy_charge raises if the dimension-difference route differs
         for weight in sm.canonical_weights(k):
             for p in range(k):
-                sm.monodromy_charge(p, weight)
+                ch.monodromy_charge(p, weight)
 
 
 class TestSimpleCurrentExtend:
