@@ -61,11 +61,6 @@ SMATRIX_BYTES_PER_ENTRY = 192
 # str).
 FUSION_BYTES_PER_CUBE = 8
 
-# tracemalloc peak of a `verify` closed-form fusion compare per n^3: 3.0
-# at k = 20 and 30 (n = 210, 465), the ring's dense int8 tensor, the
-# closed form and np.array_equal's bool array held at once.
-CLOSED_FUSION_BYTES_PER_CUBE = 4
-
 # tracemalloc peak of the charge lattice's Bareiss pass (gram_matrix and
 # filling_factor) per entry of its 2k x 2k int64 array: 49-76 bytes at
 # k = 10..300.
@@ -281,11 +276,13 @@ def _verify_checks(k: int, tol: float, targets=None):
     of four cross-checks. su(2)_k and full take their S by
     _SMATRIX_BUILDERS key; the coset's S, which is su(k)_2's, and its T
     come from one coset_s_compact call. Each S matrix is built through
-    _build once per call and cached. A check returns one residual and
-    passes exactly when it is below tol; one that raises ConsistencyError,
-    or whose residual is not finite, fails with a null residual and the
-    error's message. Each check records its wall time as elapsed_s, which
-    includes the builds of the S matrices it is the first to use."""
+    _build once per call and cached. A closed rule meets its ring in
+    blocks of VERLINDE_BYTES_PER_SQUARE // 3 rows (FusionRing.rows), whose
+    three n^2-byte arrays fit what verlinde charged per S entry. A check
+    returns one residual and passes exactly when it is below tol; one that
+    raises ConsistencyError, or whose residual is not finite, fails with a
+    null residual and the error's message. elapsed_s is each check's wall
+    time, the builds of the S matrices it uses first included."""
 
     @cache
     def build(which, builder=None):
@@ -315,12 +312,13 @@ def _verify_checks(k: int, tol: float, targets=None):
 
     def verlinde(name):  # 0 when the ring is the closed rule's, else 1
         s, _, rule = theories[name]
+        ring = fu.verlinde(s())
         if rule is None:  # the full ring's certified integrality residual
-            return fu.verlinde(s()).residual
-        n = _smatrix_dim(name, k)
-        fu.require_budget(CLOSED_FUSION_BYTES_PER_CUBE * n ** 3,
-                          f"the closed-form fusion compare of {n} labels")
-        return int(not np.array_equal(fu.verlinde(s()).tensor, rule(k)))
+            return ring.residual
+        n, step = len(ring.labels), fu.VERLINDE_BYTES_PER_SQUARE // 3
+        blocks = (np.arange(i, min(i + step, n)) for i in range(0, n, step))
+        return int(not all(np.array_equal(ring.rows(a), rule(k, a))
+                           for a in blocks))
 
     def four_way():
         three = [coset().s, build("coset", co.coset_s_phase_form),

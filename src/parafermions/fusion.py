@@ -84,32 +84,36 @@ class FusionRing:
     def index(self, label) -> int:
         return self._index[label]
 
-    def _positions(self, perms: np.ndarray) -> np.ndarray:
-        """The orbit map, (n, n): plane row r n + P[c] for a = J r and c, P
-        perms' row at J, in one scatter; a later J wins a repeated a."""
+    def _positions(self, perms: np.ndarray, rows) -> np.ndarray:
+        """The orbit map at the labels `rows` (... for all): plane row
+        r n + P[c] at (a, c), a = J r, P perms' row at J; a later J wins."""
         (m, n), size = self.perms.shape, len(self.reps)
         orbit = np.empty(n, dtype=np.intp)  # J r -> J size + r
         orbit[self.perms[:, self.reps]] = np.arange(m * size).reshape(m, size)
-        return orbit[:, None] % size * n + perms[orbit // size]
+        return orbit[rows, None] % size * n + perms[orbit[rows] // size]
 
     def planes(self) -> np.ndarray:
         """(R, n, n) planes N_(r, Ks)^c = N_(r s)^(K^-1 c), built once as
         one read of the block at the orbit map of the inverse currents."""
         if self._planes is None:
             self._planes = self.block.reshape(len(self.reps), -1).take(
-                self._positions(np.argsort(self.perms)), axis=1)
+                self._positions(np.argsort(self.perms), ...), axis=1)
         return self._planes
+
+    def rows(self, a) -> np.ndarray:
+        """N[a], (len(a), n, n) for the label indices a, N_(Jr, y) =
+        N_(r, Jy): one read of the planes at those rows of the orbit map."""
+        return self.planes().reshape(-1, len(self.labels)).take(
+            self._positions(self.perms, a), axis=0)
 
     @property
     def tensor(self) -> np.ndarray:
-        """The dense N[a][b][c], N_(Jr, y) = N_(r, Jy): one read of the
-        planes at the orbit map, once the budget admits its n^3 entries."""
+        """N[a][b][c]: rows() of every label, once the budget admits n^3."""
         if self._tensor is None:
             n = len(self.labels)
             require_budget(self.block.itemsize * n ** 3,
                            f"the fusion tensor of {n} labels")
-            self._tensor = self.planes().reshape(-1, n).take(
-                self._positions(self.perms), axis=0)
+            self._tensor = self.rows(range(n))
         return self._tensor
 
     def coefficient(self, a, b, c) -> int:
@@ -121,7 +125,7 @@ class FusionRing:
         (no Counter.__init__ Mapping path) from the dict {label: count} of
         plane row (r, Jb), a = Jr, that the orbit map gives at a n + b."""
         if self._rows is None:
-            self._row_of = self._positions(self.perms).ravel().tolist()
+            self._row_of = self._positions(self.perms, ...).ravel().tolist()
             flat = self.planes().reshape(-1, len(self.labels))
             rows, cols = np.nonzero(flat)
             self._rows = [{} for _ in range(len(flat))]
@@ -317,35 +321,33 @@ def fusion_coset_closed(a: CosetWeight, b: CosetWeight) -> Counter:
                     for l2 in fusion_su2k_closed(a.diff, b.diff, k)})
 
 
-def su2k_fusion_tensor(k: int) -> np.ndarray:
-    """fusion_su2k_closed for every pair at once: N[l, l', l''] over
-    l = 0..k as one int8 array of 0s and 1s, 1 where
+def su2k_fusion_tensor(k: int, rows) -> np.ndarray:
+    """fusion_su2k_closed at the rows l in `rows`: N[i, l', l''] for
+    l = rows[i] and l', l'' = 0..k as one int8 array of 0s and 1s, 1 where
     |l - l'| <= l'' <= min(l + l', 2k - l - l') and l + l' + l'' is even."""
-    la, lb, lc = np.ogrid[:k + 1, :k + 1, :k + 1]
+    la, lb, lc = np.ix_(np.arange(k + 1)[rows], range(k + 1), range(k + 1))
     return ((lc >= abs(la - lb)) & (lc <= np.minimum(la + lb, 2 * k - la - lb))
             & ((lc - la - lb) % 2 == 0)).astype(np.int8)
 
 
-def coset_fusion_tensor(k: int) -> np.ndarray:
-    """fusion_coset_closed for every pair at once: the closed form
-    N[a, b, c] over canonical_weights(k) as one int8 array of 0s and 1s.
+def coset_fusion_tensor(k: int, rows) -> np.ndarray:
+    """fusion_coset_closed at the rows in `rows`: N[i, b, c] = 0 or 1 over
+    canonical_weights(k), a = rows[i], in int8, set at its nonzero triples.
     Outcome l'' = |l_a - l_b| + 2t of the su(2)_k rule (while l'' <=
     min(l_a + l_b, 2k - l_a - l_b)) is the weight (x, x + l'') mod k with
     x = (m_a + m_b - l'')/2 mod k: one int32 pass over the pairs per t."""
     mu, nu = sm.canonical_arrays(k).astype(np.int32)
     l, m, n = nu - mu, mu + nu, len(mu)
+    la, ma = l[rows][:, None], m[rows][:, None]
     x, out = np.ogrid[:k, :2 * k + 1]
     y = (x + out) % k
     index = sm.canonical_index(np.minimum(x, y), np.maximum(x, y), k)
-    low, high = np.abs(l[:, None] - l), np.minimum(l[:, None] + l,
-                                                   2 * k - l[:, None] - l)
-    base = (m[:, None] + m - low) // 2  # x at t = 0
-    pair = np.arange(n * n, dtype=np.int32).reshape(n, n)
-    tensor = np.zeros((n, n, n), dtype=np.int8)
+    low, high = np.abs(la - l), np.minimum(la + l, 2 * k - la - l)
+    base = (ma + m - low) // 2  # x at t = 0
+    tensor = np.zeros((*low.shape, n), dtype=np.int8)
     for t in range(k // 2 + 1):
         hit = low + 2 * t <= high
-        tensor.reshape(n * n, n)[pair[hit], index[(base[hit] - t) % k,
-                                                  low[hit] + 2 * t]] = 1
+        tensor[hit, index[(base[hit] - t) % k, low[hit] + 2 * t]] = 1
     return tensor
 
 

@@ -369,12 +369,8 @@ class TestVerifyTable:
             "the coset-lm S matrix of 36 entries",
             "the su2k S matrix of 16 entries",
             "the full-product S matrix of 100 entries",
-            "the closed-form fusion compare of 6 labels",
             "Verlinde fusion of 6 labels",
-            "the fusion tensor of 6 labels",
-            "the closed-form fusion compare of 4 labels",
             "Verlinde fusion of 4 labels",
-            "the fusion tensor of 4 labels",
             "Verlinde fusion of 10 labels",
             "the full-compact S matrix of 100 entries",
             "the charge lattice of rank 5",
@@ -733,27 +729,29 @@ class TestResourceExit:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and strict_json(out)["passed"]
 
-    def test_verify_closed_fusion_over_budget_exits_2(self, capsys,
-                                                      monkeypatch):
-        def never(*args):
-            raise AssertionError("fusion tensor built over budget")
-        # coset k = 10 (n = 55): the compare's charge is the largest one
-        need = 55 ** 3 * cli.CLOSED_FUSION_BYTES_PER_CUBE
-        argv = ("verify", "--k", "10", "--targets", "verlinde-vs-closed-coset")
-        monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
-        with monkeypatch.context() as m:
-            m.setattr(fu, "verlinde", never)  # refused before the ring
-            m.setattr(fu, "coset_fusion_tensor", never)  # and closed form
-            code, out, err = run(capsys, *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: the closed-form fusion compare of 55 "
-                              "labels") and "budget" in err
-        monkeypatch.setattr(fu, "memory_budget", lambda: need)
-        code, out, _ = run(capsys, *argv)
-        assert code == 0 and strict_json(out)["passed"]
+    def test_verify_closed_fusion_under_16_mib(self, capsys, monkeypatch):
+        # k = 20: the coset (n = 210) and su(2)_20 are compared in row
+        # blocks, charged only for their S matrices and Verlinde sums, and
+        # the ring's dense tensor is never read (a dense compare charged
+        # 4 n^3 bytes, 35 MiB, here)
+        def never(ring):
+            raise AssertionError("the dense fusion tensor was read")
+        monkeypatch.setattr(fu, "memory_budget", lambda: 16 * 2 ** 20)
+        monkeypatch.setattr(fu.FusionRing, "tensor", property(never))
+        code, out, _ = run(capsys, "verify", "--k", "20", "--targets",
+                           "verlinde-vs-closed")
+        assert code == 0
+        checks = strict_json(out)["checks"]
+        assert [(c["name"], c["residual"], c["passed"]) for c in checks] == [
+            ("verlinde-vs-closed-coset", 0.0, True),
+            ("verlinde-vs-closed-su2k", 0.0, True)]
 
-    def test_verify_charges_both_closed_fusion_compares(self, capsys,
-                                                        monkeypatch):
+    @pytest.mark.parametrize("k,n", [(13, 91), (16, 136), (20, 210)])
+    def test_verify_closed_fusion_peak_within_budget_constant(
+            self, monkeypatch, k, n):
+        # the whole check, the coset S and the ring's build included, stays
+        # below what verify charged for it: the coset S, then the Verlinde
+        # sum, and nothing for the compare
         charged = []
         require = fu.require_budget
 
@@ -761,17 +759,6 @@ class TestResourceExit:
             charged.append((need, what))
             require(need, what)
         monkeypatch.setattr(fu, "require_budget", recorded)
-        code, _, _ = run(capsys, "verify", "--k", "3", "--targets",
-                         "verlinde-vs-closed")
-        assert code == 0
-        for n in (6, 4):  # the coset and su(2)_3
-            assert (cli.CLOSED_FUSION_BYTES_PER_CUBE * n ** 3,
-                    f"the closed-form fusion compare of {n} labels") in charged
-
-    @pytest.mark.parametrize("k,n", [(13, 91), (16, 136)])
-    def test_verify_closed_fusion_peak_within_budget_constant(self, k, n):
-        # the whole check, the coset S and the ring's build included, stays
-        # below the bytes per n^3 that the compare's guard charges
         argv = ["verify", "--k", str(k), "--targets",
                 "verlinde-vs-closed-coset"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
@@ -781,7 +768,47 @@ class TestResourceExit:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < cli.CLOSED_FUSION_BYTES_PER_CUBE * n ** 3
+        (s_need, s_what), (verlinde_need, verlinde_what) = charged
+        assert (s_need, s_what) == (cli.SMATRIX_BYTES_PER_ENTRY * n ** 2,
+                                    f"the coset S matrix of {n ** 2} entries")
+        assert verlinde_what == f"Verlinde fusion of {n} labels"
+        assert peak < s_need + verlinde_need
+
+    def test_verify_compares_in_blocks_of_32_rows(self, capsys, monkeypatch):
+        # coset k = 9 (n = 45): a full block and a partial one of 13 rows;
+        # su(2)_9 (n = 10) fits one block
+        blocks = []
+        for name in ("coset_fusion_tensor", "su2k_fusion_tensor"):
+            def recorded(k, rows, rule=getattr(fu, name)):
+                blocks.append(list(rows))
+                return rule(k, rows)
+            monkeypatch.setattr(fu, name, recorded)
+        code, _, _ = run(capsys, "verify", "--k", "9", "--targets",
+                         "verlinde-vs-closed")
+        assert code == 0
+        assert fu.VERLINDE_BYTES_PER_SQUARE // 3 == 32
+        assert blocks == [list(range(32)), list(range(32, 45)),
+                          list(range(10))]
+
+    @pytest.mark.parametrize("k,row", [
+        (9, 0),    # the first row
+        (12, 40),  # n = 78: inside the second of three blocks
+        (9, 44),   # n = 45: the last row of the partial last block
+    ])
+    def test_a_closed_rule_wrong_at_one_row_fails(self, capsys, monkeypatch,
+                                                  k, row):
+        rule = fu.coset_fusion_tensor
+
+        def wrong(k, rows):
+            out = rule(k, rows)
+            out[np.asarray(rows) == row, 0, 0] ^= 1
+            return out
+        monkeypatch.setattr(fu, "coset_fusion_tensor", wrong)
+        code, out, _ = run(capsys, "verify", "--k", str(k), "--targets",
+                           "verlinde-vs-closed-coset")
+        assert code == 3
+        check, = strict_json(out)["checks"]
+        assert (check["residual"], check["passed"]) == (1.0, False)
 
     def test_verify_without_s_needs_no_budget(self, capsys, monkeypatch):
         # the lattice check charges its own array and no S matrix

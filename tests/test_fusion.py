@@ -1294,7 +1294,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_su2k_tensor_is_the_per_pair_rule(self, k):
-        tensor = fu.su2k_fusion_tensor(k)
+        tensor = fu.su2k_fusion_tensor(k, range(k + 1))
         assert tensor.shape == (k + 1,) * 3 and tensor.dtype == np.int8
         for a in range(k + 1):
             for b in range(k + 1):
@@ -1323,7 +1323,8 @@ class TestClosedForms:
             for j, b in enumerate(labels):
                 for c, mult in fu.fusion_coset_closed(a, b).items():
                     expected[i, j, index[c]] = mult
-        assert np.array_equal(fu.coset_fusion_tensor(k), expected)
+        assert np.array_equal(fu.coset_fusion_tensor(k, range(len(labels))),
+                              expected)
 
     @pytest.mark.parametrize("k", [20, 30])
     def test_coset_tensor_peak(self, k):
@@ -1331,7 +1332,7 @@ class TestClosedForms:
         # stays within a quarter of the int8 result above it
         tracemalloc.start()
         try:
-            tensor = fu.coset_fusion_tensor(k)
+            tensor = fu.coset_fusion_tensor(k, range(k * (k + 1) // 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1343,6 +1344,54 @@ class TestClosedForms:
         for a in ring.labels:
             for b in ring.labels:
                 assert fu.fusion_coset_closed(a, b) == ring.product(a, b)
+
+
+def _row_lists(ring):
+    """Index lists for FusionRing.rows: one row, every row reversed, none,
+    the orbits of the vacuum and of the last representative in current
+    order (a list crossing from one orbit to the other), and every row."""
+    n, vac, last = len(ring.labels), ring.vacuum_index, ring.reps[-1]
+    across = [*ring.perms[:, vac].tolist(), *ring.perms[:, last].tolist()]
+    return {"one": [n // 2], "reversed": list(range(n))[::-1], "empty": [],
+            "across": across, "every": range(n)}
+
+
+class TestRows:
+    """FusionRing.rows and the closed rules read only the rows asked
+    for, and each equals its all-rows form there."""
+
+    @pytest.mark.parametrize("theory", ["su2k", "coset", "full"])
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_rows_equal_one_shot(self, theory, k):
+        s = _s_matrix(theory, k)
+        expected, _ = _one_shot_verlinde(s, fu.find_vacuum(s))
+        ring = _ring(theory, k)
+        lists = _row_lists(ring)
+        assert set(lists["across"]) > set(ring.perms[:, ring.vacuum_index])
+        for name, a in lists.items():
+            rows = ring.rows(a)
+            assert rows.shape == (len(a), s.dim, s.dim), name
+            assert rows.dtype == ring.block.dtype == np.int8, name
+            assert np.array_equal(rows, expected[list(a)]), name
+
+    def test_rows_keep_the_block_dtype(self):
+        ring = _klein_four()  # an int64 tensor, the trivial group's block
+        assert ring.rows([2, 1]).dtype == np.int64
+        assert np.array_equal(ring.rows([2, 1]), ring.block[[2, 1]])
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    @pytest.mark.parametrize("rule,dim", [
+        (fu.su2k_fusion_tensor, lambda k: k + 1),
+        (fu.coset_fusion_tensor, lambda k: k * (k + 1) // 2)])
+    def test_closed_rules_at_random_rows(self, rule, dim, k):
+        n, rng = dim(k), np.random.default_rng(k)
+        every = rule(k, range(n))
+        assert every.shape == (n,) * 3 and every.dtype == np.int8
+        for size in (0, 1, rng.integers(2, n + 1), n):
+            rows = rng.permutation(n)[:size]
+            block = rule(k, rows)
+            assert block.dtype == np.int8
+            assert np.array_equal(block, every[rows])
 
 
 class TestQuantumDimensions:
