@@ -25,7 +25,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -55,11 +55,6 @@ INTERFERE_BYTES_PER_SAMPLE = 384
 # the 16-byte keys of the entries' texts 64; a builder's own peak is
 # 24-56 (su2k to the oracle).
 SMATRIX_BYTES_PER_ENTRY = 192
-
-# tracemalloc peak of `fusion` per n^3, its JSON or CSV document included:
-# 7.1-7.4 at n = 91..231 (the int8 tensor, then the text as uint8 and as
-# str).
-FUSION_BYTES_PER_CUBE = 8
 
 # tracemalloc peak of the charge lattice's Bareiss pass (gram_matrix and
 # filling_factor) per entry of its 2k x 2k int64 array: 49-76 bytes at
@@ -91,31 +86,34 @@ def document(kind: str, k: int, basis, payload: dict) -> dict:
 
 def emit(doc: dict, fmt: str) -> None:
     """Print doc as JSON, the bytes json.dumps(doc) gives with a complex
-    matrix as its [re, im] pairs and an integer tensor as its entries, or
-    as CSV. Each value is its own write, so an encoded one is never
-    copied into a string of the whole document."""
+    matrix as its [re, im] pairs and a fusion ring as its dense tensor, or
+    as CSV. Each value is encoded, and a ring checked, before the first
+    write; each is one write, a ring's tensor one per block of rows."""
     if fmt == "json":
         pieces = []
         for key, value in doc.items():
-            if isinstance(value, np.ndarray):
-                text = (_matrix_json(value) if value.dtype.kind == "c"
-                        else _tensor_json(value))
+            if isinstance(value, fu.FusionRing):
+                texts = _tensor_json(value)
+            elif isinstance(value, np.ndarray):
+                texts = [_matrix_json(value)]
             else:
-                text = json.dumps(value, allow_nan=False)
-            pieces += [", " if pieces else "{", json.dumps(key), ": ", text]
-        print(*pieces, "}", sep="")
+                texts = [json.dumps(value, allow_nan=False)]
+            pieces += [[", " if pieces else "{", json.dumps(key), ": "], texts]
+        sys.stdout.writelines(chain.from_iterable(pieces))
+        print("}")
     else:
         to_csv(doc, sys.stdout)
 
 
 def to_csv(doc: dict, out) -> None:
     """Write doc to out as CSV: metadata comments, then a key,<json> row
-    per other field, an integer tensor as its JSON text, encoded before
-    any row so that a refused one writes nothing. Before the data rows of
-    a matrix (complex entries as re/im column pairs) or a curve, those
-    field rows are comments too: `# key,<json>`."""
+    per other field, a fusion ring as its dense tensor's JSON text, one
+    write per block of rows, checked before any row so that a refused one
+    writes nothing. Before the data rows of a matrix (complex entries as
+    re/im column pairs) or a curve, those field rows are comments too:
+    `# key,<json>`."""
     texts = {key: _tensor_json(value) for key, value in doc.items()
-             if isinstance(value, np.ndarray) and value.dtype.kind != "c"}
+             if isinstance(value, fu.FusionRing)}
     writer = csv.writer(out)
     meta, data = ("schema_version", "k", "kind"), ("matrix", "curve")
     for key in meta:
@@ -124,31 +122,27 @@ def to_csv(doc: dict, out) -> None:
     for key, value in doc.items():
         if key in texts:
             # as writer.writerow([key, text]), whose row buffer would
-            # hold the text at four bytes a character
-            quote = _csv_quote(texts[key])
-            out.writelines([f"{key},{quote}", texts[key], f"{quote}\r\n"])
+            # hold the text at four bytes a character; the writer quotes
+            # the text for its commas unless the tensor is one entry
+            quote = '"' if len(value.labels) > 1 else ""
+            out.writelines(chain([f"{key},{quote}"], texts[key],
+                                 [f"{quote}\r\n"]))
         elif key not in meta + data:
             writer.writerow([mark + key, json.dumps(value)])
     if "matrix" in doc:
         writer.writerow(["label", *(f"{lab} {part}" for lab in doc["basis"]
                                     for part in ("re", "im"))])
         # as writer.writerow([lab, re, im, ...]) with float cells: a row
-        # is the label, quoted as the writer quotes it, and the cells
+        # is the label, quoted as the writer quotes one with no quote or
+        # line break (only when it has a comma), and the cells
         cells = _pair_texts(doc["matrix"], repr, "{},{}")
         n = len(doc["basis"])
         for i, lab in enumerate(doc["basis"]):
-            quote = _csv_quote(lab)
+            quote = '"' if "," in lab else ""
             row = ",".join(cells[i * n:(i + 1) * n])
             out.write(f"{quote}{lab}{quote},{row}\r\n")
     elif "curve" in doc:
         writer.writerows([["alpha", "sigma_xx"], *doc["curve"]])
-
-
-def _csv_quote(text: str) -> str:
-    """The quote csv.writer puts at each end of text, for a text with no
-    quote or line break (JSON of numbers, a label): '"' when it has a
-    comma, else none."""
-    return '"' if "," in text else ""
 
 
 def _pair_texts(matrix: np.ndarray, dumps, pair: str) -> list:
@@ -184,28 +178,34 @@ def _matrix_json(matrix: np.ndarray) -> str:
     return "], [".join(rows)
 
 
-def _tensor_json(tensor: np.ndarray) -> str:
-    """json.dumps(tensor.tolist()) for an integer tensor of shape
-    (planes, rows, cols), written as bytes. Every ring here is
-    multiplicity-free, so each entry is one digit at a fixed offset: one
-    plane template of zeros is copied into every plane, and one strided
-    add writes the digits, through a uint8 view of a one-byte tensor with
-    no cast. Raises ConsistencyError, before writing anything, on an entry
-    outside 0..9."""
-    if tensor.min() < 0 or tensor.max() > 9:
+def _tensor_json(ring: fu.FusionRing):
+    """json.dumps(ring.tensor.tolist()) as texts, "[" then one per block
+    of rows N[a] (FusionRing.rows) encoded when asked for. Every ring here
+    is multiplicity-free: each entry is one digit, added through a uint8
+    view of the int8 rows to copies of a plane template of zeros. A row
+    holds n^2 bytes of entries and 3 n^2 each of text as uint8, as str
+    and as the bytes a stream encodes: a block is as many rows as fit
+    10 n^2 in the VERLINDE_BYTES_PER_SQUARE n^2 that verlinde charged.
+    Raises ConsistencyError at the call, before anything is written, on
+    an entry of the ring's block, and so of its tensor, outside 0..9."""
+    if ring.block.min() < 0 or ring.block.max() > 9:
         raise ConsistencyError("a fusion document entry outside 0..9")
-    planes, rows, cols = tensor.shape
-    row = b"[" + b", ".join([b"0"] * cols) + b"]"
-    plane = b"[" + b", ".join([row] * rows) + b"], "
-    buf = np.empty(1 + planes * len(plane), dtype=np.uint8)
-    buf[0] = ord("[")
-    buf[1:].reshape(planes, len(plane))[:] = np.frombuffer(plane, np.uint8)
-    buf[-2] = ord("]")  # the last plane closes the tensor: drop its " "
-    digits = np.lib.stride_tricks.as_strided(
-        buf[3:], tensor.shape, (len(plane), len(row) + 2, 3))  # after "[[["
-    small = tensor if tensor.itemsize == 1 else tensor.astype(np.uint8)
-    np.add(digits, small.view(np.uint8), out=digits)
-    return str(buf[:-1], "ascii")
+    n, step = len(ring.labels), fu.VERLINDE_BYTES_PER_SQUARE // 10
+    row = b"[" + b", ".join([b"0"] * n) + b"]"
+    plane = np.frombuffer(b"[" + b", ".join([row] * n) + b"], ", np.uint8)
+
+    def text(start):
+        rows = ring.rows(range(start, min(start + step, n)))
+        buf = np.tile(plane, len(rows))
+        digits = np.lib.stride_tricks.as_strided(  # after "[["
+            buf[2:], rows.shape, (len(plane), len(row) + 2, 3))
+        digits += rows.view(np.uint8) if rows.itemsize == 1 else (
+            rows.astype(np.uint8))
+        if start + step >= n:  # the last plane closes the tensor
+            buf[-2] = ord("]")
+            buf = buf[:-1]
+        return str(buf, "ascii")
+    return chain(["["], map(text, range(0, n, step)))
 
 
 # Each builder is read from its module at call time, never bound at
@@ -385,15 +385,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fusion(args) -> int:
+    """Emit the Verlinde ring of `which` in row blocks: no n^3 charge."""
     n = _smatrix_dim(args.which, args.k)
     ring = fu.verlinde(_build(args.which, args.k,
-                              extra=FUSION_BYTES_PER_CUBE * n ** 3,
                               what=f"the fusion document of {n} labels"))
     doc = document("fusion", args.k, ring.labels, {
         "which": args.which,
         "vacuum_index": ring.vacuum_index,
         "generators": [str(ring.labels[g]) for g in ring.generators],
-        "tensor": ring.tensor,
+        "tensor": ring,
     })
     emit(doc, args.format)
     return EXIT_OK

@@ -73,7 +73,7 @@ class FusionRing:
         self.generators = ()  # set by check_axioms
         self.residual = None  # set by verlinde
         self._index = LabelIndex(labels)
-        self._tensor = self._planes = self._row_of = self._rows = None
+        self._tensor = self._planes = self._table = None
 
     @classmethod
     def _from_block(cls, labels, vacuum_index, perms, block, reps):
@@ -122,20 +122,20 @@ class FusionRing:
 
     def product(self, a, b) -> Counter:
         """Multiset of outcomes of a x b: a fresh Counter, dict.update'd
-        (no Counter.__init__ Mapping path) from the dict {label: count} of
-        plane row (r, Jb), a = Jr, that the orbit map gives at a n + b."""
-        if self._rows is None:
-            self._row_of = self._positions(self.perms, ...).ravel().tolist()
+        (no Counter.__init__ Mapping path) from table[a][b], one list per
+        orbit-map row, the dict {label: count} of plane row (r, Jb), a = Jr."""
+        if self._table is None:
             flat = self.planes().reshape(-1, len(self.labels))
             rows, cols = np.nonzero(flat)
-            self._rows = [{} for _ in range(len(flat))]
+            dicts = [{} for _ in range(len(flat))]
             for row, c, count in zip(rows.tolist(), cols.tolist(),
                                      flat[rows, cols].tolist()):
-                self._rows[row][self.labels[c]] = count
-        row = self._rows[self._row_of[self._index[a] * len(self.labels)
-                                      + self._index[b]]]
+                dicts[row][self.labels[c]] = count
+            dicts = np.array(dicts, dtype=object)
+            self._table = [dicts[row].tolist()
+                           for row in self._positions(self.perms, ...)]
         out = Counter.__new__(Counter)
-        dict.update(out, row)
+        dict.update(out, self._table[self._index[a]][self._index[b]])
         return out
 
     def check_axioms(self) -> tuple:

@@ -51,6 +51,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def same_text(got, want):
+    """Fail unless got == want, naming the first offset where they differ
+    and its context: pytest's own diff of two texts of megabytes takes
+    minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        near = slice(max(at - 20, 0), at + 20)
+        pytest.fail(f"texts of {len(got)} and {len(want)} characters differ "
+                    f"at {at}: {got[near]!r} != {want[near]!r}")
+
+
 class TestSmatrixCommand:
     def test_coset_k3_roundtrip(self, capsys):
         code, out, _ = run(capsys, "smatrix", "--k", "3", "--which", "coset")
@@ -890,9 +901,9 @@ class TestResourceExit:
     def test_fusion_over_budget_exits_2(self, capsys, monkeypatch, fmt):
         def never(s):
             raise AssertionError("fusion built over budget")
-        # coset k = 3: n = 6; the tensor and S, charged once before either
-        need = (6 ** 3 * cli.FUSION_BYTES_PER_CUBE
-                + 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
+        # coset k = 3: n = 6; S is charged before S or Verlinde is built,
+        # Verlinde's smaller charge follows, and the tensor charges nothing
+        need = 6 ** 2 * cli.SMATRIX_BYTES_PER_ENTRY
         argv = ("fusion", "--k", "3", "--which", "coset", "--format", fmt)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -912,8 +923,7 @@ class TestResourceExit:
                                              which, n):
         def never(k):
             raise AssertionError("S built over budget")
-        need = (n ** 3 * cli.FUSION_BYTES_PER_CUBE
-                + n ** 2 * cli.SMATRIX_BYTES_PER_ENTRY)
+        need = n ** 2 * cli.SMATRIX_BYTES_PER_ENTRY
         argv = ("fusion", "--k", "3", "--which", which)
         monkeypatch.setattr(fu, "memory_budget", lambda: need - 1)
         with monkeypatch.context() as m:
@@ -981,10 +991,18 @@ class TestResourceExit:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("which,k,n", [("coset", 13, 91),
-                                           ("full", 16, 153)])
-    def test_fusion_peak_within_budget_constant(self, which, k, n, fmt):
-        # the whole command, its document written to a real file, stays
-        # below the bytes per n^3 that its guard charges
+                                           ("full", 16, 153),
+                                           ("coset", 21, 231)])
+    def test_fusion_peak_within_budget_constant(self, monkeypatch, which, k,
+                                                n, fmt):
+        # the whole command, its document written to a file, stays below
+        # the charges it made: S and Verlinde's, nothing per n^3
+        charged, require = [], fu.require_budget
+
+        def recorded(need, what):
+            charged.append((need, what))
+            require(need, what)
+        monkeypatch.setattr(fu, "require_budget", recorded)
         argv = ["fusion", "--k", str(k), "--which", which, "--format", fmt]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
@@ -993,7 +1011,49 @@ class TestResourceExit:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak < cli.FUSION_BYTES_PER_CUBE * n ** 3
+        (s_need, s_what), (verlinde_need, verlinde_what) = charged
+        assert (s_need, s_what) == (cli.SMATRIX_BYTES_PER_ENTRY * n ** 2,
+                                    f"the fusion document of {n} labels")
+        assert verlinde_what == f"Verlinde fusion of {n} labels"
+        assert peak < s_need + verlinde_need
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_fusion_never_reads_the_dense_tensor(self, capsys, monkeypatch,
+                                                 fmt):
+        # coset k = 20 (n = 210) under a budget below the 8 n^3 bytes that
+        # a dense document charged: the same bytes, from row blocks alone
+        expected = _reference_fusion_document("coset", 20, fmt)
+
+        def dense(ring):
+            raise AssertionError("the dense tensor was read")
+        monkeypatch.setattr(fu.FusionRing, "tensor", property(dense))
+        monkeypatch.setattr(fu, "memory_budget", lambda: 8 * 210 ** 3)
+        code, out, _ = run(capsys, "fusion", "--k", "20", "--which", "coset",
+                           "--format", fmt)
+        assert code == 0
+        same_text(out, expected)
+
+    def test_fusion_writes_in_blocks_of_9_rows(self, capsys, monkeypatch):
+        # coset k = 4 (n = 10): a full block and a partial one of 1 row;
+        # coset k = 8 (n = 36): four full blocks; su(2)_7 (n = 8): one
+        blocks, rows = [], fu.FusionRing.rows
+
+        def recorded(ring, a):
+            blocks.append(list(a))
+            return rows(ring, a)
+        monkeypatch.setattr(fu.FusionRing, "rows", recorded)
+        assert fu.VERLINDE_BYTES_PER_SQUARE // 10 == 9
+        for which, k, starts in [("coset", 4, [0, 9]),
+                                 ("coset", 8, [0, 9, 18, 27]),
+                                 ("su2k", 7, [0])]:
+            n = cli._smatrix_dim(which, k)
+            for fmt in ("json", "csv"):
+                blocks.clear()
+                code, _, _ = run(capsys, "fusion", "--k", str(k), "--which",
+                                 which, "--format", fmt)
+                assert code == 0
+                assert blocks == [list(range(i, min(i + 9, n)))
+                                  for i in starts]
 
     def test_memory_error_exits_2(self, capsys, monkeypatch):
         def exhausted(s):
@@ -1103,12 +1163,16 @@ class TestFusionDimsSectors:
                                           ("full", range(2, 13))])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_fusion_document_bytes(self, capsys, which, ks, fmt):
-        # the encoded tensor gives the bytes of json.dumps on tolist()
+        # the encoded tensor gives the bytes of json.dumps on tolist(),
+        # for n below one block of 9 rows, above it and a multiple of it
+        sizes = [cli._smatrix_dim(which, k) for k in ks]
+        assert min(sizes) < 9 < max(sizes)
+        assert which == "su2k" or any(n % 9 == 0 for n in sizes)
         for k in ks:
             code, out, _ = run(capsys, "fusion", "--k", str(k),
                                "--which", which, "--format", fmt)
             assert code == 0
-            assert out == _reference_fusion_document(which, k, fmt)
+            same_text(out, _reference_fusion_document(which, k, fmt))
 
     def test_dims(self, capsys):
         code, out, _ = run(capsys, "dims", "--k", "3")
@@ -1164,44 +1228,60 @@ def _reference_fusion_document(which, k, fmt):
     return buf.getvalue()
 
 
+def _dense_ring(tensor):
+    """The ring whose block is `tensor`, the trivial group's: its rows are
+    the tensor's own."""
+    return fu.FusionRing(range(len(tensor)), tensor, 0)
+
+
 class TestTensorEncoder:
     @pytest.mark.parametrize("top", [0, 1, 9, 10, 130])
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", [*range(1, 6), 9, 10, 18, 19])
     def test_equals_json_dumps(self, n, top):
-        # one digit an entry: 0..9 is encoded, 10 and above refused
+        # one digit an entry: 0..9 is encoded, 10 and above refused; n = 9
+        # and 18 are whole blocks of 9 rows, 10 and 19 end in a partial one
         rng = np.random.default_rng(n * 1000 + top)
         for dtype in (np.min_scalar_type(top), np.int64):
             tensor = rng.integers(0, top + 1, size=(n, n, n)).astype(dtype)
             tensor[rng.integers(n), rng.integers(n), rng.integers(n)] = top
             if top <= 9:
-                assert cli._tensor_json(tensor) == json.dumps(tensor.tolist())
+                text = "".join(cli._tensor_json(_dense_ring(tensor)))
+                assert text == json.dumps(tensor.tolist())
             else:
                 with pytest.raises(ConsistencyError, match="outside 0..9"):
-                    cli._tensor_json(tensor)
+                    cli._tensor_json(_dense_ring(tensor))
 
     def test_mixed_widths(self):
         tensor = np.arange(60).reshape(3, 4, 5) ** 3  # 1 to 6 digits
         with pytest.raises(ConsistencyError, match="outside 0..9"):
-            cli._tensor_json(tensor)
+            cli._tensor_json(_dense_ring(tensor))
         with pytest.raises(ConsistencyError, match="outside 0..9"):
-            cli._tensor_json(-np.ones((2, 2, 2), dtype=np.int8))
+            cli._tensor_json(_dense_ring(-np.ones((2, 2, 2), dtype=np.int8)))
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refused_tensor_writes_nothing(self, capsys, monkeypatch, fmt):
-        ring = fu.verlinde(sm.s_su2k(2))
-        ring.tensor[0, 0, 0] = 10
-        monkeypatch.setattr(fu, "verlinde", lambda s: ring)
-        code, out, err = run(capsys, "fusion", "--k", "2", "--which", "su2k",
-                             "--format", fmt)
-        assert code == 1 and out == ""
-        assert err == "error: a fusion document entry outside 0..9\n"
+        # a block entry of su(2)_2's ring, or the last row of the dense
+        # coset ring at k = 9 (n = 45), which only the last block reads
+        coset = fu.verlinde(sm.s_suk2_compact(9)).tensor
+        for value, dense in itertools.product([10, -1], [False, True]):
+            if dense:
+                ring = _dense_ring(coset.copy())
+                ring.block[44, 0, 0] = value
+            else:
+                ring = fu.verlinde(sm.s_su2k(2))
+                ring.block[0, 0, 0] = value
+            monkeypatch.setattr(fu, "verlinde", lambda s: ring)
+            code, out, err = run(capsys, "fusion", "--k", "2", "--which",
+                                 "su2k", "--format", fmt)
+            assert code == 1 and out == "", (value, dense)
+            assert err == "error: a fusion document entry outside 0..9\n"
 
     @pytest.mark.parametrize("n", [1, 2])  # n = 1 has no comma to quote
     def test_csv_cell_as_the_writer_writes_it(self, n):
         tensor = np.ones((n, n, n), dtype=np.int8)
         text = json.dumps(tensor.tolist())
         doc = cli.document("fusion", 2, ["0"] * n,
-                           {"which": "su2k", "tensor": tensor})
+                           {"which": "su2k", "tensor": _dense_ring(tensor)})
         got, want = io.StringIO(), io.StringIO()
         cli.to_csv(doc, got)
         writer = csv.writer(want)

@@ -704,6 +704,19 @@ class TestBlocks:
         assert ring.product(tau, tau) == Counter({vac: 1, tau: 1})
         assert ring.product(tau, tau) is not ring.product(tau, tau)
 
+    def test_table_holds_at_most_24_bytes_a_pair(self):
+        # coset k = 30 (n = 465): n lists of references to the shared
+        # plane-row dicts, no n^2 row numbers beside them (50 bytes a pair)
+        ring = fu.verlinde(sm.s_suk2_compact(30))
+        ring.planes()
+        tracemalloc.start()
+        try:
+            ring.product(ring.labels[1], ring.labels[2])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 24 * len(ring.labels) ** 2
+
 
 class TestOrbits:
     """check_axioms compares each current exactly and multiplies only

@@ -23,10 +23,10 @@ family is the same byte for byte:
 * `budget`: every command above again with `fusion.memory_budget`
   patched, hashed as its argv, exit code and stderr: once refusing each
   of its budget charges in turn (the first as a budget of 0, then the
-  later ones: Verlinde's, the `fusion` document's dense tensor and the
-  charge lattice; `verify`'s row-block fusion compares charge nothing),
-  until a run is refused no charge, and once under a budget of 1 MiB,
-  which admits the small levels and refuses the larger ones.
+  later ones: Verlinde's and the charge lattice; `verify`'s row-block
+  fusion compares and the `fusion` document's row blocks charge
+  nothing), until a run is refused no charge, and once under a budget
+  of 1 MiB, which admits the small levels and refuses the larger ones.
 
 A level a command refuses is hashed too, as its exit code and message,
 and a command whose exception escapes `cli.main` as the exception's type
